@@ -19,7 +19,6 @@ printed sets).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -251,48 +250,27 @@ class SweepReport:
         return tuple(v for v in self.verdicts if v.brute_pass)
 
 
-def _verdicts_for_q(target: tuple[int, int, int]) -> tuple[list[GroupVerdict], list[tuple[GroupDescriptor, str]]]:
-    q, p, f = target
-    pp = PrimePower(p, f, q)
-    verdicts: list[GroupVerdict] = []
-    overflowed: list[tuple[GroupDescriptor, str]] = []
-    for outer in enumerate_outer_subgroups(pp, include_trivial=False):
-        g = GroupDescriptor(pp, outer)
-        try:
-            verdicts.append(brute_force_verdict(g))
-        except OverflowError as exc:  # recorded, not fatal
-            overflowed.append((g, str(exc)))
-    return verdicts, overflowed
-
-
-def sweep(q_min: int, q_max: int, jobs: int = 1) -> SweepReport:
+def sweep(q_min: int, q_max: int) -> SweepReport:
     """Verdicts for every prime power in [q_min, q_max] and every proper
     extension, deterministically ordered by (q, kind, d).
 
-    ``jobs`` > 1 fans the per-q work out over worker processes; the result
-    is identical to a serial run.
+    The order needs no sort: q comes ascending from the sieve, and each
+    q's subgroups come in ``OuterKind`` order with ascending d.
     """
     if q_min < 7:
         raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
     if q_max < q_min:
         raise ValueError(f"empty range: q_min = {q_min} > q_max = {q_max}")
-    targets = prime_powers_in_range(q_min, q_max)
-    if jobs > 1 and len(targets) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(targets) // (8 * jobs))
-                results = list(pool.map(_verdicts_for_q, targets, chunksize=chunk))
-        except (OSError, PermissionError):  # no subprocess support: run serially
-            results = [_verdicts_for_q(t) for t in targets]
-    else:
-        results = [_verdicts_for_q(t) for t in targets]
     verdicts: list[GroupVerdict] = []
     overflowed: list[tuple[GroupDescriptor, str]] = []
-    for verdict_chunk, overflow_chunk in results:
-        verdicts.extend(verdict_chunk)
-        overflowed.extend(overflow_chunk)
-    verdicts.sort(key=lambda v: v.descriptor.sort_key())
-    overflowed.sort(key=lambda pair: pair[0].sort_key())
+    for q, p, f in prime_powers_in_range(q_min, q_max):
+        pp = PrimePower(p, f, q)
+        for outer in enumerate_outer_subgroups(pp, include_trivial=False):
+            g = GroupDescriptor(pp, outer)
+            try:
+                verdicts.append(brute_force_verdict(g))
+            except OverflowError as exc:  # recorded, not fatal
+                overflowed.append((g, str(exc)))
     return SweepReport(q_min, q_max, tuple(verdicts), tuple(overflowed))
 
 

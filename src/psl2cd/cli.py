@@ -22,7 +22,6 @@ from .classifier import (
 from .facts import FACTS, fact_report_to_dict, verify_all, verify_fact
 from .groups import (
     GroupDescriptor,
-    OuterExpressionError,
     PrimePower,
     character_degrees,
     group_name,
@@ -178,7 +177,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    report = sweep(args.qmin, args.qmax, jobs=args.jobs)
+    if args.jobs is not None:
+        print("note: sweeps run serially; --jobs is ignored", file=sys.stderr)
+    report = sweep(args.qmin, args.qmax)
     payload = sweep_report_to_dict(report)
     summary = payload["summary"]
     text = [
@@ -252,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("sweep", _cmd_sweep, "classification sweep over a range of prime powers")
     p.add_argument("--qmin", type=int, required=True)
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=None, help="accepted and ignored: sweeps run serially")
 
     p = add("facts", _cmd_facts, "verify the registered number-theoretic facts")
     p.add_argument("--fact", choices=sorted(FACTS), default=None)
@@ -269,9 +270,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except OuterExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,9 +39,6 @@ class OuterKind(enum.Enum):
     TWISTED = "twisted"
 
 
-_KIND_ORDER = {kind: i for i, kind in enumerate(OuterKind)}
-
-
 @dataclass(frozen=True)
 class PrimePower:
     """A prime power q = p**f with q >= 4."""
@@ -108,15 +105,11 @@ class GroupDescriptor:
     def is_trivial(self) -> bool:
         return self.outer.is_trivial
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.q.q, _KIND_ORDER[self.outer.kind], self.outer.d)
-
 
 @dataclass(frozen=True)
 class WhiteParameters:
     """Index data d = |H : Gamma| = 2**a * m driving the degree formula."""
 
-    gamma_is_pgl: bool
     d: int
     a: int
     m: int
@@ -147,7 +140,7 @@ def enumerate_outer_subgroups(q: PrimePower, include_trivial: bool) -> list[Oute
 
 
 def white_parameters(g: GroupDescriptor) -> WhiteParameters:
-    """Gamma and d = |H : Gamma| = 2**a * m for the degree formula.
+    """The index d = |H : Gamma| = 2**a * m for the degree formula.
 
     Gamma = PGL(2,q) exactly when delta lies in H, i.e. for WITH_DIAGONAL
     subgroups; both UNTWISTED and TWISTED subgroups give Gamma = S.  In all
@@ -155,7 +148,7 @@ def white_parameters(g: GroupDescriptor) -> WhiteParameters:
     """
     d = g.outer.d
     a = (d & -d).bit_length() - 1
-    return WhiteParameters(g.outer.kind is OuterKind.WITH_DIAGONAL, d, a, d >> a)
+    return WhiteParameters(d, a, d >> a)
 
 
 def degree_families(g: GroupDescriptor) -> tuple[list[int], list[int], list[int]]:

@@ -49,11 +49,13 @@ def check_set(degrees: Iterable[int]) -> HypothesisReport:
     """Test every unordered pair; all violations reported, sorted by (a, b).
 
     The degree 1 is harmless (its gcd with anything is 1) and may stay in
-    the set.  Duplicates are rejected.
+    the set.  Duplicates and values below 1 are rejected.
     """
     values = sorted(degrees)
     if any(x == y for x, y in zip(values, values[1:])):
         raise ValueError("degree sets must not contain duplicates")
+    if values and values[0] < 1:
+        raise ValueError("degrees are positive integers")
     violations = []
     for i, a in enumerate(values):
         for b in values[i + 1 :]:

@@ -63,6 +63,11 @@ def criterion_2_classification_sweep() -> None:
         (v.descriptor.q.q, v.degree_mismatches) for v in report.degree_mismatched
     ]
     assert report.overflowed == ()
+    keys = [
+        (v.descriptor.q.q, list(OuterKind).index(v.descriptor.outer.kind), v.descriptor.outer.d)
+        for v in report.verdicts
+    ]
+    assert all(a < b for a, b in zip(keys, keys[1:])), "verdicts are not in (q, kind, d) order"
     _report(2, f"classification sweep 7..4096, {len(report.verdicts)} groups", started)
 
 

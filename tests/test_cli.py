@@ -1,4 +1,5 @@
 import json
+import multiprocessing.process
 
 import pytest
 
@@ -80,6 +81,21 @@ class TestBasicCommands:
             "degree_mismatches": 0,
         }
 
+    def test_sweep_jobs_is_ignored(self, capsys, monkeypatch):
+        argv = ("sweep", "--qmin", "7", "--qmax", "128", "--format", "json")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        code, jobs_out, jobs_err = run(capsys, *argv, "--jobs", "2")
+        assert code == 0
+        assert jobs_out == out
+        assert "--jobs is ignored" in jobs_err
+
+        def no_process(self):
+            raise AssertionError("sweep started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        assert run(capsys, *argv, "--jobs", "64")[0] == 0
+
     def test_facts_single(self, capsys):
         code, out, _ = run(capsys, "facts", "--fact", "F3", "--limit", "20")
         assert code == 0
@@ -113,6 +129,11 @@ class TestErrorPaths:
     def test_limit_requires_fact(self, capsys):
         code, _, err = run(capsys, "facts", "--limit", "10")
         assert code == 2
+
+    def test_check_nonpositive_degree(self, capsys):
+        code, _, err = run(capsys, "check", "--degrees", "0")
+        assert code == 2
+        assert "positive" in err
 
     def test_sweep_bad_range(self, capsys):
         assert run(capsys, "sweep", "--qmin", "4", "--qmax", "11")[0] == 2

@@ -108,11 +108,11 @@ class TestEnumerate:
 class TestWhiteParameters:
     def test_examples(self):
         w = white_parameters(desc(9, WD, 2))
-        assert (w.gamma_is_pgl, w.d, w.a, w.m) == (True, 2, 1, 1)
+        assert (w.d, w.a, w.m) == (2, 1, 1)
         w = white_parameters(desc(9, T, 2))
-        assert (w.gamma_is_pgl, w.d, w.a, w.m) == (False, 2, 1, 1)
+        assert (w.d, w.a, w.m) == (2, 1, 1)
         w = white_parameters(desc(64, U, 6))
-        assert (w.gamma_is_pgl, w.d, w.a, w.m) == (False, 6, 1, 3)
+        assert (w.d, w.a, w.m) == (6, 1, 3)
 
     def test_two_a_m_decomposition(self):
         pp = PrimePower(3, 12)
@@ -121,7 +121,6 @@ class TestWhiteParameters:
                 w = white_parameters(GroupDescriptor(pp, OuterSubgroup(kind, d)))
                 assert w.d == d == 2**w.a * w.m
                 assert w.m % 2 == 1
-                assert w.gamma_is_pgl == (kind is WD)
 
 
 KNOWN_DEGREE_SETS = {

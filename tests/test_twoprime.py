@@ -38,8 +38,9 @@ class TestCheckSet:
         assert not report.passed
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            check_set([3, 5, 3])
+        for degrees in ([3, 5, 3], [0], [-5], [0, 3]):
+            with pytest.raises(ValueError):
+                check_set(degrees)
 
     def test_pass_iff_violations_empty(self):
         for degrees in ([1, 2, 3], [1, 12, 24], [5, 9, 10, 16]):
