@@ -32,7 +32,7 @@ from .groups import (
     enumerate_outer_subgroups,
     group_name,
 )
-from .twoprime import HypothesisReport, check_set
+from .twoprime import HypothesisReport, check_sorted_set
 
 Matcher = Callable[[GroupDescriptor], bool]
 Expected = Callable[[GroupDescriptor], tuple[int, ...] | None]
@@ -41,10 +41,15 @@ Expected = Callable[[GroupDescriptor], tuple[int, ...] | None]
 @dataclass(frozen=True)
 class TableRow:
     """One surviving group family: shape matcher, necessary arithmetic
-    conditions, and the predicted degree set cd(G) \\ {1}."""
+    conditions, and the predicted degree set cd(G) \\ {1}.
+
+    ``kind`` is the one outer kind the matcher can hold for; verdicts
+    consult only the rows of their group's kind, and the matcher decides.
+    """
 
     row_id: str
     group_shape: str
+    kind: OuterKind
     matcher: Matcher
     conditions: Matcher
     expected_degrees: Expected
@@ -80,6 +85,7 @@ _ROWS = (
     TableRow(
         "sym6",
         "Sym(6)",
+        kind=OuterKind.UNTWISTED,
         matcher=lambda g: g.q.q == 9 and _is_untwisted(g, 2),
         conditions=lambda g: True,
         expected_degrees=lambda g: (5, 9, 10, 16),
@@ -87,6 +93,7 @@ _ROWS = (
     TableRow(
         "m10",
         "M10",
+        kind=OuterKind.TWISTED,
         matcher=lambda g: g.q.q == 9 and g.outer == OuterSubgroup(OuterKind.TWISTED, 2),
         conditions=lambda g: True,
         expected_degrees=lambda g: (9, 10, 16),
@@ -94,6 +101,7 @@ _ROWS = (
     TableRow(
         "pgl",
         "PGL(2,q)",
+        kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda g: g.outer == OuterSubgroup(OuterKind.WITH_DIAGONAL, 1),
         conditions=lambda g: True,
         expected_degrees=lambda g: _sorted(g.q.q - 1, g.q.q, g.q.q + 1),
@@ -101,6 +109,7 @@ _ROWS = (
     TableRow(
         "s_phi_p3",
         "PSL(2,3^f).<phi>",
+        kind=OuterKind.UNTWISTED,
         matcher=lambda g: g.q.p == 3 and _full_field(g),
         conditions=lambda g: _odd_prime(g.q.f) and omega((g.q.q - 1) // 2) <= 2,
         expected_degrees=lambda g: _sorted(
@@ -110,6 +119,7 @@ _ROWS = (
     TableRow(
         "aut_p3",
         "PGL(2,3^f).<phi>",
+        kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda g: g.q.p == 3
         and g.outer.kind is OuterKind.WITH_DIAGONAL
         and g.outer.d == g.q.f,
@@ -119,6 +129,7 @@ _ROWS = (
     TableRow(
         "s_phi_p2",
         "PSL(2,2^f).<phi>",
+        kind=OuterKind.UNTWISTED,
         matcher=lambda g: g.q.p == 2 and _full_field(g),
         conditions=lambda g: _odd_prime(g.q.f) and omega(g.q.q - 1) <= 2,
         expected_degrees=_expected_field_ext,
@@ -126,6 +137,7 @@ _ROWS = (
     TableRow(
         "s_phi_quarter",
         "PSL(2,2^f).<phi^(f/4)>",
+        kind=OuterKind.UNTWISTED,
         matcher=lambda g: g.q.p == 2 and _is_untwisted(g, 4),
         conditions=lambda g: g.q.q + 1 > 5 and is_fermat_prime(g.q.q + 1),
         expected_degrees=lambda g: _sorted(
@@ -135,6 +147,7 @@ _ROWS = (
     TableRow(
         "s_phi_half_even",
         "PSL(2,2^f).<phi^(f/2)>",
+        kind=OuterKind.UNTWISTED,
         matcher=lambda g: g.q.p == 2 and _is_untwisted(g, 2),
         conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
         expected_degrees=_expected_half,
@@ -142,6 +155,7 @@ _ROWS = (
     TableRow(
         "s_phi_half_odd",
         "PSL(2,q).<phi^(f/2)>, q odd",
+        kind=OuterKind.UNTWISTED,
         matcher=lambda g: g.q.p != 2 and _is_untwisted(g, 2),
         conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
         expected_degrees=lambda g: None
@@ -153,6 +167,7 @@ _ROWS = (
     TableRow(
         "s_delta_phi_half",
         "PSL(2,q).<delta*phi^(f/2)>",
+        kind=OuterKind.TWISTED,
         matcher=lambda g: g.outer == OuterSubgroup(OuterKind.TWISTED, 2),
         conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
         expected_degrees=lambda g: None if g.q.q == 9 else _expected_half(g),
@@ -160,6 +175,7 @@ _ROWS = (
     TableRow(
         "pgl_phi_half",
         "PGL(2,q).<phi^(f/2)>",
+        kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda g: g.q.p != 2
         and g.outer == OuterSubgroup(OuterKind.WITH_DIAGONAL, 2),
         conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
@@ -168,6 +184,7 @@ _ROWS = (
     TableRow(
         "s_phi_over_m",
         "PSL(2,2^f).<phi^(f/m)>, m an odd prime < f",
+        kind=OuterKind.UNTWISTED,
         matcher=lambda g: g.q.p == 2
         and g.outer.kind is OuterKind.UNTWISTED
         and g.outer.d < g.q.f
@@ -182,6 +199,9 @@ _ROWS = (
         ),
     ),
 )
+
+
+_ROWS_BY_KIND = {kind: tuple(row for row in _ROWS if row.kind is kind) for kind in OuterKind}
 
 
 def table_rows() -> tuple[TableRow, ...]:
@@ -213,11 +233,11 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
     if g.is_trivial:
         raise ValueError("outer subgroup must be nontrivial: S < H is required")
     degrees = tuple(character_degrees(g))
-    report = check_set(degrees)
-    nontrivial = tuple(d for d in degrees if d != 1)
+    report = check_sorted_set(degrees)  # sorted, distinct and positive
+    nontrivial = degrees[1:]  # 1 is always the smallest degree
     matched: list[str] = []
     mismatched: list[str] = []
-    for row in _ROWS:
+    for row in _ROWS_BY_KIND[g.outer.kind]:
         if row.matcher(g) and row.conditions(g):
             matched.append(row.row_id)
             expected = row.expected_degrees(g)
@@ -249,6 +269,25 @@ class SweepReport:
     def passing(self) -> tuple[GroupVerdict, ...]:
         return tuple(v for v in self.verdicts if v.brute_pass)
 
+    def summary(self) -> dict[str, int]:
+        """Counts of groups, passing groups, disagreements, converse
+        anomalies and degree mismatches, in one pass over the verdicts."""
+        passing = disagreements = converse = mismatched = 0
+        for v in self.verdicts:
+            if v.report.passed:
+                passing += 1
+                disagreements += not v.matched_rows
+            else:
+                converse += bool(v.matched_rows)
+            mismatched += bool(v.degree_mismatches)
+        return {
+            "groups": len(self.verdicts),
+            "passing": passing,
+            "disagreements": disagreements,
+            "converse_anomalies": converse,
+            "degree_mismatches": mismatched,
+        }
+
 
 def sweep(q_min: int, q_max: int) -> SweepReport:
     """Verdicts for every prime power in [q_min, q_max] and every proper
@@ -264,7 +303,7 @@ def sweep(q_min: int, q_max: int) -> SweepReport:
     verdicts: list[GroupVerdict] = []
     overflowed: list[tuple[GroupDescriptor, str]] = []
     for q, p, f in prime_powers_in_range(q_min, q_max):
-        pp = PrimePower(p, f, q)
+        pp = PrimePower.from_sieve(q, p, f)
         for outer in enumerate_outer_subgroups(pp, include_trivial=False):
             g = GroupDescriptor(pp, outer)
             try:
@@ -276,7 +315,8 @@ def sweep(q_min: int, q_max: int) -> SweepReport:
 
 def verdict_to_dict(v: GroupVerdict) -> dict:
     """JSON-ready shape: {q, group:{kind,d,name}, degrees, pass, violations,
-    rows, agree}."""
+    rows, agree}.  The sweep report's writer (``cli``) prints this shape
+    without building the dict."""
     return {
         "q": v.descriptor.q.q,
         "group": {
@@ -294,25 +334,3 @@ def verdict_to_dict(v: GroupVerdict) -> dict:
         "agree": v.agree,
     }
 
-
-def sweep_report_to_dict(report: SweepReport) -> dict:
-    return {
-        "q_min": report.q_min,
-        "q_max": report.q_max,
-        "verdicts": [verdict_to_dict(v) for v in report.verdicts],
-        "degree_mismatches": [
-            {"q": v.descriptor.q.q, "group": group_name(v.descriptor), "rows": list(v.degree_mismatches)}
-            for v in report.degree_mismatched
-        ],
-        "overflowed": [
-            {"q": g.q.q, "group": group_name(g), "error": message}
-            for g, message in report.overflowed
-        ],
-        "summary": {
-            "groups": len(report.verdicts),
-            "passing": len(report.passing),
-            "disagreements": len(report.disagreements),
-            "converse_anomalies": len(report.converse_anomalies),
-            "degree_mismatches": len(report.degree_mismatched),
-        },
-    }

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .arithmetic import factor, omega
 from .classifier import (
+    GroupVerdict,
+    SweepReport,
     brute_force_verdict,
     sweep,
-    sweep_report_to_dict,
     verdict_to_dict,
 )
 from .facts import FACTS, fact_report_to_dict, verify_all, verify_fact
@@ -38,6 +39,85 @@ def to_json(payload: object) -> str:
     byte-identical.
     """
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_VERDICT_BATCH = 4096  # verdicts formatted per write of a sweep report
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A list of encoded items as ``to_json`` lays it out, for a list whose
+    closing bracket sits at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
+def _verdict_json(v: GroupVerdict) -> str:
+    """``to_json(verdict_to_dict(v))`` as an item of the sweep report's
+    verdict list (four spaces deep), without building the dict."""
+    g = v.descriptor
+    violations = [
+        "{\n"
+        f'          "a": {w.a},\n'
+        f'          "b": {w.b},\n'
+        f'          "gcd": {w.gcd},\n'
+        f'          "omega": {w.omega}\n'
+        "        }"
+        for w in v.report.violations
+    ]
+    return (
+        "{\n"
+        f'      "agree": {"true" if v.agree else "false"},\n'
+        f'      "degrees": {_json_list(list(map(str, v.degrees)), "      ")},\n'
+        '      "group": {\n'
+        f'        "d": {g.outer.d},\n'
+        f'        "kind": {_encode_str(g.outer.kind.value)},\n'
+        f'        "name": {_encode_str(group_name(g))}\n'
+        "      },\n"
+        f'      "pass": {"true" if v.brute_pass else "false"},\n'
+        f'      "q": {g.q.q},\n'
+        f'      "rows": {_json_list(list(map(_encode_str, v.matched_rows)), "      ")},\n'
+        f'      "violations": {_json_list(violations, "      ")}\n'
+        "    }"
+    )
+
+
+def _write_sweep_json(report: SweepReport, summary: dict[str, int], out: TextIO) -> None:
+    """Write ``to_json`` of the sweep report, plus a newline, to ``out``.
+
+    The keys before "verdicts" go through ``to_json``; the verdict list,
+    which sorts last and is nearly all of the text, is formatted directly
+    and written in batches, so the report never exists as one string or
+    as dicts.
+    """
+    head = to_json(
+        {
+            "q_min": report.q_min,
+            "q_max": report.q_max,
+            "degree_mismatches": [
+                {"q": v.descriptor.q.q, "group": group_name(v.descriptor), "rows": list(v.degree_mismatches)}
+                for v in report.degree_mismatched
+            ],
+            "overflowed": [
+                {"q": g.q.q, "group": group_name(g), "error": message}
+                for g, message in report.overflowed
+            ],
+            "summary": summary,
+        }
+    )
+    out.write(head[: -len("\n}")] + ',\n  "verdicts": ')
+    verdicts = report.verdicts
+    if not verdicts:
+        out.write("[]\n}\n")
+        return
+    out.write("[\n    ")
+    for start in range(0, len(verdicts), _VERDICT_BATCH):
+        if start:
+            out.write(",\n    ")
+        out.write(",\n    ".join(map(_verdict_json, verdicts[start : start + _VERDICT_BATCH])))
+    out.write("\n  ]\n}\n")
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -180,24 +260,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         print("note: sweeps run serially; --jobs is ignored", file=sys.stderr)
     report = sweep(args.qmin, args.qmax)
-    payload = sweep_report_to_dict(report)
-    summary = payload["summary"]
-    text = [
-        f"sweep q in [{report.q_min}, {report.q_max}]: {summary['groups']} groups",
-        "passing: {passing}   disagreements: {disagreements}   "
-        "converse anomalies: {converse_anomalies}   degree mismatches: {degree_mismatches}".format(**summary),
-    ]
-    for verdict in report.disagreements:
-        text.append(f"  DISAGREEMENT: {group_name(verdict.descriptor)} passes but matches no row")
-    for verdict in report.degree_mismatched:
-        text.append(
-            f"  DEGREE MISMATCH: {group_name(verdict.descriptor)} rows {', '.join(verdict.degree_mismatches)}"
+    summary = report.summary()
+    if args.format == "json":
+        _write_sweep_json(report, summary, sys.stdout)
+    else:
+        print(f"sweep q in [{report.q_min}, {report.q_max}]: {summary['groups']} groups")
+        print(
+            "passing: {passing}   disagreements: {disagreements}   "
+            "converse anomalies: {converse_anomalies}   degree mismatches: {degree_mismatches}".format(**summary)
         )
-    for g, message in report.overflowed:
-        text.append(f"  OVERFLOW: {group_name(g)}: {message}")
-    _emit(args, payload, text)
-    failed = report.disagreements or report.degree_mismatched
-    return 1 if failed else 0
+        for verdict in report.disagreements:
+            print(f"  DISAGREEMENT: {group_name(verdict.descriptor)} passes but matches no row")
+        for verdict in report.degree_mismatched:
+            print(f"  DEGREE MISMATCH: {group_name(verdict.descriptor)} rows {', '.join(verdict.degree_mismatches)}")
+        for g, message in report.overflowed:
+            print(f"  OVERFLOW: {group_name(g)}: {message}")
+    return 1 if summary["disagreements"] or summary["degree_mismatches"] else 0
 
 
 def _cmd_facts(args: argparse.Namespace) -> int:
@@ -272,6 +350,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller range", file=sys.stderr)
         return 2
 
 

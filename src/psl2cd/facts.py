@@ -147,13 +147,22 @@ FACTS: dict[str, Fact] = {fact.fact_id: fact for fact in _FACT_LIST}
 
 
 def verify_fact(fact_id: str, limit: int | None = None) -> FactReport:
-    """Exhaustively check one fact over its range; collects every counterexample."""
+    """Exhaustively check one fact over its range; collects every counterexample.
+
+    Raises ValueError when the limit leaves the range empty, so that no
+    fact holds vacuously.
+    """
     fact = FACTS.get(fact_id)
     if fact is None:
         raise ValueError(f"unknown fact {fact_id!r}; known: {', '.join(FACTS)}")
     bound = fact.default_limit if limit is None else limit
-    counterexamples = tuple(v for v in fact.values(bound) if not fact.predicate(v))
-    return FactReport(fact.fact_id, fact.claim, fact.range_text(bound), counterexamples)
+    values = iter(fact.values(bound))
+    first = next(values, None)
+    if first is None:
+        raise ValueError(f"{fact.fact_id}: limit {bound} leaves nothing to check ({fact.range_text(bound)})")
+    counterexamples = [] if fact.predicate(first) else [first]
+    counterexamples.extend(v for v in values if not fact.predicate(v))
+    return FactReport(fact.fact_id, fact.claim, fact.range_text(bound), tuple(counterexamples))
 
 
 def verify_all() -> list[FactReport]:

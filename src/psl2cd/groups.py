@@ -69,6 +69,17 @@ class PrimePower:
             raise ValueError(f"{q} is not a prime power")
         return cls(*decomp)
 
+    @classmethod
+    def from_sieve(cls, q: int, p: int, f: int) -> "PrimePower":
+        """Trusted constructor for a (q, p, f) triple from
+        ``prime_powers_in_range``: the sieve has proved p prime and
+        q == p**f, so none of the constructor's checks run."""
+        pp = object.__new__(cls)
+        object.__setattr__(pp, "p", p)
+        object.__setattr__(pp, "f", f)
+        object.__setattr__(pp, "q", q)
+        return pp
+
 
 @dataclass(frozen=True)
 class OuterSubgroup:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .arithmetic import omega
 
@@ -56,10 +56,18 @@ def check_set(degrees: Iterable[int]) -> HypothesisReport:
         raise ValueError("degree sets must not contain duplicates")
     if values and values[0] < 1:
         raise ValueError("degrees are positive integers")
+    return check_sorted_set(values)
+
+
+def check_sorted_set(values: Sequence[int]) -> HypothesisReport:
+    """``check_set`` for values the caller has proved sorted, distinct and
+    positive (as ``character_degrees`` returns them); nothing is checked."""
     violations = []
     for i, a in enumerate(values):
         for b in values[i + 1 :]:
-            violation = check_pair(a, b)
-            if violation is not None:
-                violations.append(violation)
+            g = math.gcd(a, b)
+            if g >= 8:  # Omega(g) >= 3 needs g >= 2**3
+                om = omega(g)
+                if om >= 3:
+                    violations.append(Violation(a, b, g, om))
     return HypothesisReport(not violations, tuple(violations))

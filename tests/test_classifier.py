@@ -5,10 +5,10 @@ import pytest
 from psl2cd.classifier import (
     brute_force_verdict,
     sweep,
-    sweep_report_to_dict,
     table_rows,
     verdict_to_dict,
 )
+from psl2cd.cli import main, to_json
 from psl2cd.groups import (
     GroupDescriptor,
     OuterKind,
@@ -50,6 +50,13 @@ class TestTableRows:
                 if m10_row.matcher(g) and m10_row.conditions(g):
                     matches.append((q, kind, d))
         assert matches == [(9, T, 2)]
+
+    def test_kind_indexed_rows_match_full_scan(self):
+        report = sweep(7, 4096)
+        for v in report.verdicts:
+            full_scan = tuple(self.matched_ids(v.descriptor))
+            assert v.matched_rows == full_scan, group_name(v.descriptor)
+        assert {v.descriptor.outer.kind for v in report.verdicts if v.matched_rows} == set(OuterKind)
 
     def test_p3_field_rows(self):
         assert "s_phi_p3" in self.matched_ids(desc(27, U, 3))
@@ -186,8 +193,9 @@ class TestJsonShape:
         assert payload["violations"]
         assert all(set(v) == {"a", "b", "gcd", "omega"} for v in payload["violations"])
 
-    def test_report_round_trips_through_json(self):
-        payload = sweep_report_to_dict(sweep(7, 32))
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        assert json.dumps(json.loads(text), sort_keys=True, indent=2) == text
+    def test_report_round_trips_through_json(self, capsys):
+        assert main(["sweep", "--qmin", "7", "--qmax", "32", "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        payload = json.loads(text)
+        assert to_json(payload) + "\n" == text
         assert payload["summary"]["disagreements"] == 0

@@ -1,9 +1,14 @@
+import dataclasses
 import json
 import multiprocessing.process
 
 import pytest
 
+from psl2cd.classifier import SweepReport, sweep, verdict_to_dict
 from psl2cd.cli import main, to_json
+from psl2cd.facts import FACTS
+from psl2cd.groups import group_name
+from psl2cd.twoprime import HypothesisReport, Violation
 
 
 def run(capsys, *argv):
@@ -137,6 +142,100 @@ class TestErrorPaths:
 
     def test_sweep_bad_range(self, capsys):
         assert run(capsys, "sweep", "--qmin", "4", "--qmax", "11")[0] == 2
+
+    @pytest.mark.parametrize("fact_id", sorted(FACTS))
+    def test_facts_empty_range(self, capsys, fact_id):
+        code, out, err = run(capsys, "facts", "--fact", fact_id, "--limit", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {fact_id}: limit -3 leaves nothing to check")
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        def out_of_memory(q_min, q_max):
+            raise MemoryError
+
+        monkeypatch.setattr("psl2cd.cli.sweep", out_of_memory)
+        code, out, err = run(capsys, "sweep", "--qmin", "7", "--qmax", "11")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory")
+
+
+class TestSweepReportWriter:
+    """The streamed `sweep --format json` report against the library's
+    verdicts, re-serialized through the dict path."""
+
+    def check(self, capsys, q_min, q_max):
+        code, out, _ = run(capsys, "sweep", "--qmin", str(q_min), "--qmax", str(q_max), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert to_json(payload) + "\n" == out
+        report = sweep(q_min, q_max)
+        assert payload["verdicts"] == [verdict_to_dict(v) for v in report.verdicts]
+        assert payload["summary"] == {
+            "groups": len(report.verdicts),
+            "passing": len(report.passing),
+            "disagreements": len(report.disagreements),
+            "converse_anomalies": len(report.converse_anomalies),
+            "degree_mismatches": len(report.degree_mismatched),
+        }
+        assert payload["overflowed"] == [
+            {"q": g.q.q, "group": group_name(g), "error": message} for g, message in report.overflowed
+        ]
+        assert (payload["q_min"], payload["q_max"], payload["degree_mismatches"]) == (q_min, q_max, [])
+        return payload
+
+    def test_failing_groups_with_violations(self, capsys):
+        payload = self.check(capsys, 7, 4096)
+        q64 = [v for v in payload["verdicts"] if v["group"]["name"] == "PSL(2,64).<phi^1>"]
+        assert q64 and q64[0]["violations"] and q64[0]["rows"] == []
+        assert payload["summary"]["passing"] < payload["summary"]["groups"]
+
+    def test_overflowed_group(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "psl2cd.classifier.prime_powers_in_range", lambda lo, hi: [(2**59, 2, 59)]
+        )
+        payload = self.check(capsys, 2**59, 2**59)
+        assert payload["verdicts"] == []
+        assert len(payload["overflowed"]) == 1
+
+    def test_error_free_range(self, capsys):
+        payload = self.check(capsys, 7, 11)
+        assert all(v["pass"] and v["violations"] == [] for v in payload["verdicts"])
+        assert payload["overflowed"] == []
+
+    def test_failed_claims_counted_and_exit_1(self, capsys, monkeypatch):
+        # No real range has a disagreement or a degree mismatch, so edit
+        # three real verdicts into one of each kind of failure.
+        pgl7, field8, sym6 = sweep(7, 9).verdicts[:3]
+        failed = HypothesisReport(False, (Violation(8, 24, 8, 3),))
+        report = SweepReport(
+            7,
+            9,
+            (
+                dataclasses.replace(pgl7, matched_rows=()),
+                dataclasses.replace(field8, report=failed),
+                dataclasses.replace(sym6, degree_mismatches=("sym6",)),
+            ),
+            (),
+        )
+        monkeypatch.setattr("psl2cd.cli.sweep", lambda q_min, q_max: report)
+        code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "9", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert to_json(payload) + "\n" == out
+        assert payload["verdicts"] == [verdict_to_dict(v) for v in report.verdicts]
+        assert payload["summary"] == {
+            "groups": 3,
+            "passing": 2,
+            "disagreements": 1,
+            "converse_anomalies": 1,
+            "degree_mismatches": 1,
+        }
+        assert payload["degree_mismatches"] == [{"q": 9, "group": "PSL(2,9).<phi^1>", "rows": ["sym6"]}]
+        code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "9")
+        assert code == 1
+        assert "DISAGREEMENT: PGL(2,7)" in out and "DEGREE MISMATCH: PSL(2,9).<phi^1> rows sym6" in out
 
 
 class TestOutputContracts:

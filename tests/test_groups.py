@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2cd.arithmetic import divisors
+from psl2cd.arithmetic import divisors, prime_powers_in_range
 from psl2cd.groups import (
     GroupDescriptor,
     OuterExpressionError,
@@ -42,6 +42,12 @@ class TestPrimePower:
             PrimePower(3, 1)  # q = 3 < 4
         with pytest.raises(ValueError):
             PrimePower.from_value(12)
+
+    def test_from_sieve_matches_validated_constructor(self):
+        for q, p, f in prime_powers_in_range(4, 5000):
+            trusted = PrimePower.from_sieve(q, p, f)
+            assert trusted == PrimePower(p, f) == PrimePower.from_value(q)
+            assert hash(trusted) == hash(PrimePower(p, f))
 
 
 class TestDescriptors:

@@ -3,7 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psl2cd.groups import PrimePower, character_degrees, pgl_descriptor
-from psl2cd.twoprime import Violation, check_pair, check_set
+from psl2cd.twoprime import (
+    HypothesisReport,
+    Violation,
+    check_pair,
+    check_set,
+    check_sorted_set,
+)
 
 
 class TestCheckPair:
@@ -70,6 +76,24 @@ class TestCheckSet:
         if check_set(values).passed:
             values.remove(rng.choice(values))
             assert check_set(values).passed
+
+
+class TestCheckSortedSet:
+    @settings(deadline=None)
+    @given(
+        st.sets(
+            st.integers(min_value=1, max_value=10**6)
+            | st.integers(min_value=1, max_value=5000).map(lambda n: 8 * n),
+            max_size=8,
+        )
+    )
+    def test_matches_check_set_and_pairwise_reference(self, degrees):
+        values = sorted(degrees)
+        report = check_sorted_set(values)
+        assert report == check_set(values)
+        pairs = [check_pair(a, b) for i, a in enumerate(values) for b in values[i + 1 :]]
+        violations = tuple(v for v in pairs if v is not None)
+        assert report == HypothesisReport(not violations, violations)
 
 
 class TestPglDegreeSets:
