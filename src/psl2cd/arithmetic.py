@@ -212,7 +212,12 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
 
 
 def prime_powers_in_range(lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """All prime powers q = p**f with lo <= q <= hi, as (q, p, f) ascending in q."""
+    """All prime powers q = p**f with lo <= q <= hi, as (q, p, f) ascending in q.
+
+    Raises OverflowError for hi >= 2**63.
+    """
+    if hi >= MAX_VALUE:
+        raise OverflowError(f"range end {hi} is out of range: must be below 2**63")
     if hi < lo or hi < 2:
         return []
     out = [(p, p, 1) for p in primes_up_to(hi) if p >= lo]

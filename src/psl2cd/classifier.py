@@ -26,7 +26,6 @@ from .arithmetic import is_fermat_prime, is_prime, omega, prime_powers_in_range
 from .groups import (
     GroupDescriptor,
     OuterKind,
-    OuterSubgroup,
     PrimePower,
     character_degrees,
     enumerate_outer_subgroups,
@@ -40,11 +39,11 @@ Expected = Callable[[GroupDescriptor], tuple[int, ...] | None]
 
 @dataclass(frozen=True)
 class TableRow:
-    """One surviving group family: shape matcher, necessary arithmetic
-    conditions, and the predicted degree set cd(G) \\ {1}.
+    """One surviving group family: outer kind, shape matcher, necessary
+    arithmetic conditions, and the predicted degree set cd(G) \\ {1}.
 
-    ``kind`` is the one outer kind the matcher can hold for; verdicts
-    consult only the rows of their group's kind, and the matcher decides.
+    ``kind`` is the row's outer kind, stated only here; the matcher tests
+    d, p and q, and ``holds`` combines the three.
     """
 
     row_id: str
@@ -54,31 +53,23 @@ class TableRow:
     conditions: Matcher
     expected_degrees: Expected
 
-
-def _is_untwisted(g: GroupDescriptor, d: int | None = None) -> bool:
-    return g.outer.kind is OuterKind.UNTWISTED and (d is None or g.outer.d == d)
-
-
-def _full_field(g: GroupDescriptor) -> bool:
-    return _is_untwisted(g, g.q.f) and g.q.f > 1
+    def holds(self, g: GroupDescriptor) -> bool:
+        """Whether G belongs to this family and meets its conditions."""
+        return g.outer.kind is self.kind and self.matcher(g) and self.conditions(g)
 
 
 def _odd_prime(n: int) -> bool:
     return n % 2 == 1 and is_prime(n)
 
 
-def _sorted(*values: int) -> tuple[int, ...]:
-    return tuple(sorted(values))
-
-
 def _expected_field_ext(g: GroupDescriptor) -> tuple[int, ...]:
     q, f = g.q.q, g.q.f
-    return _sorted(q - 1, q, (q - 1) * f, (q + 1) * f)
+    return (q - 1, q, (q - 1) * f, (q + 1) * f)
 
 
 def _expected_half(g: GroupDescriptor) -> tuple[int, ...]:
     q = g.q.q
-    return _sorted(q, 2 * (q - 1), q + 1, 2 * (q + 1))
+    return (q, 2 * (q - 1), q + 1, 2 * (q + 1))
 
 
 _ROWS = (
@@ -86,7 +77,7 @@ _ROWS = (
         "sym6",
         "Sym(6)",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.q == 9 and _is_untwisted(g, 2),
+        matcher=lambda g: g.q.q == 9 and g.outer.d == 2,
         conditions=lambda g: True,
         expected_degrees=lambda g: (5, 9, 10, 16),
     ),
@@ -94,7 +85,7 @@ _ROWS = (
         "m10",
         "M10",
         kind=OuterKind.TWISTED,
-        matcher=lambda g: g.q.q == 9 and g.outer == OuterSubgroup(OuterKind.TWISTED, 2),
+        matcher=lambda g: g.q.q == 9 and g.outer.d == 2,
         conditions=lambda g: True,
         expected_degrees=lambda g: (9, 10, 16),
     ),
@@ -102,17 +93,17 @@ _ROWS = (
         "pgl",
         "PGL(2,q)",
         kind=OuterKind.WITH_DIAGONAL,
-        matcher=lambda g: g.outer == OuterSubgroup(OuterKind.WITH_DIAGONAL, 1),
+        matcher=lambda g: g.outer.d == 1,
         conditions=lambda g: True,
-        expected_degrees=lambda g: _sorted(g.q.q - 1, g.q.q, g.q.q + 1),
+        expected_degrees=lambda g: (g.q.q - 1, g.q.q, g.q.q + 1),
     ),
     TableRow(
         "s_phi_p3",
         "PSL(2,3^f).<phi>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p == 3 and _full_field(g),
+        matcher=lambda g: g.q.p == 3 and g.outer.d == g.q.f > 1,
         conditions=lambda g: _odd_prime(g.q.f) and omega((g.q.q - 1) // 2) <= 2,
-        expected_degrees=lambda g: _sorted(
+        expected_degrees=lambda g: (
             (g.q.q - 1) // 2, g.q.q, (g.q.q - 1) * g.q.f, (g.q.q + 1) * g.q.f
         ),
     ),
@@ -120,9 +111,7 @@ _ROWS = (
         "aut_p3",
         "PGL(2,3^f).<phi>",
         kind=OuterKind.WITH_DIAGONAL,
-        matcher=lambda g: g.q.p == 3
-        and g.outer.kind is OuterKind.WITH_DIAGONAL
-        and g.outer.d == g.q.f,
+        matcher=lambda g: g.q.p == 3 and g.outer.d == g.q.f,
         conditions=lambda g: _odd_prime(g.q.f) and omega(g.q.q - 1) == 2,
         expected_degrees=_expected_field_ext,
     ),
@@ -130,7 +119,7 @@ _ROWS = (
         "s_phi_p2",
         "PSL(2,2^f).<phi>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p == 2 and _full_field(g),
+        matcher=lambda g: g.q.p == 2 and g.outer.d == g.q.f > 1,
         conditions=lambda g: _odd_prime(g.q.f) and omega(g.q.q - 1) <= 2,
         expected_degrees=_expected_field_ext,
     ),
@@ -138,9 +127,9 @@ _ROWS = (
         "s_phi_quarter",
         "PSL(2,2^f).<phi^(f/4)>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p == 2 and _is_untwisted(g, 4),
+        matcher=lambda g: g.q.p == 2 and g.outer.d == 4,
         conditions=lambda g: g.q.q + 1 > 5 and is_fermat_prime(g.q.q + 1),
-        expected_degrees=lambda g: _sorted(
+        expected_degrees=lambda g: (
             g.q.q, 4 * (g.q.q - 1), g.q.q + 1, 2 * (g.q.q + 1), 4 * (g.q.q + 1)
         ),
     ),
@@ -148,7 +137,7 @@ _ROWS = (
         "s_phi_half_even",
         "PSL(2,2^f).<phi^(f/2)>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p == 2 and _is_untwisted(g, 2),
+        matcher=lambda g: g.q.p == 2 and g.outer.d == 2,
         conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
         expected_degrees=_expected_half,
     ),
@@ -156,11 +145,11 @@ _ROWS = (
         "s_phi_half_odd",
         "PSL(2,q).<phi^(f/2)>, q odd",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p != 2 and _is_untwisted(g, 2),
+        matcher=lambda g: g.q.p != 2 and g.outer.d == 2,
         conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
         expected_degrees=lambda g: None
         if g.q.q == 9
-        else _sorted(
+        else (
             (g.q.q + 1) // 2, g.q.q, 2 * (g.q.q - 1), g.q.q + 1, 2 * (g.q.q + 1)
         ),
     ),
@@ -168,7 +157,7 @@ _ROWS = (
         "s_delta_phi_half",
         "PSL(2,q).<delta*phi^(f/2)>",
         kind=OuterKind.TWISTED,
-        matcher=lambda g: g.outer == OuterSubgroup(OuterKind.TWISTED, 2),
+        matcher=lambda g: g.outer.d == 2,
         conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
         expected_degrees=lambda g: None if g.q.q == 9 else _expected_half(g),
     ),
@@ -176,8 +165,7 @@ _ROWS = (
         "pgl_phi_half",
         "PGL(2,q).<phi^(f/2)>",
         kind=OuterKind.WITH_DIAGONAL,
-        matcher=lambda g: g.q.p != 2
-        and g.outer == OuterSubgroup(OuterKind.WITH_DIAGONAL, 2),
+        matcher=lambda g: g.outer.d == 2,  # with a diagonal part, so q is odd
         conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
         expected_degrees=_expected_half,
     ),
@@ -185,12 +173,9 @@ _ROWS = (
         "s_phi_over_m",
         "PSL(2,2^f).<phi^(f/m)>, m an odd prime < f",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p == 2
-        and g.outer.kind is OuterKind.UNTWISTED
-        and g.outer.d < g.q.f
-        and _odd_prime(g.outer.d),
+        matcher=lambda g: g.q.p == 2 and g.outer.d < g.q.f and _odd_prime(g.outer.d),
         conditions=lambda g: omega(g.q.q - 1) <= 2 and omega(g.q.q + 1) <= 2,
-        expected_degrees=lambda g: _sorted(
+        expected_degrees=lambda g: (
             g.q.q - 1,
             g.q.q,
             g.outer.d * (g.q.q - 1),
@@ -238,7 +223,7 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
     matched: list[str] = []
     mismatched: list[str] = []
     for row in _ROWS_BY_KIND[g.outer.kind]:
-        if row.matcher(g) and row.conditions(g):
+        if row.holds(g):
             matched.append(row.row_id)
             expected = row.expected_degrees(g)
             if expected is not None and tuple(sorted(expected)) != nontrivial:
@@ -276,9 +261,9 @@ class SweepReport:
         for v in self.verdicts:
             if v.report.passed:
                 passing += 1
-                disagreements += not v.matched_rows
             else:
                 converse += bool(v.matched_rows)
+            disagreements += not v.agree
             mismatched += bool(v.degree_mismatches)
         return {
             "groups": len(self.verdicts),

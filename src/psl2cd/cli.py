@@ -237,8 +237,6 @@ def _cmd_maximals(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = _descriptor(args)
-    if g.is_trivial:
-        raise ValueError("classification needs a proper extension: pass --outer")
     verdict = brute_force_verdict(g)
     payload = verdict_to_dict(verdict)
     text = [

@@ -94,10 +94,6 @@ class OuterSubgroup:
         if self.kind is OuterKind.TWISTED and self.d % 2:
             raise ValueError("a twisted subgroup needs even d; odd d contains delta")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.kind is OuterKind.UNTWISTED and self.d == 1
-
 
 @dataclass(frozen=True)
 class GroupDescriptor:
@@ -114,7 +110,8 @@ class GroupDescriptor:
 
     @property
     def is_trivial(self) -> bool:
-        return self.outer.is_trivial
+        """Whether H is S itself."""
+        return self.outer.kind is OuterKind.UNTWISTED and self.outer.d == 1
 
 
 @dataclass(frozen=True)

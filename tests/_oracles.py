@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to pin expected test values.
 
-These deliberately share no code with the package: plain trial division
-and direct divisibility checks only.
+These deliberately share no code with the package: plain trial division,
+a smallest-prime-factor sieve and direct divisibility checks only.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def trial_division(n: int) -> tuple[tuple[int, int], ...]:
@@ -39,3 +41,26 @@ def trial_is_prime(n: int) -> bool:
     if n < 2:
         return False
     return trial_division(n) == ((n, 1),)
+
+
+def sieve_factorizer(limit: int):
+    """A factor function for 1 <= n <= limit, read off a smallest-prime-factor
+    table; same output shape as ``trial_division``."""
+    spf = list(range(limit + 1))
+    # Descending, so each n keeps its smallest divisor i >= 2 with i*i <= n:
+    # its smallest prime factor when n is composite.
+    for i in range(math.isqrt(limit), 1, -1):
+        spf[i * i :: i] = [i] * len(range(i * i, limit + 1, i))
+
+    def factor(n: int) -> tuple[tuple[int, int], ...]:
+        assert 1 <= n <= limit
+        out = []
+        while n > 1:
+            p, e = spf[n], 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        return tuple(out)
+
+    return factor

@@ -20,7 +20,7 @@ from psl2cd.arithmetic import (
     zsigmondy_base2,
 )
 
-from _oracles import trial_division, trial_is_prime
+from _oracles import sieve_factorizer, trial_division, trial_is_prime
 
 
 class TestFactor:
@@ -41,6 +41,11 @@ class TestFactor:
     def test_matches_trial_division_on_range(self):
         for n in range(1, 20000):
             assert factor(n) == trial_division(n)
+
+    def test_sieve_oracle_matches_trial_division(self):
+        sieve_factor = sieve_factorizer(10**4)
+        for n in range(2, 10**4 + 1):
+            assert sieve_factor(n) == trial_division(n), n
 
     def test_matches_trial_division_spot_checks(self):
         for n in (10**6, 10**6 + 3, 2**32 - 1, 2**40 - 1, 3**25, 999983 * 999979):

@@ -14,6 +14,7 @@ from psl2cd.groups import (
     OuterKind,
     OuterSubgroup,
     PrimePower,
+    enumerate_outer_subgroups,
     group_name,
 )
 
@@ -31,7 +32,7 @@ class TestTableRows:
         assert len({r.row_id for r in rows}) == 12
 
     def matched_ids(self, g):
-        return [r.row_id for r in table_rows() if r.matcher(g) and r.conditions(g)]
+        return [r.row_id for r in table_rows() if r.holds(g)]
 
     def test_pgl_unconditional(self):
         for q in (7, 9, 49, 4093):
@@ -47,7 +48,7 @@ class TestTableRows:
             pp = PrimePower.from_value(q)
             for kind, d in ((U, 2), (WD, 2), (T, 2)):
                 g = GroupDescriptor(pp, OuterSubgroup(kind, d))
-                if m10_row.matcher(g) and m10_row.conditions(g):
+                if m10_row.holds(g):
                     matches.append((q, kind, d))
         assert matches == [(9, T, 2)]
 
@@ -57,6 +58,50 @@ class TestTableRows:
             full_scan = tuple(self.matched_ids(v.descriptor))
             assert v.matched_rows == full_scan, group_name(v.descriptor)
         assert {v.descriptor.outer.kind for v in report.verdicts if v.matched_rows} == set(OuterKind)
+
+    # Written from the paper's table, one entry per proper extension.
+    # Behind the empty entries: 50 = 2 * 5^2, 242 = 2 * 11^2 and
+    # 513 = 3^3 * 19 have Omega > 2; f = 4, 8, 9 are not odd primes; no row
+    # has a twisted d = 4.
+    LATTICE_ROWS = {
+        9: {
+            (U, 2): ("sym6", "s_phi_half_odd"),
+            (WD, 1): ("pgl",),
+            (WD, 2): ("pgl_phi_half",),
+            (T, 2): ("m10", "s_delta_phi_half"),
+        },
+        16: {(U, 2): ("s_phi_half_even",), (U, 4): ("s_phi_quarter",)},
+        25: {
+            (U, 2): ("s_phi_half_odd",),
+            (WD, 1): ("pgl",),
+            (WD, 2): ("pgl_phi_half",),
+            (T, 2): ("s_delta_phi_half",),
+        },
+        27: {(U, 3): ("s_phi_p3",), (WD, 1): ("pgl",), (WD, 3): ("aut_p3",)},
+        32: {(U, 5): ("s_phi_p2",)},
+        49: {(U, 2): (), (WD, 1): ("pgl",), (WD, 2): (), (T, 2): ()},
+        81: {
+            (U, 2): ("s_phi_half_odd",),
+            (U, 4): (),
+            (WD, 1): ("pgl",),
+            (WD, 2): ("pgl_phi_half",),
+            (WD, 4): (),
+            (T, 2): ("s_delta_phi_half",),
+            (T, 4): (),
+        },
+        243: {(U, 5): ("s_phi_p3",), (WD, 1): ("pgl",), (WD, 5): ()},
+        256: {(U, 2): ("s_phi_half_even",), (U, 4): ("s_phi_quarter",), (U, 8): ()},
+        512: {(U, 3): (), (U, 9): ()},
+    }
+
+    @pytest.mark.parametrize("q", sorted(LATTICE_ROWS))
+    def test_rows_on_whole_lattice(self, q):
+        pp = PrimePower.from_value(q)
+        matched = {
+            (outer.kind, outer.d): brute_force_verdict(GroupDescriptor(pp, outer)).matched_rows
+            for outer in enumerate_outer_subgroups(pp, include_trivial=False)
+        }
+        assert matched == self.LATTICE_ROWS[q]
 
     def test_p3_field_rows(self):
         assert "s_phi_p3" in self.matched_ids(desc(27, U, 3))

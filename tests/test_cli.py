@@ -124,8 +124,10 @@ class TestErrorPaths:
         assert "prime power" in err
 
     def test_classify_requires_proper_extension(self, capsys):
-        code, _, err = run(capsys, "classify", "--q", "9", "--outer", "phi^2")
+        code, out, err = run(capsys, "classify", "--q", "9", "--outer", "phi^2")
         assert code == 2
+        assert out == ""
+        assert err == "error: outer subgroup must be nontrivial: S < H is required\n"
 
     def test_bad_flags(self, capsys):
         assert run(capsys, "factor")[0] == 2
@@ -149,6 +151,20 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {fact_id}: limit -3 leaves nothing to check")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--qmin", "7", "--qmax", str(2**63)),
+            ("facts", "--fact", "F6", "--limit", str(2**63)),
+            ("facts", "--fact", "F8", "--limit", str(2**63)),
+        ],
+    )
+    def test_range_past_2_63(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "2**63" in err
 
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def out_of_memory(q_min, q_max):
