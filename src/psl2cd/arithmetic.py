@@ -12,7 +12,9 @@ is a read-mostly memo cache on factorization, so concurrent use is safe.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import sys
 
 MAX_VALUE = 1 << 63
 """Exclusive upper bound for factoring inputs; larger values raise OverflowError."""
@@ -22,15 +24,21 @@ Factorization = tuple[tuple[int, int], ...]
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, by sieve of Eratosthenes."""
+    """All primes <= limit, by sieve of Eratosthenes.
+
+    Raises MemoryError, before allocating anything, when the sieve of
+    limit + 1 bytes could not even be indexed (limit >= sys.maxsize).
+    """
     if limit < 2:
         return []
+    if limit >= sys.maxsize:
+        raise MemoryError(f"a sieve up to {limit} does not fit in memory")
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 _TRIAL_BOUND = 1000

@@ -27,6 +27,7 @@ a nontrivial field part), so it gets Gamma = S and no (q+eps)/2 degree.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 
@@ -139,12 +140,21 @@ def enumerate_outer_subgroups(q: PrimePower, include_trivial: bool) -> list[Oute
 
     Order: untwisted by ascending d, then with-diagonal, then twisted.
     """
-    divs = divisors(q.f)
+    return list(_lattice(q.f, q.p == 2, include_trivial))
+
+
+# The lattice depends only on f and on whether p = 2, and the degree-formula
+# shape only on (kind, d, f) and the class of p (2, 3, 5 or larger), so both
+# are computed once per key.  q < 2**63 forces f <= 62, which bounds the caches
+# at 248 lattice keys and a few thousand shape keys.
+@functools.lru_cache(maxsize=None)
+def _lattice(f: int, char_two: bool, include_trivial: bool) -> tuple[OuterSubgroup, ...]:
+    divs = divisors(f)
     subs = [OuterSubgroup(OuterKind.UNTWISTED, d) for d in divs if include_trivial or d > 1]
-    if q.p != 2:
+    if not char_two:
         subs.extend(OuterSubgroup(OuterKind.WITH_DIAGONAL, d) for d in divs)
         subs.extend(OuterSubgroup(OuterKind.TWISTED, d) for d in divs if d % 2 == 0)
-    return subs
+    return tuple(subs)
 
 
 def white_parameters(g: GroupDescriptor) -> WhiteParameters:
@@ -154,7 +164,10 @@ def white_parameters(g: GroupDescriptor) -> WhiteParameters:
     subgroups; both UNTWISTED and TWISTED subgroups give Gamma = S.  In all
     three cases |H : Gamma| equals the descriptor's d.
     """
-    d = g.outer.d
+    return _split_index(g.outer.d)
+
+
+def _split_index(d: int) -> WhiteParameters:
     a = (d & -d).bit_length() - 1
     return WhiteParameters(d, a, d >> a)
 
@@ -168,14 +181,24 @@ def degree_families(g: GroupDescriptor) -> tuple[list[int], list[int], list[int]
     divisibility structure the classification arguments rely on.
     """
     pp = g.q
-    q, p, f = pp.q, pp.p, pp.f
-    params = white_parameters(g)
-    kind = g.outer.kind
-    d, a, m = params.d, params.a, params.m
+    q = pp.q
+    half, minus, plus = _shape(g.outer.kind, g.outer.d, pp.f, min(pp.p, 7))
+    core = [1, q, (q + epsilon(pp)) // 2] if half else [1, q]
+    return core, [(q - 1) * k for k in minus], [(q + 1) * j for j in plus]
 
-    core = [1, q]
-    if p != 2 and kind is OuterKind.UNTWISTED:
-        core.append((q + epsilon(pp)) // 2)  # removed for every H outside S<phi>
+
+@functools.lru_cache(maxsize=None)
+def _shape(
+    kind: OuterKind, d: int, f: int, p: int
+) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+    """The q-independent part of ``degree_families``: whether (q+eps)/2 is a
+    degree, the multipliers 2^a*i of q-1 and the multipliers j of q+1.
+
+    ``p`` is the characteristic capped at 7; every removal below tests p only
+    against 2, 3 and 5, so all larger primes share one shape.
+    """
+    params = _split_index(d)
+    half = p != 2 and kind is OuterKind.UNTWISTED  # removed for every H outside S<phi>
 
     # The named degenerations the exceptional removals speak about.  S<phi>
     # only counts as such for f > 1 (otherwise it is S itself), and the full
@@ -184,7 +207,7 @@ def degree_families(g: GroupDescriptor) -> tuple[list[int], list[int], list[int]
     is_full_aut = kind is OuterKind.WITH_DIAGONAL and d == f
     is_full_twist = kind is OuterKind.TWISTED and d == f
 
-    i_values = set(divisors(m))
+    i_values = set(divisors(params.m))
     j_values = set(divisors(d))
     if f % 2 and p == 3 and is_field_ext:
         i_values.discard(1)
@@ -195,10 +218,8 @@ def degree_families(g: GroupDescriptor) -> tuple[list[int], list[int], list[int]
     if f % 4 == 2 and p in (2, 3) and (is_field_ext or is_full_twist):
         j_values.discard(2)
 
-    shift = 1 << a
-    minus = [(q - 1) * shift * i for i in sorted(i_values)]
-    plus = [(q + 1) * j for j in sorted(j_values)]
-    return core, minus, plus
+    shift = 1 << params.a
+    return half, tuple(shift * i for i in sorted(i_values)), tuple(sorted(j_values))
 
 
 def character_degrees(g: GroupDescriptor) -> list[int]:

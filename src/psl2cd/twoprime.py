@@ -30,6 +30,9 @@ class HypothesisReport:
     violations: tuple[Violation, ...]
 
 
+_PASSED = HypothesisReport(True, ())  # shared by every passing set
+
+
 def check_pair(a: int, b: int) -> Violation | None:
     """Violation for the pair, or None when Omega(gcd(a, b)) <= 2."""
     if a == b:
@@ -64,10 +67,14 @@ def check_sorted_set(values: Sequence[int]) -> HypothesisReport:
     positive (as ``character_degrees`` returns them); nothing is checked."""
     violations = []
     for i, a in enumerate(values):
+        if a < 8:  # gcd(a, b) <= a < 2**3, so Omega(gcd) <= 2
+            continue
         for b in values[i + 1 :]:
             g = math.gcd(a, b)
             if g >= 8:  # Omega(g) >= 3 needs g >= 2**3
                 om = omega(g)
                 if om >= 3:
                     violations.append(Violation(a, b, g, om))
-    return HypothesisReport(not violations, tuple(violations))
+    if not violations:
+        return _PASSED
+    return HypothesisReport(False, tuple(violations))

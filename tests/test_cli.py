@@ -166,6 +166,22 @@ class TestErrorPaths:
         assert out == ""
         assert "2**63" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--qmin", "7", "--qmax", str(2**63 - 1)),
+            ("facts", "--fact", "F6", "--limit", str(2**63 - 1)),
+            ("facts", "--fact", "F8", "--limit", str(2**63 - 1)),
+        ],
+    )
+    def test_sieve_too_large_is_out_of_memory(self, capsys, argv):
+        # the sieve refuses before allocating, so this allocates nothing large
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "index-sized" not in err
+        assert err.startswith("error: out of memory")
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def out_of_memory(q_min, q_max):
             raise MemoryError

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psl2cd import groups
 from psl2cd.arithmetic import divisors, prime_powers_in_range
+from psl2cd.classifier import sweep
 from psl2cd.groups import (
     GroupDescriptor,
     OuterExpressionError,
@@ -110,6 +112,14 @@ class TestEnumerate:
         assert len(set(subs)) == len(subs)
         assert len(enumerate_outer_subgroups(pp, False)) == expected - 1
 
+    def test_returned_list_is_a_fresh_copy(self):
+        pp = PrimePower.from_value(81)
+        subs = enumerate_outer_subgroups(pp, False)
+        expected = list(subs)
+        subs.append(OuterSubgroup(U, 1))
+        subs.clear()
+        assert enumerate_outer_subgroups(pp, False) == expected
+
 
 class TestWhiteParameters:
     def test_examples(self):
@@ -208,6 +218,68 @@ class TestCharacterDegrees:
     def test_s5_sanity(self):
         # PSL(2,4).<phi> is Sym(5) with degrees {1, 4, 5, 6}
         assert character_degrees(desc(4, U, 2)) == [1, 4, 5, 6]
+
+
+def _reference_degrees(p: int, f: int, kind: OuterKind, d: int) -> list[int]:
+    """cd(H) written straight from the module docstring's formula,
+    {1, q, (q+eps)/2} u {(q-1)*2^a*i : i | m} u {(q+1)*j : j | d} with
+    d = 2^a * m, m odd, and its five exceptional removals."""
+    q = p**f
+    a, m = 0, d
+    while m % 2 == 0:
+        a, m = a + 1, m // 2
+    i_values = {i for i in range(1, m + 1) if m % i == 0}
+    j_values = {j for j in range(1, d + 1) if d % j == 0}
+    field_extension = kind is U and d == f > 1  # S<phi>
+    full_automorphism = kind is WD and d == f  # PGL(2,q)<phi>
+    full_twist = kind is T and d == f  # S<delta*phi>
+    if p == 3 and f % 2 == 1 and field_extension:
+        i_values.discard(1)  # q - 1
+    if p == 3 and f % 2 == 1 and full_automorphism:
+        j_values.discard(1)  # q + 1
+    if p in (2, 3, 5) and f % 2 == 1 and field_extension:
+        j_values.discard(1)  # q + 1
+    if p in (2, 3) and f % 4 == 2 and (field_extension or full_twist):
+        j_values.discard(2)  # 2(q + 1)
+    degrees = {1, q}
+    if p != 2 and kind is U:  # (q+eps)/2 survives only inside S<phi>
+        degrees.add((q + (1 if q % 4 == 1 else -1)) // 2)
+    degrees.update((q - 1) * 2**a * i for i in i_values)
+    degrees.update((q + 1) * j for j in j_values)
+    return sorted(degrees)
+
+
+class TestCachedShape:
+    """The per-(kind, d, f, p-class) cache behind ``character_degrees``
+    against the formula written out independently."""
+
+    def compare_all(self):
+        for p in (2, 3, 5, 7, 11):
+            for f in range(1, 13):
+                if p**f < 4 or p**f >= 2**63:
+                    continue
+                pp = PrimePower(p, f)
+                for outer in enumerate_outer_subgroups(pp, True):
+                    g = GroupDescriptor(pp, outer)
+                    assert character_degrees(g) == _reference_degrees(
+                        p, f, outer.kind, outer.d
+                    ), (p, f, outer)
+
+    def test_cold_cache(self):
+        groups._shape.cache_clear()
+        self.compare_all()
+
+    def test_cache_warmed_by_sweep(self):
+        groups._shape.cache_clear()
+        sweep(7, 4096)
+        self.compare_all()
+
+    def test_caches_stay_bounded(self):
+        groups._shape.cache_clear()
+        groups._lattice.cache_clear()
+        sweep(7, 65536)  # 6,631 prime powers
+        assert groups._shape.cache_info().currsize < 200
+        assert groups._lattice.cache_info().currsize < 200
 
 
 class TestParser:

@@ -95,6 +95,14 @@ class TestCheckSortedSet:
         violations = tuple(v for v in pairs if v is not None)
         assert report == HypothesisReport(not violations, violations)
 
+    def test_smallest_value_that_can_fail_is_checked(self):
+        assert check_sorted_set((1, 2, 4, 8, 24)) == HypothesisReport(
+            False, (Violation(8, 24, 8, 3),)
+        )
+
+    def test_values_below_8_pass(self):
+        assert check_sorted_set((1, 2, 3, 5, 7)) == HypothesisReport(True, ())
+
 
 class TestPglDegreeSets:
     def test_sample_prime_powers_pass(self):
