@@ -5,8 +5,10 @@ special predicates the classification conditions consume: Omega (prime
 divisors counted with multiplicity), Zsigmondy primitive prime divisors of
 2**n - 1, and Mersenne/Fermat prime tests.
 
-Everything here is a pure function of its arguments; the only shared state
-is a read-mostly memo cache on factorization, so concurrent use is safe.
+Everything here is a pure function of its arguments.  The only shared state
+is one bounded memo (at most 32,768 entries) keyed on the cofactor that
+`factor` leaves after trial division by the primes below 1000, so n, 2n and
+n/2 reuse the same Miller-Rabin and rho work; concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ def primes_up_to(limit: int) -> list[int]:
 
 _TRIAL_BOUND = 1000
 _TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 _NEXT_PRIME_SQ = 1009 * 1009  # first prime beyond the table, squared
 
 # The first twelve primes decide primality for every n < 3.3 * 10**24,
@@ -78,9 +81,13 @@ def is_prime(n: int) -> bool:
 def factor(n: int) -> Factorization:
     """Prime factorization of n, primes strictly increasing; factor(1) == ().
 
-    Trial division by a fixed prime table, then deterministic Miller-Rabin
-    plus Brent's rho with a fixed parameter schedule, so the output (and
-    everything downstream of it) is reproducible.
+    The primes below 1000 come out by trial division guided by
+    gcd(n, product of those primes), so only the primes that divide n are
+    divided out.  The cofactor left above the table is factored by
+    deterministic Miller-Rabin, perfect-power roots and Brent's rho with a
+    fixed parameter schedule, so the output (and everything downstream of
+    it) is reproducible.  Only that cofactor step is memoized, so 2(q - 1),
+    4(q - 1) and (q - 1)/2 share the work done for q - 1.
 
     Raises ValueError for n < 1 and OverflowError for n >= 2**63.
     """
@@ -88,46 +95,55 @@ def factor(n: int) -> Factorization:
         raise ValueError(f"cannot factor {n}: positive integer required")
     if n >= MAX_VALUE:
         raise OverflowError(f"{n} is out of range: inputs must be below 2**63")
-    return _factor_cached(n)
+    out: list[tuple[int, int]] = []
+    small = math.gcd(n, _TRIAL_PRODUCT)  # each table prime dividing n, once
+    for p in _TRIAL_PRIMES:
+        if p * p > small:
+            if small == 1:
+                break
+            p = small  # what is left is the largest table prime dividing n
+        elif small % p:
+            continue
+        small //= p
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    if n >= _NEXT_PRIME_SQ:
+        out.extend(_factor_cached(n))
+    elif n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=1 << 15)
 def _factor_cached(n: int) -> Factorization:
-    out: list[tuple[int, int]] = []
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    if n > 1:
-        if n < _NEXT_PRIME_SQ or is_prime(n):
-            out.append((n, 1))
-        else:
-            counts: dict[int, int] = {}
-            _split(n, counts)
-            out.extend(sorted(counts.items()))  # all split factors exceed the table
-    return tuple(out)
+    """Factorization of n >= 1009**2 with no prime factor below 1000."""
+    counts: dict[int, int] = {}
+    _split(n, counts, 1)
+    return tuple(sorted(counts.items()))
 
 
-def _split(n: int, counts: dict[int, int]) -> None:
-    """Accumulate the prime factors of n (which has no factor <= 1000)."""
-    if n == 1:
-        return
+def _split(n: int, counts: dict[int, int], mult: int) -> None:
+    """Add mult times the prime factors of n (which has no factor <= 1000).
+
+    Every prime factor is at least 1009 and n < 2**63, so n = r**k forces
+    k <= 6; the roots for k in (2, 3, 5) cover k = 4 and k = 6 through k = 2.
+    A float root that is off by one fails the exact check and falls
+    through to rho, which still splits n correctly.
+    """
     if is_prime(n):
-        counts[n] = counts.get(n, 0) + 1
+        counts[n] = counts.get(n, 0) + mult
         return
-    root = math.isqrt(n)
-    if root * root == n:
-        _split(root, counts)
-        _split(root, counts)
-        return
+    for k in (2, 3, 5):
+        root = math.isqrt(n) if k == 2 else round(n ** (1 / k))
+        if root**k == n:
+            _split(root, counts, mult * k)
+            return
     d = _brent_rho(n)
-    _split(d, counts)
-    _split(n // d, counts)
+    _split(d, counts, mult)
+    _split(n // d, counts, mult)
 
 
 def _brent_rho(n: int) -> int:
@@ -148,7 +164,7 @@ def _brent_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r <<= 1
@@ -156,7 +172,7 @@ def _brent_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"could not split {n}")  # unreachable below 2**63

@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psl2cd import arithmetic
 from psl2cd.arithmetic import (
     MAX_VALUE,
     divisors,
@@ -21,6 +23,53 @@ from psl2cd.arithmetic import (
 )
 
 from _oracles import sieve_factorizer, trial_division, trial_is_prime
+
+TABLE_PRIMES = [p for p in range(2, 1000) if trial_is_prime(p)]
+
+
+def _prime_at_or_below(n: int) -> int:
+    while not trial_is_prime(n):
+        n -= 1
+    return n
+
+
+def _root_floor(n: int, k: int) -> int:
+    """Largest r with r**k <= n."""
+    r = int(n ** (1 / k))
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def _reference_brent_rho(n: int) -> int:
+    """Brent's rho on |x - y|.  The package multiplies by x - y instead,
+    which flips signs mod n but changes no gcd, so the divisors agree."""
+    for c in range(1, 64):
+        y, r, q = 2, 1, 1
+        g, x, ys = 1, 0, 0
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r <<= 1
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"could not split {n}")
 
 
 class TestFactor:
@@ -63,6 +112,77 @@ class TestFactor:
     def test_large_semiprime(self):
         p, q = 1000003, 1000033
         assert factor(p * q) == ((p, 1), (q, 1))
+
+    def test_largest_table_prime_and_roots(self):
+        n = 2**5 * 997 * 1009**3 * 1013
+        assert factor(n) == ((2, 5), (997, 1), (1009, 3), (1013, 1))
+        assert factor(997 * 1013**5) == ((997, 1), (1013, 5))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_constructed_products(self, data):
+        # n = s * r**k * t with r, t primes in (1000, 10**6) and s a
+        # product of table primes, which may include 2**e and 997.
+        k = data.draw(st.integers(min_value=1, max_value=6), label="k")
+        r_max = min(10**6, _root_floor(MAX_VALUE - 1, k))
+        r = _prime_at_or_below(data.draw(st.integers(1009, r_max), label="r"))
+        room = (MAX_VALUE - 1) // r**k
+        t = 1
+        if room >= 1009 and data.draw(st.booleans(), label="with t"):
+            t = _prime_at_or_below(data.draw(st.integers(1009, min(10**6, room)), label="t"))
+        room //= t
+        s = 1
+        table = st.one_of(st.sampled_from((2, 997)), st.sampled_from(TABLE_PRIMES))
+        for p in data.draw(st.lists(table, max_size=12), label="s"):
+            if s * p <= room:
+                s *= p
+        n = s * r**k * t
+        assert n < MAX_VALUE
+        expected = Counter(dict(trial_division(s)))
+        expected[r] += k
+        if t > 1:
+            expected[t] += 1
+        assert factor(n) == tuple(sorted(expected.items()))
+        assert prime_power_decompose(r**k) == (r, k)
+
+
+class TestBrentRho:
+    def test_same_divisor_as_abs_reference(self):
+        rng = random.Random(20170212)
+        checked = 0
+        while checked < 240:
+            primes = [
+                _prime_at_or_below(rng.randrange(1009, 1 << 21))
+                for _ in range(rng.choice((2, 3)))
+            ]
+            n = math.prod(primes)
+            if n >= MAX_VALUE:
+                continue
+            assert arithmetic._brent_rho(n) == _reference_brent_rho(n), n
+            checked += 1
+
+
+class TestCofactorCache:
+    QS = (3**37, 5**25, 7**20, 1000003**2, 1009**5)
+
+    @staticmethod
+    def _factor_family(q: int, order: int) -> list:
+        ns = [(q - 1) // 2, q - 1, 2 * (q - 1), 12 * (q - 1)][::order]
+        arithmetic._factor_cached.cache_clear()
+        results = [factor(n) for n in ns]
+        # all four share one cofactor above the trial table
+        assert arithmetic._factor_cached.cache_info().misses <= 1
+        for n, fs in zip(ns, results):
+            assert math.prod(p**e for p, e in fs) == n
+        return results[::order]
+
+    def test_order_independent(self):
+        for q in self.QS:
+            assert 12 * (q - 1) < MAX_VALUE
+            assert self._factor_family(q, 1) == self._factor_family(q, -1), q
+
+    def test_bounded(self):
+        assert arithmetic._factor_cached.cache_info().maxsize == 1 << 15
 
 
 class TestIsPrime:
