@@ -9,10 +9,18 @@ Everything here is a pure function of its arguments.  The only shared state
 is one bounded memo (at most 32,768 entries) keyed on the cofactor that
 `factor` leaves after trial division by the primes below 1000, so n, 2n and
 n/2 reuse the same Miller-Rabin and rho work; concurrent use is safe.
+
+Each prime is proved once, with no more work than its size needs.
+Miller-Rabin uses the first k of twelve fixed witnesses, k being the
+smallest count proved exact below n (one witness below 2,047, nine below
+3,825,123,056,546,413,051, all twelve above).  Inside `factor`, a piece of
+the cofactor below 1009**2 is prime without a test: the cofactor has no
+prime factor below 1000, so such a piece cannot be a product of two.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -48,13 +56,30 @@ _TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 _NEXT_PRIME_SQ = 1009 * 1009  # first prime beyond the table, squared
 
-# The first twelve primes decide primality for every n < 3.3 * 10**24,
-# far past the 2**63 working range.
+# The first twelve primes decide primality for every n below
+# 318,665,857,834,031,151,167,461 (about 3.2 * 10**23, a strong pseudoprime
+# to all twelve), far past the 2**63 working range.  Fewer suffice for
+# smaller n: the first k primes are exact below the k-th bound of OEIS
+# A014233, so n below _MR_BOUNDS[i] needs only _MR_TIERS[i].  The last tier
+# stays at twelve: 3,825,123,056,546,413,051 < 2**63 is a strong pseudoprime
+# to every prime base up to 31.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+_MR_TIERS = tuple(_MR_WITNESSES[:k] for k in (1, 2, 3, 4, 5, 6, 7, 9, 12))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact on the whole working range."""
+    """Deterministic primality test, exact below
+    318,665,857,834,031,151,167,461, so on the whole 2**63 working range."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -62,10 +87,16 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 41 * 41:
         return True
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Strong-probable-prime test of odd n > 37 to as many witnesses as n's
+    size needs, which decides primality below 3.2 * 10**23."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in _MR_TIERS[bisect.bisect_right(_MR_BOUNDS, n)]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -128,12 +159,13 @@ def _factor_cached(n: int) -> Factorization:
 def _split(n: int, counts: dict[int, int], mult: int) -> None:
     """Add mult times the prime factors of n (which has no factor <= 1000).
 
-    Every prime factor is at least 1009 and n < 2**63, so n = r**k forces
-    k <= 6; the roots for k in (2, 3, 5) cover k = 4 and k = 6 through k = 2.
-    A float root that is off by one fails the exact check and falls
-    through to rho, which still splits n correctly.
+    Every prime factor is at least 1009, so a piece below 1009**2 is prime
+    without a test, and since n < 2**63, n = r**k forces k <= 6; the roots
+    for k in (2, 3, 5) cover k = 4 and k = 6 through k = 2.  A float root
+    that is off by one fails the exact check and falls through to rho,
+    which still splits n correctly.
     """
-    if is_prime(n):
+    if n < _NEXT_PRIME_SQ or _miller_rabin(n):
         counts[n] = counts.get(n, 0) + mult
         return
     for k in (2, 3, 5):

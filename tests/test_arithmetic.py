@@ -43,6 +43,55 @@ def _root_floor(n: int, k: int) -> int:
     return r
 
 
+# The smallest strong pseudoprime to the first k prime bases, for k = 1, ...,
+# 7 and 9 (OEIS A014233): the first k bases are exact only below it.  The
+# last one also fools the first 10 and 11 bases (every prime up to 31).
+MR_TIER_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+
+
+def _reference_is_prime(n: int) -> bool:
+    """Miller-Rabin to all twelve witnesses, whatever the size of n.  The
+    package uses only as many as n's size needs, so the answers agree."""
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in witnesses:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:
+        return True
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_above(n: int) -> int:
+    n += 1
+    while not trial_is_prime(n):
+        n += 1
+    return n
+
+
 def _reference_brent_rho(n: int) -> int:
     """Brent's rho on |x - y|.  The package multiplies by x - y instead,
     which flips signs mod n but changes no gcd, so the divisors agree."""
@@ -162,6 +211,34 @@ class TestBrentRho:
             checked += 1
 
 
+class TestSplit:
+    def test_no_test_below_next_prime_square(self, monkeypatch):
+        # Pieces of the cofactor have no prime factor <= 1000, so one below
+        # 1009**2 is prime and must be counted without a Miller-Rabin call.
+        tested = []
+        miller_rabin = arithmetic._miller_rabin
+
+        def counting(n):
+            tested.append(n)
+            return miller_rabin(n)
+
+        monkeypatch.setattr(arithmetic, "_miller_rabin", counting)
+        arithmetic._factor_cached.cache_clear()
+        cases = (
+            ((1009, 1), (1013, 1), (2**31 - 1, 1)),
+            ((997, 1), (1009, 2), (1000003, 1)),
+            ((1009, 5), (1013, 1)),
+            ((1009, 1), (1000003, 1), (1000033, 1)),
+            ((1019, 1), (1021, 1), (1031, 1), (1033, 1), (1039, 1), (1049, 1)),
+        )
+        for fs in cases:
+            n = math.prod(p**e for p, e in fs)
+            assert n < MAX_VALUE
+            assert factor(n) == fs, n
+        assert tested
+        assert min(tested) >= 1009**2
+
+
 class TestCofactorCache:
     QS = (3**37, 5**25, 7**20, 1000003**2, 1009**5)
 
@@ -190,6 +267,59 @@ class TestIsPrime:
         assert not is_prime(1)
         assert is_prime(17)
         assert not is_prime(2047)
+
+    def test_tier_bounds_are_composite(self):
+        factors = (
+            (23, 89),
+            (829, 1657),
+            (2251, 11251),
+            (151, 751, 28351),
+            (6763, 10627, 29947),
+            (1303, 16927, 157543),
+            (10670053, 32010157),
+            (149491, 747451, 34233211),
+        )
+        for n, ps in zip(MR_TIER_BOUNDS, factors):
+            assert math.prod(ps) == n and all(trial_is_prime(p) for p in ps)
+            assert is_prime(n) is False, n
+
+    def test_twelve_witnesses_are_not_enough_past_the_documented_bound(self):
+        # The smallest strong pseudoprime to all twelve witnesses; the
+        # docstrings claim exactness only below it.
+        n = 318665857834031151167461
+        assert n == 399165290221 * 798330580441
+        assert _reference_is_prime(n)
+
+    def test_matches_twelve_witness_reference_on_range(self):
+        ns = range(10**6)
+        assert [n for n in ns if is_prime(n)] == [n for n in ns if _reference_is_prime(n)]
+
+    def test_matches_twelve_witness_reference_seeded(self):
+        rng = random.Random(20261018)
+        for _ in range(100000):
+            bits = rng.randrange(2, 64)
+            n = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+            assert is_prime(n) == _reference_is_prime(n), n
+
+    @settings(max_examples=500)
+    @given(
+        st.sampled_from(MR_TIER_BOUNDS).flatmap(
+            lambda b: st.integers(min_value=b - 10**4, max_value=b + 10**4)
+        )
+    )
+    def test_matches_twelve_witness_reference_near_tier_bounds(self, n):
+        assert is_prime(n) == _reference_is_prime(n)
+
+    def test_semiprimes_straddling_tier_bounds(self):
+        for bound in MR_TIER_BOUNDS:
+            for p0 in (math.isqrt(bound), math.isqrt(bound) // 3):
+                p = _prime_at_or_below(p0)
+                below = p * _prime_at_or_below((bound - 1) // p)
+                above = p * _prime_above(bound // p)
+                assert below < bound < above
+                for n in (below, above):
+                    assert is_prime(n) is False, n
+                    assert _reference_is_prime(n) is False, n
 
     def test_against_sieve(self):
         flags = set(primes_up_to(100000))

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2cd.groups import PrimePower, character_degrees, pgl_descriptor
+from psl2cd import twoprime
+from psl2cd.groups import (
+    GroupDescriptor,
+    PrimePower,
+    character_degrees,
+    enumerate_outer_subgroups,
+    pgl_descriptor,
+)
 from psl2cd.twoprime import (
     HypothesisReport,
     Violation,
@@ -10,6 +17,13 @@ from psl2cd.twoprime import (
     check_set,
     check_sorted_set,
 )
+
+
+def _pairwise_reference(values):
+    """The report built from ``check_pair`` on every pair of sorted values."""
+    pairs = [check_pair(a, b) for i, a in enumerate(values) for b in values[i + 1 :]]
+    violations = tuple(v for v in pairs if v is not None)
+    return HypothesisReport(not violations, violations)
 
 
 class TestCheckPair:
@@ -91,9 +105,7 @@ class TestCheckSortedSet:
         values = sorted(degrees)
         report = check_sorted_set(values)
         assert report == check_set(values)
-        pairs = [check_pair(a, b) for i, a in enumerate(values) for b in values[i + 1 :]]
-        violations = tuple(v for v in pairs if v is not None)
-        assert report == HypothesisReport(not violations, violations)
+        assert report == _pairwise_reference(values)
 
     def test_smallest_value_that_can_fail_is_checked(self):
         assert check_sorted_set((1, 2, 4, 8, 24)) == HypothesisReport(
@@ -102,6 +114,26 @@ class TestCheckSortedSet:
 
     def test_values_below_8_pass(self):
         assert check_sorted_set((1, 2, 3, 5, 7)) == HypothesisReport(True, ())
+
+
+class TestGcdOmegaMemo:
+    def test_bounded(self):
+        assert twoprime._gcd_omega.cache_info().maxsize == 256
+
+    def test_cold_and_warm_match_pairwise_reference(self):
+        # Every proper extension of each q; all degrees stay below 2**63.
+        sets = [
+            character_degrees(GroupDescriptor(pp, sub))
+            for q in (3**30, 5**24, 7**18, 1000003**2, 2**40)
+            for pp in [PrimePower.from_value(q)]
+            for sub in enumerate_outer_subgroups(pp, include_trivial=False)
+        ]
+        expected = [_pairwise_reference(values) for values in sets]
+        assert any(not report.passed for report in expected)
+        twoprime._gcd_omega.cache_clear()
+        assert [check_sorted_set(values) for values in sets] == expected
+        assert twoprime._gcd_omega.cache_info().hits > 0
+        assert [check_sorted_set(values) for values in sets] == expected
 
 
 class TestPglDegreeSets:
