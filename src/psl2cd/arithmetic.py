@@ -37,13 +37,16 @@ def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, by sieve of Eratosthenes.
 
     Raises MemoryError, before allocating anything, when the sieve of
-    limit + 1 bytes could not even be indexed (limit >= sys.maxsize).
+    limit + 1 bytes could not even be indexed (limit >= sys.maxsize).  The
+    sieve starts as a bytes repetition because on CPython 3.11 a failed
+    bytearray repetition also prints a stray SystemError; that copy is
+    freed before the list of primes sets the peak.
     """
     if limit < 2:
         return []
     if limit >= sys.maxsize:
         raise MemoryError(f"a sieve up to {limit} does not fit in memory")
-    sieve = bytearray([1]) * (limit + 1)
+    sieve = bytearray(b"\x01" * (limit + 1))
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
@@ -276,8 +279,9 @@ def prime_powers_in_range(lo: int, hi: int) -> list[tuple[int, int, int]]:
         raise OverflowError(f"range end {hi} is out of range: must be below 2**63")
     if hi < lo or hi < 2:
         return []
-    out = [(p, p, 1) for p in primes_up_to(hi) if p >= lo]
-    for p in primes_up_to(math.isqrt(hi)):
+    primes = primes_up_to(hi)
+    out = [(p, p, 1) for p in primes if p >= lo]
+    for p in primes[: bisect.bisect_right(primes, math.isqrt(hi))]:
         q, f = p * p, 2
         while q <= hi:
             if q >= lo:

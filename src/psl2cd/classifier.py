@@ -236,7 +236,6 @@ class SweepReport:
     q_min: int
     q_max: int
     verdicts: tuple[GroupVerdict, ...]
-    overflowed: tuple[tuple[GroupDescriptor, str], ...]
 
     @property
     def disagreements(self) -> tuple[GroupVerdict, ...]:
@@ -280,22 +279,22 @@ def sweep(q_min: int, q_max: int) -> SweepReport:
 
     The order needs no sort: q comes ascending from the sieve, and each
     q's subgroups come in ``OuterKind`` order with ascending d.
+
+    ``character_degrees`` cannot overflow here: every degree is at most
+    (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a range past 2**57
+    needs a sieve larger than any address space, so it raises MemoryError
+    before the first verdict.
     """
     if q_min < 7:
         raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
     if q_max < q_min:
         raise ValueError(f"empty range: q_min = {q_min} > q_max = {q_max}")
     verdicts: list[GroupVerdict] = []
-    overflowed: list[tuple[GroupDescriptor, str]] = []
     for q, p, f in prime_powers_in_range(q_min, q_max):
         pp = PrimePower.from_sieve(q, p, f)
         for outer in enumerate_outer_subgroups(pp, include_trivial=False):
-            g = GroupDescriptor(pp, outer)
-            try:
-                verdicts.append(brute_force_verdict(g))
-            except OverflowError as exc:  # recorded, not fatal
-                overflowed.append((g, str(exc)))
-    return SweepReport(q_min, q_max, tuple(verdicts), tuple(overflowed))
+            verdicts.append(brute_force_verdict(GroupDescriptor(pp, outer)))
+    return SweepReport(q_min, q_max, tuple(verdicts))
 
 
 def verdict_to_dict(v: GroupVerdict) -> dict:

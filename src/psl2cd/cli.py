@@ -100,10 +100,7 @@ def _write_sweep_json(report: SweepReport, summary: dict[str, int], out: TextIO)
                 {"q": v.descriptor.q.q, "group": group_name(v.descriptor), "rows": list(v.degree_mismatches)}
                 for v in report.degree_mismatched
             ],
-            "overflowed": [
-                {"q": g.q.q, "group": group_name(g), "error": message}
-                for g, message in report.overflowed
-            ],
+            "overflowed": [],  # kept for the format; see classifier.sweep
             "summary": summary,
         }
     )
@@ -271,8 +268,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  DISAGREEMENT: {group_name(verdict.descriptor)} passes but matches no row")
         for verdict in report.degree_mismatched:
             print(f"  DEGREE MISMATCH: {group_name(verdict.descriptor)} rows {', '.join(verdict.degree_mismatches)}")
-        for g, message in report.overflowed:
-            print(f"  OVERFLOW: {group_name(g)}: {message}")
     return 1 if summary["disagreements"] or summary["degree_mismatches"] else 0
 
 

@@ -11,17 +11,19 @@ subgroup of C2 x C_f is exactly one of
   * <delta * phi^(f/d)>, d even  TWISTED (for odd d this collapses into
                                  the WITH_DIAGONAL subgroup of the same d).
 
-Character degrees are computed by the closed form for cd(H): with
-Gamma = PGL(2,q) when delta itself lies in H and Gamma = S otherwise, and
-d = |H : Gamma| = 2^a * m with m odd,
+``character_degrees`` is the one statement of the closed form for cd(H):
+with Gamma = PGL(2,q) when delta itself lies in H and Gamma = S otherwise,
+d = |H : Gamma| = 2^a * m with m odd (the descriptor's d in all three
+cases), and eps = +1 or -1 as q = 1 or 3 (mod 4),
 
     cd(H) = {1, q, (q+eps)/2} u {(q-1)*2^a*i : i | m} u {(q+1)*j : j | d},
 
-subject to five exceptional removals at small characteristic (see
-``character_degrees``).  Note the membership convention: a TWISTED
-subgroup never contains delta itself (an even power of delta*phi^(f/d) is
-a pure field automorphism, an odd power keeps the delta component tied to
-a nontrivial field part), so it gets Gamma = S and no (q+eps)/2 degree.
+where (q+eps)/2 occurs only for odd q and H <= S<phi>, subject to five
+exceptional removals at small characteristic (see ``_shape``).  Note the
+membership convention: a TWISTED subgroup never contains delta itself (an
+even power of delta*phi^(f/d) is a pure field automorphism, an odd power
+keeps the delta component tied to a nontrivial field part), so it gets
+Gamma = S and no (q+eps)/2 degree.
 """
 
 from __future__ import annotations
@@ -115,25 +117,6 @@ class GroupDescriptor:
         return self.outer.kind is OuterKind.UNTWISTED and self.outer.d == 1
 
 
-@dataclass(frozen=True)
-class WhiteParameters:
-    """Index data d = |H : Gamma| = 2**a * m driving the degree formula."""
-
-    d: int
-    a: int
-    m: int
-
-
-def epsilon(q: PrimePower) -> int:
-    """(-1)**((q-1)/2): +1 when q = 1 (mod 4), -1 when q = 3 (mod 4).
-
-    Defined only in odd characteristic.
-    """
-    if q.p == 2:
-        raise ValueError("epsilon is undefined in characteristic 2")
-    return 1 if q.q % 4 == 1 else -1
-
-
 def enumerate_outer_subgroups(q: PrimePower, include_trivial: bool) -> list[OuterSubgroup]:
     """The full subgroup lattice of Out(PSL(2,q)), canonically and without
     duplicates; ``include_trivial=False`` drops only the trivial subgroup.
@@ -157,47 +140,17 @@ def _lattice(f: int, char_two: bool, include_trivial: bool) -> tuple[OuterSubgro
     return tuple(subs)
 
 
-def white_parameters(g: GroupDescriptor) -> WhiteParameters:
-    """The index d = |H : Gamma| = 2**a * m for the degree formula.
-
-    Gamma = PGL(2,q) exactly when delta lies in H, i.e. for WITH_DIAGONAL
-    subgroups; both UNTWISTED and TWISTED subgroups give Gamma = S.  In all
-    three cases |H : Gamma| equals the descriptor's d.
-    """
-    return _split_index(g.outer.d)
-
-
-def _split_index(d: int) -> WhiteParameters:
-    a = (d & -d).bit_length() - 1
-    return WhiteParameters(d, a, d >> a)
-
-
-def degree_families(g: GroupDescriptor) -> tuple[list[int], list[int], list[int]]:
-    """The three generating families of cd(H), after exceptional removals.
-
-    Returns (core, minus, plus) where core is {1, q} plus (q+eps)/2 when it
-    survives, minus is the (q-1)*2^a*i family, and plus is the (q+1)*j
-    family.  cd(H) is their union; keeping the families apart exposes the
-    divisibility structure the classification arguments rely on.
-    """
-    pp = g.q
-    q = pp.q
-    half, minus, plus = _shape(g.outer.kind, g.outer.d, pp.f, min(pp.p, 7))
-    core = [1, q, (q + epsilon(pp)) // 2] if half else [1, q]
-    return core, [(q - 1) * k for k in minus], [(q + 1) * j for j in plus]
-
-
 @functools.lru_cache(maxsize=None)
 def _shape(
     kind: OuterKind, d: int, f: int, p: int
 ) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
-    """The q-independent part of ``degree_families``: whether (q+eps)/2 is a
-    degree, the multipliers 2^a*i of q-1 and the multipliers j of q+1.
+    """The q-independent part of ``character_degrees``: whether (q+eps)/2 is
+    a degree, the multipliers 2^a*i of q-1 and the multipliers j of q+1.
 
     ``p`` is the characteristic capped at 7; every removal below tests p only
     against 2, 3 and 5, so all larger primes share one shape.
     """
-    params = _split_index(d)
+    a = (d & -d).bit_length() - 1  # d = 2^a * m with m odd
     half = p != 2 and kind is OuterKind.UNTWISTED  # removed for every H outside S<phi>
 
     # The named degenerations the exceptional removals speak about.  S<phi>
@@ -207,7 +160,7 @@ def _shape(
     is_full_aut = kind is OuterKind.WITH_DIAGONAL and d == f
     is_full_twist = kind is OuterKind.TWISTED and d == f
 
-    i_values = set(divisors(params.m))
+    i_values = set(divisors(d >> a))
     j_values = set(divisors(d))
     if f % 2 and p == 3 and is_field_ext:
         i_values.discard(1)
@@ -218,21 +171,24 @@ def _shape(
     if f % 4 == 2 and p in (2, 3) and (is_field_ext or is_full_twist):
         j_values.discard(2)
 
-    shift = 1 << params.a
-    return half, tuple(shift * i for i in sorted(i_values)), tuple(sorted(j_values))
+    return half, tuple(i << a for i in sorted(i_values)), tuple(sorted(j_values))
 
 
 def character_degrees(g: GroupDescriptor) -> list[int]:
-    """The irreducible character degrees of H, as a sorted deduplicated list.
+    """The irreducible character degrees of H, as a sorted deduplicated list:
+    the closed form of the module docstring, with its q-independent part
+    (the index split, the multipliers and the removals) taken from ``_shape``.
 
     Removals act on individual (i, j) indices, not on values: a degree
     survives when another family independently produces the same number.
     Raises OverflowError if any degree would reach 2**63.
     """
-    core, minus, plus = degree_families(g)
-    degrees = sorted({*core, *minus, *plus})
+    q = g.q.q
+    half, minus, plus = _shape(g.outer.kind, g.outer.d, g.q.f, min(g.q.p, 7))
+    core = (1, q, (q + (1 if q % 4 == 1 else -1)) // 2) if half else (1, q)
+    degrees = sorted({*core, *[(q - 1) * k for k in minus], *[(q + 1) * j for j in plus]})
     if degrees[-1] >= MAX_VALUE:
-        raise OverflowError(f"degree {degrees[-1]} is out of range for q = {g.q.q}")
+        raise OverflowError(f"degree {degrees[-1]} is out of range for q = {q}")
     return degrees
 
 

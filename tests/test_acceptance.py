@@ -62,7 +62,6 @@ def criterion_2_classification_sweep() -> None:
     assert report.degree_mismatched == (), [
         (v.descriptor.q.q, v.degree_mismatches) for v in report.degree_mismatched
     ]
-    assert report.overflowed == ()
     keys = [
         (v.descriptor.q.q, list(OuterKind).index(v.descriptor.outer.kind), v.descriptor.outer.d)
         for v in report.verdicts

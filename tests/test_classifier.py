@@ -203,19 +203,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(11, 7)
 
-    def test_overflow_recorded_not_fatal(self, monkeypatch):
-        # (2^59 + 1) * 59 exceeds the 63-bit degree bound; the sieve cannot
-        # reach 2^59, so hand the sweep that single prime power
-        monkeypatch.setattr(
-            "psl2cd.classifier.prime_powers_in_range", lambda lo, hi: [(2**59, 2, 59)]
-        )
-        report = sweep(2**59, 2**59)
-        assert report.verdicts == ()
-        assert len(report.overflowed) == 1
-        descriptor, message = report.overflowed[0]
-        assert descriptor.outer.d == 59
-        assert "range" in message
-
 
 class TestJsonShape:
     def test_verdict_shape(self):

@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import multiprocessing.process
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import psl2cd
 from psl2cd.classifier import SweepReport, sweep, verdict_to_dict
 from psl2cd.cli import main, to_json
 from psl2cd.facts import FACTS
-from psl2cd.groups import group_name
 from psl2cd.twoprime import HypothesisReport, Violation
 
 
@@ -182,6 +186,44 @@ class TestErrorPaths:
         assert "index-sized" not in err
         assert err.startswith("error: out of memory")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--qmin", "7", "--qmax", str(2**58)),
+            ("facts", "--fact", "F6", "--limit", str(2**58)),
+        ],
+    )
+    def test_failed_sieve_allocation_prints_one_line(self, capfd, argv):
+        # A sieve of 2**58 bytes fits no address space, so the allocation
+        # fails at once.  The CLI runs in a child interpreter, without -X dev
+        # and without pytest's unraisable-exception hook, so anything CPython
+        # itself prints reaches the inherited stderr descriptor capfd reads.
+        # A stray line there may depend on uninitialised memory, so one run
+        # can miss it; three rarely do.
+        env = {**os.environ, "PYTHONPATH": str(Path(psl2cd.__file__).parent.parent)}
+        for name in ("PYTHONDEVMODE", "PYTEST_CURRENT_TEST"):
+            env.pop(name, None)
+        for _ in range(3):
+            code = subprocess.run([sys.executable, "-m", "psl2cd", *argv], env=env).returncode
+            out, err = capfd.readouterr()
+            assert code == 2
+            assert out == ""
+            assert err == "error: out of memory; try a smaller range\n"
+
+    def test_degree_overflow_exits_2(self, capsys, monkeypatch):
+        # (2^59 + 1) * 59 exceeds the 63-bit degree bound; no sieve reaches
+        # 2^59, so hand the sweep that single prime power
+        monkeypatch.setattr(
+            "psl2cd.classifier.prime_powers_in_range", lambda lo, hi: [(2**59, 2, 59)]
+        )
+        message = f"degree {(2**59 + 1) * 59} is out of range for q = {2**59}"
+        with pytest.raises(OverflowError, match=message):
+            sweep(2**59, 2**59)
+        code, out, err = run(capsys, "sweep", "--qmin", str(2**59), "--qmax", str(2**59))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def out_of_memory(q_min, q_max):
             raise MemoryError
@@ -211,9 +253,7 @@ class TestSweepReportWriter:
             "converse_anomalies": len(report.converse_anomalies),
             "degree_mismatches": len(report.degree_mismatched),
         }
-        assert payload["overflowed"] == [
-            {"q": g.q.q, "group": group_name(g), "error": message} for g, message in report.overflowed
-        ]
+        assert payload["overflowed"] == []
         assert (payload["q_min"], payload["q_max"], payload["degree_mismatches"]) == (q_min, q_max, [])
         return payload
 
@@ -223,18 +263,9 @@ class TestSweepReportWriter:
         assert q64 and q64[0]["violations"] and q64[0]["rows"] == []
         assert payload["summary"]["passing"] < payload["summary"]["groups"]
 
-    def test_overflowed_group(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "psl2cd.classifier.prime_powers_in_range", lambda lo, hi: [(2**59, 2, 59)]
-        )
-        payload = self.check(capsys, 2**59, 2**59)
-        assert payload["verdicts"] == []
-        assert len(payload["overflowed"]) == 1
-
     def test_error_free_range(self, capsys):
         payload = self.check(capsys, 7, 11)
         assert all(v["pass"] and v["violations"] == [] for v in payload["verdicts"])
-        assert payload["overflowed"] == []
 
     def test_failed_claims_counted_and_exit_1(self, capsys, monkeypatch):
         # No real range has a disagreement or a degree mismatch, so edit
@@ -249,7 +280,6 @@ class TestSweepReportWriter:
                 dataclasses.replace(field8, report=failed),
                 dataclasses.replace(sym6, degree_mismatches=("sym6",)),
             ),
-            (),
         )
         monkeypatch.setattr("psl2cd.cli.sweep", lambda q_min, q_max: report)
         code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "9", "--format", "json")

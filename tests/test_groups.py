@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psl2cd import groups
-from psl2cd.arithmetic import divisors, prime_powers_in_range
+from psl2cd.arithmetic import divisors, is_prime, prime_powers_in_range
 from psl2cd.classifier import sweep
 from psl2cd.groups import (
     GroupDescriptor,
@@ -12,13 +12,10 @@ from psl2cd.groups import (
     OuterSubgroup,
     PrimePower,
     character_degrees,
-    degree_families,
     enumerate_outer_subgroups,
-    epsilon,
     group_name,
     parse_outer,
     pgl_descriptor,
-    white_parameters,
 )
 
 U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
@@ -66,17 +63,6 @@ class TestDescriptors:
         assert not desc(9, WD, 1).is_trivial
 
 
-class TestEpsilon:
-    def test_examples(self):
-        assert epsilon(PrimePower.from_value(9)) == 1
-        assert epsilon(PrimePower.from_value(7)) == -1
-        assert epsilon(PrimePower.from_value(13)) == 1
-
-    def test_characteristic_two(self):
-        with pytest.raises(ValueError):
-            epsilon(PrimePower.from_value(8))
-
-
 class TestEnumerate:
     def test_q8(self):
         pp = PrimePower.from_value(8)
@@ -121,24 +107,6 @@ class TestEnumerate:
         assert enumerate_outer_subgroups(pp, False) == expected
 
 
-class TestWhiteParameters:
-    def test_examples(self):
-        w = white_parameters(desc(9, WD, 2))
-        assert (w.d, w.a, w.m) == (2, 1, 1)
-        w = white_parameters(desc(9, T, 2))
-        assert (w.d, w.a, w.m) == (2, 1, 1)
-        w = white_parameters(desc(64, U, 6))
-        assert (w.d, w.a, w.m) == (6, 1, 3)
-
-    def test_two_a_m_decomposition(self):
-        pp = PrimePower(3, 12)
-        for d in divisors(12):
-            for kind in (U, WD):
-                w = white_parameters(GroupDescriptor(pp, OuterSubgroup(kind, d)))
-                assert w.d == d == 2**w.a * w.m
-                assert w.m % 2 == 1
-
-
 KNOWN_DEGREE_SETS = {
     (9, U, 2): [1, 5, 9, 10, 16],  # Sym(6)
     (9, T, 2): [1, 9, 10, 16],  # M10
@@ -165,7 +133,7 @@ class TestCharacterDegrees:
     def test_classical_psl_pgl_shapes(self):
         for q in (7, 9, 11, 13, 25, 27, 49, 81, 121, 125):
             pp = PrimePower.from_value(q)
-            eps = epsilon(pp)
+            eps = 1 if q % 4 == 1 else -1
             psl = character_degrees(GroupDescriptor(pp, OuterSubgroup(U, 1)))
             assert psl == sorted({1, (q + eps) // 2, q - 1, q, q + 1})
             pgl = character_degrees(pgl_descriptor(pp))
@@ -189,7 +157,7 @@ class TestCharacterDegrees:
         # presence always comes from the core family
         for q in (9, 25, 27, 49, 81, 625, 729):
             pp = PrimePower.from_value(q)
-            half = (q + epsilon(pp)) // 2
+            half = (q + (1 if q % 4 == 1 else -1)) // 2
             for outer in enumerate_outer_subgroups(pp, True):
                 g = GroupDescriptor(pp, outer)
                 assert (half in character_degrees(g)) == (outer.kind is U)
@@ -200,20 +168,49 @@ class TestCharacterDegrees:
                 assert (q + 1) // 2 not in cd and (q - 1) // 2 not in cd
 
     def test_untwisted_chain_divisibility(self):
+        # At these q no degree is a multiple of both q - 1 and q + 1 (their
+        # lcm exceeds (q + 1) * f), and 1, q, (q + eps)/2 are multiples of
+        # neither, so the two product families can be read off cd(H).
         for q in (2**12, 3**12):
             pp = PrimePower.from_value(q)
+            eps = 1 if q % 4 == 1 else -1
+
+            def families(d):
+                cd = character_degrees(GroupDescriptor(pp, OuterSubgroup(U, d)))
+                minus = [x for x in cd if x % (q - 1) == 0]
+                plus = [x for x in cd if x % (q + 1) == 0]
+                assert not set(minus) & set(plus)
+                assert set(cd) - set(minus) - set(plus) <= {1, q, (q + eps) // 2}
+                return minus, plus
+
             for d in divisors(pp.f):
+                minus_big, plus_big = families(d)
                 for d_small in divisors(d):
-                    _, minus_small, plus_small = degree_families(
-                        GroupDescriptor(pp, OuterSubgroup(U, d_small))
-                    )
-                    _, minus_big, plus_big = degree_families(
-                        GroupDescriptor(pp, OuterSubgroup(U, d))
-                    )
+                    minus_small, plus_small = families(d_small)
                     for value in minus_small:
                         assert any(big % value == 0 for big in minus_big)
                     for value in plus_small:
                         assert any(big % value == 0 for big in plus_big)
+
+    def test_no_degree_reaches_2_63_below_2_57(self):
+        # Why a sweep never overflows: a sweep past 2**57 cannot allocate its
+        # sieve, and below it every degree is at most (q + 1) * f.  Check the
+        # largest q of each exponent f <= 57, and 2**f and 3**f.
+        bound = 2**57
+        assert (bound + 1) * 57 < 2**63
+        for f in range(1, 58):
+            p = int(bound ** (1 / f))
+            while (p + 1) ** f <= bound:
+                p += 1
+            while p**f > bound or not is_prime(p):
+                p -= 1
+            for p in {p, 2, 3}:
+                if not 4 <= p**f <= bound:
+                    continue
+                pp = PrimePower(p, f)
+                for outer in enumerate_outer_subgroups(pp, True):
+                    cd = character_degrees(GroupDescriptor(pp, outer))
+                    assert cd[-1] <= (pp.q + 1) * f < 2**63
 
     def test_s5_sanity(self):
         # PSL(2,4).<phi> is Sym(5) with degrees {1, 4, 5, 6}
