@@ -203,6 +203,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(11, 7)
 
+    def test_degree_overflow_raises(self, monkeypatch):
+        # (2^59 + 1) * 59 exceeds the 63-bit degree bound; no sieve reaches
+        # 2^59, so hand the sweep that single prime power.  The sweep records
+        # nothing and lets the error through.
+        monkeypatch.setattr(
+            "psl2cd.classifier.prime_powers_in_range", lambda lo, hi: [(2**59, 2, 59)]
+        )
+        message = f"degree {(2**59 + 1) * 59} is out of range for q = {2**59}"
+        with pytest.raises(OverflowError, match=message):
+            sweep(2**59, 2**59)
+
 
 class TestJsonShape:
     def test_verdict_shape(self):

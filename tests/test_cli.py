@@ -212,17 +212,19 @@ class TestErrorPaths:
 
     def test_degree_overflow_exits_2(self, capsys, monkeypatch):
         # (2^59 + 1) * 59 exceeds the 63-bit degree bound; no sieve reaches
-        # 2^59, so hand the sweep that single prime power
+        # 2^59, so hand the sweep that single prime power.  Neither format
+        # writes a partial report.
         monkeypatch.setattr(
             "psl2cd.classifier.prime_powers_in_range", lambda lo, hi: [(2**59, 2, 59)]
         )
         message = f"degree {(2**59 + 1) * 59} is out of range for q = {2**59}"
-        with pytest.raises(OverflowError, match=message):
-            sweep(2**59, 2**59)
-        code, out, err = run(capsys, "sweep", "--qmin", str(2**59), "--qmax", str(2**59))
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {message}\n"
+        for fmt in ("text", "json"):
+            code, out, err = run(
+                capsys, "sweep", "--qmin", str(2**59), "--qmax", str(2**59), "--format", fmt
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
 
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def out_of_memory(q_min, q_max):
