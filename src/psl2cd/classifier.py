@@ -31,7 +31,7 @@ from .groups import (
     enumerate_outer_subgroups,
     group_name,
 )
-from .twoprime import HypothesisReport, check_sorted_set
+from .twoprime import Violation, check_sorted_set
 
 Matcher = Callable[[GroupDescriptor], bool]
 Expected = Callable[[GroupDescriptor], tuple[int, ...] | None]
@@ -198,13 +198,13 @@ def table_rows() -> tuple[TableRow, ...]:
 class GroupVerdict:
     descriptor: GroupDescriptor
     degrees: tuple[int, ...]
-    report: HypothesisReport
+    violations: tuple[Violation, ...]
     matched_rows: tuple[str, ...]
     degree_mismatches: tuple[str, ...]
 
     @property
     def brute_pass(self) -> bool:
-        return self.report.passed
+        return not self.violations
 
     @property
     def agree(self) -> bool:
@@ -218,7 +218,7 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
     if g.is_trivial:
         raise ValueError("outer subgroup must be nontrivial: S < H is required")
     degrees = tuple(character_degrees(g))
-    report = check_sorted_set(degrees)  # sorted, distinct and positive
+    violations = check_sorted_set(degrees)  # sorted, distinct and positive
     nontrivial = degrees[1:]  # 1 is always the smallest degree
     matched: list[str] = []
     mismatched: list[str] = []
@@ -228,7 +228,7 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
             expected = row.expected_degrees(g)
             if expected is not None and tuple(sorted(expected)) != nontrivial:
                 mismatched.append(row.row_id)
-    return GroupVerdict(g, degrees, report, tuple(matched), tuple(mismatched))
+    return GroupVerdict(g, degrees, violations, tuple(matched), tuple(mismatched))
 
 
 @dataclass(frozen=True)
@@ -242,23 +242,16 @@ class SweepReport:
         return tuple(v for v in self.verdicts if not v.agree)
 
     @property
-    def converse_anomalies(self) -> tuple[GroupVerdict, ...]:
-        return tuple(v for v in self.verdicts if v.matched_rows and not v.brute_pass)
-
-    @property
     def degree_mismatched(self) -> tuple[GroupVerdict, ...]:
         return tuple(v for v in self.verdicts if v.degree_mismatches)
 
-    @property
-    def passing(self) -> tuple[GroupVerdict, ...]:
-        return tuple(v for v in self.verdicts if v.brute_pass)
-
     def summary(self) -> dict[str, int]:
         """Counts of groups, passing groups, disagreements, converse
-        anomalies and degree mismatches, in one pass over the verdicts."""
+        anomalies (matched groups with violations) and degree mismatches,
+        in one pass over the verdicts.  No other code defines these counts."""
         passing = disagreements = converse = mismatched = 0
         for v in self.verdicts:
-            if v.report.passed:
+            if not v.violations:
                 passing += 1
             else:
                 converse += bool(v.matched_rows)
@@ -284,13 +277,19 @@ def sweep(q_min: int, q_max: int) -> SweepReport:
     (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a range past 2**57
     needs a sieve larger than any address space, so it raises MemoryError
     before the first verdict.
+
+    A range that holds no prime power raises ValueError, as an inverted
+    one does, so that no sweep passes with nothing checked.
     """
     if q_min < 7:
         raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
     if q_max < q_min:
         raise ValueError(f"empty range: q_min = {q_min} > q_max = {q_max}")
+    prime_powers = prime_powers_in_range(q_min, q_max)
+    if not prime_powers:
+        raise ValueError(f"no prime power in [{q_min}, {q_max}]: nothing to check")
     verdicts: list[GroupVerdict] = []
-    for q, p, f in prime_powers_in_range(q_min, q_max):
+    for q, p, f in prime_powers:
         pp = PrimePower.from_sieve(q, p, f)
         for outer in enumerate_outer_subgroups(pp, include_trivial=False):
             verdicts.append(brute_force_verdict(GroupDescriptor(pp, outer)))
@@ -312,7 +311,7 @@ def verdict_to_dict(v: GroupVerdict) -> dict:
         "pass": v.brute_pass,
         "violations": [
             {"a": w.a, "b": w.b, "gcd": w.gcd, "omega": w.omega}
-            for w in v.report.violations
+            for w in v.violations
         ],
         "rows": list(v.matched_rows),
         "agree": v.agree,

@@ -65,7 +65,7 @@ def _verdict_json(v: GroupVerdict) -> str:
         f'          "gcd": {w.gcd},\n'
         f'          "omega": {w.omega}\n'
         "        }"
-        for w in v.report.violations
+        for w in v.violations
     ]
     return (
         "{\n"
@@ -90,7 +90,8 @@ def _write_sweep_json(report: SweepReport, summary: dict[str, int], out: TextIO)
     The keys before "verdicts" go through ``to_json``; the verdict list,
     which sorts last and is nearly all of the text, is formatted directly
     and written in batches, so the report never exists as one string or
-    as dicts.
+    as dicts.  ``sweep`` never returns an empty report, so the verdict
+    list always has items.
     """
     head = to_json(
         {
@@ -104,12 +105,8 @@ def _write_sweep_json(report: SweepReport, summary: dict[str, int], out: TextIO)
             "summary": summary,
         }
     )
-    out.write(head[: -len("\n}")] + ',\n  "verdicts": ')
+    out.write(head[: -len("\n}")] + ',\n  "verdicts": [\n    ')
     verdicts = report.verdicts
-    if not verdicts:
-        out.write("[]\n}\n")
-        return
-    out.write("[\n    ")
     for start in range(0, len(verdicts), _VERDICT_BATCH):
         if start:
             out.write(",\n    ")
@@ -178,26 +175,26 @@ def _parse_degree_list(raw: str) -> list[int]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     degrees = sorted(_parse_degree_list(args.degrees))
-    report = check_set(degrees)
+    violations = check_set(degrees)
     payload = {
         "degrees": degrees,
-        "pass": report.passed,
+        "pass": not violations,
         "violations": [
             {"a": v.a, "b": v.b, "gcd": v.gcd, "omega": v.omega}
-            for v in report.violations
+            for v in violations
         ],
     }
     text = [f"degrees: {', '.join(map(str, degrees))}"]
-    if report.passed:
+    if not violations:
         text.append("two-prime condition: PASS")
     else:
-        text.append(f"two-prime condition: FAIL ({len(report.violations)} violation(s))")
+        text.append(f"two-prime condition: FAIL ({len(violations)} violation(s))")
         text.extend(
             f"  ({v.a}, {v.b}): gcd = {v.gcd}, omega = {v.omega}"
-            for v in report.violations
+            for v in violations
         )
     _emit(args, payload, text)
-    return 0 if report.passed else 1
+    return 1 if violations else 0
 
 
 def _cmd_maximals(args: argparse.Namespace) -> int:
@@ -243,7 +240,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     ]
     text.extend(
         f"  violation ({v.a}, {v.b}): gcd = {v.gcd}, omega = {v.omega}"
-        for v in verdict.report.violations
+        for v in verdict.violations
     )
     text.append(f"rows matched: {', '.join(verdict.matched_rows) or '(none)'}")
     text.append(f"agree: {'yes' if verdict.agree else 'NO'}")

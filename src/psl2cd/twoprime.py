@@ -2,7 +2,8 @@
 
 A set of character degrees satisfies the condition when every pair of
 distinct members a != b has gcd(a, b) divisible by at most two primes
-counted with multiplicity.
+counted with multiplicity.  A set's verdict is its tuple of violating
+pairs: the set passes exactly when that tuple is empty.
 
 The groups of one q share most of their pair gcds, and callers decide
 them one after another, so the trusted pair loop asks a small LRU memo
@@ -33,13 +34,6 @@ class Violation:
     omega: int
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    passed: bool
-    violations: tuple[Violation, ...]
-
-
-_PASSED = HypothesisReport(True, ())  # shared by every passing set
 _gcd_omega = functools.lru_cache(maxsize=256)(omega)
 
 
@@ -58,8 +52,8 @@ def check_pair(a: int, b: int) -> Violation | None:
     return None
 
 
-def check_set(degrees: Iterable[int]) -> HypothesisReport:
-    """Test every unordered pair; all violations reported, sorted by (a, b).
+def check_set(degrees: Iterable[int]) -> tuple[Violation, ...]:
+    """Every violating pair, sorted by (a, b); empty when the set passes.
 
     The degree 1 is harmless (its gcd with anything is 1) and may stay in
     the set.  Duplicates and values below 1 are rejected.
@@ -72,7 +66,7 @@ def check_set(degrees: Iterable[int]) -> HypothesisReport:
     return check_sorted_set(values)
 
 
-def check_sorted_set(values: Sequence[int]) -> HypothesisReport:
+def check_sorted_set(values: Sequence[int]) -> tuple[Violation, ...]:
     """``check_set`` for values the caller has proved sorted, distinct and
     positive (as ``character_degrees`` returns them); nothing is checked."""
     violations = []
@@ -85,6 +79,4 @@ def check_sorted_set(values: Sequence[int]) -> HypothesisReport:
                 om = _gcd_omega(g)
                 if om >= 3:
                     violations.append(Violation(a, b, g, om))
-    if not violations:
-        return _PASSED
-    return HypothesisReport(False, tuple(violations))
+    return tuple(violations)  # the shared empty tuple when the set passes

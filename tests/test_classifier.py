@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from psl2cd import classifier
 from psl2cd.classifier import (
     brute_force_verdict,
     sweep,
@@ -117,7 +119,7 @@ class TestBruteForceVerdict:
         assert not v.brute_pass
         assert v.matched_rows == ()
         assert v.agree
-        assert any(w.gcd == 126 and w.omega == 4 for w in v.report.violations)
+        assert any(w.gcd == 126 and w.omega == 4 for w in v.violations)
 
     def test_q16_half_passes(self):
         v = brute_force_verdict(desc(16, U, 2))
@@ -132,6 +134,19 @@ class TestBruteForceVerdict:
         assert "sym6" in v.matched_rows
         assert v.agree
         assert v.degree_mismatches == ()
+
+    def test_degree_mismatch_recorded(self, capsys, monkeypatch):
+        # Every real row predicts its degrees correctly, so swap in a pgl
+        # row that predicts PGL(2,q) without its degree q.
+        pgl = next(r for r in table_rows() if r.row_id == "pgl")
+        wrong = dataclasses.replace(pgl, expected_degrees=lambda g: (g.q.q - 1, g.q.q + 1))
+        rows = tuple(wrong if r is pgl else r for r in classifier._ROWS_BY_KIND[WD])
+        monkeypatch.setitem(classifier._ROWS_BY_KIND, WD, rows)
+        v = brute_force_verdict(desc(7, WD, 1))
+        assert v.matched_rows == ("pgl",)
+        assert v.degree_mismatches == ("pgl",)
+        assert main(["classify", "--q", "7", "--outer", "delta"]) == 1
+        assert "rows matched: pgl" in capsys.readouterr().out
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -176,7 +191,8 @@ class TestSweep:
     def test_converse_anomalies_empty_in_range(self):
         # empirical finding over the sweep range, reported rather than assumed
         report = sweep(7, 512)
-        assert report.converse_anomalies == ()
+        assert not [v for v in report.verdicts if v.matched_rows and not v.brute_pass]
+        assert report.summary()["converse_anomalies"] == 0
 
     def test_pgl_always_passes(self):
         report = sweep(7, 512)
@@ -202,6 +218,9 @@ class TestSweep:
             sweep(4, 11)
         with pytest.raises(ValueError):
             sweep(11, 7)
+        for q_min, q_max in ((24, 24), (33, 36)):
+            with pytest.raises(ValueError, match="no prime power"):
+                sweep(q_min, q_max)
 
     def test_degree_overflow_raises(self, monkeypatch):
         # (2^59 + 1) * 59 exceeds the 63-bit degree bound; no sieve reaches

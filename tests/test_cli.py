@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import psl2cd
+from psl2cd import cli
 from psl2cd.classifier import SweepReport, sweep, verdict_to_dict
 from psl2cd.cli import main, to_json
 from psl2cd.facts import FACTS
-from psl2cd.twoprime import HypothesisReport, Violation
+from psl2cd.twoprime import Violation
 
 
 def run(capsys, *argv):
@@ -31,6 +32,13 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "factor", "--n", "63")
         assert code == 0
         assert "63 = 3^2 * 7" in out
+
+    def test_factor_one_is_the_empty_product(self, capsys):
+        code, out, _ = run(capsys, "factor", "--n", "1")
+        assert (code, out) == (0, "1 = 1\n")
+        code, payload, _ = run_json(capsys, "factor", "--n", "1")
+        assert code == 0
+        assert payload == {"n": 1, "factors": [], "omega": 0}
 
     def test_omega(self, capsys):
         code, out, _ = run(capsys, "omega", "--n", "12")
@@ -110,6 +118,17 @@ class TestBasicCommands:
         assert code == 0
         assert out.startswith("F3 PASS")
 
+    def test_facts_counterexamples_exit_1(self, capsys, monkeypatch):
+        # Every registered fact holds, so register a copy of F3 whose
+        # predicate rejects 9.
+        monkeypatch.setitem(FACTS, "F3", dataclasses.replace(FACTS["F3"], predicate=lambda n: n != 9))
+        code, out, _ = run(capsys, "facts", "--fact", "F3", "--limit", "20")
+        assert code == 1
+        assert out.splitlines() == [
+            f"F3 FAIL  ({FACTS['F3'].range_text(20)})  {FACTS['F3'].claim}",
+            "  counterexamples: 9",
+        ]
+
 
 class TestErrorPaths:
     def test_bad_expression_exits_2_with_position(self, capsys):
@@ -146,8 +165,29 @@ class TestErrorPaths:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [("a,b", "error: bad degree list 'a,b'"), (",", "error: empty degree list\n")],
+    )
+    def test_check_unparsable_degrees(self, capsys, degrees, message):
+        code, out, err = run(capsys, "check", "--degrees", degrees)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+
     def test_sweep_bad_range(self, capsys):
         assert run(capsys, "sweep", "--qmin", "4", "--qmax", "11")[0] == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("q_min, q_max", [(24, 24), (33, 36)])
+    def test_sweep_without_prime_powers(self, capsys, fmt, q_min, q_max):
+        # A range with nothing to check exits 2 rather than passing.
+        code, out, err = run(
+            capsys, "sweep", "--qmin", str(q_min), "--qmax", str(q_max), "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: no prime power in [{q_min}, {q_max}]: nothing to check\n"
 
     @pytest.mark.parametrize("fact_id", sorted(FACTS))
     def test_facts_empty_range(self, capsys, fact_id):
@@ -248,11 +288,12 @@ class TestSweepReportWriter:
         assert to_json(payload) + "\n" == out
         report = sweep(q_min, q_max)
         assert payload["verdicts"] == [verdict_to_dict(v) for v in report.verdicts]
+        verdicts = report.verdicts
         assert payload["summary"] == {
-            "groups": len(report.verdicts),
-            "passing": len(report.passing),
+            "groups": len(verdicts),
+            "passing": sum(v.brute_pass for v in verdicts),
             "disagreements": len(report.disagreements),
-            "converse_anomalies": len(report.converse_anomalies),
+            "converse_anomalies": sum(bool(v.matched_rows) and not v.brute_pass for v in verdicts),
             "degree_mismatches": len(report.degree_mismatched),
         }
         assert payload["overflowed"] == []
@@ -265,6 +306,11 @@ class TestSweepReportWriter:
         assert q64 and q64[0]["violations"] and q64[0]["rows"] == []
         assert payload["summary"]["passing"] < payload["summary"]["groups"]
 
+    def test_several_write_batches(self, capsys):
+        # More verdicts than one batch, so the join between batches is written.
+        payload = self.check(capsys, 7, 65536)
+        assert len(payload["verdicts"]) > cli._VERDICT_BATCH
+
     def test_error_free_range(self, capsys):
         payload = self.check(capsys, 7, 11)
         assert all(v["pass"] and v["violations"] == [] for v in payload["verdicts"])
@@ -273,13 +319,12 @@ class TestSweepReportWriter:
         # No real range has a disagreement or a degree mismatch, so edit
         # three real verdicts into one of each kind of failure.
         pgl7, field8, sym6 = sweep(7, 9).verdicts[:3]
-        failed = HypothesisReport(False, (Violation(8, 24, 8, 3),))
         report = SweepReport(
             7,
             9,
             (
                 dataclasses.replace(pgl7, matched_rows=()),
-                dataclasses.replace(field8, report=failed),
+                dataclasses.replace(field8, violations=(Violation(8, 24, 8, 3),)),
                 dataclasses.replace(sym6, degree_mismatches=("sym6",)),
             ),
         )
