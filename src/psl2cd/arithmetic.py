@@ -5,17 +5,19 @@ special predicates the classification conditions consume: Omega (prime
 divisors counted with multiplicity), Zsigmondy primitive prime divisors of
 2**n - 1, and Mersenne/Fermat prime tests.
 
-Everything here is a pure function of its arguments.  The only shared state
-is one bounded memo (at most 32,768 entries) keyed on the cofactor that
-`factor` leaves after trial division by the primes below 1000, so n, 2n and
-n/2 reuse the same Miller-Rabin and rho work; concurrent use is safe.
+`factor`, `omega_at_least` and `is_prime` find the primes below 1000 that
+divide n in one stage, `_strip_table_primes`, with one gcd.  What it leaves
+has no prime factor below 1000, so below 1009**2 it is 1 or prime without a
+test.  The only shared state is one bounded memo (at most 32,768 entries)
+keyed on that cofactor, so n, 2n and n/2 reuse the same Miller-Rabin and
+rho work; everything is a pure function of its arguments and concurrent use
+is safe.
 
 Each prime is proved once, with no more work than its size needs.
-Miller-Rabin uses the first k of twelve fixed witnesses, k being the
-smallest count proved exact below n (one witness below 2,047, nine below
-3,825,123,056,546,413,051, all twelve above).  Inside `factor`, a piece of
-the cofactor below 1009**2 is prime without a test: the cofactor has no
-prime factor below 1000, so such a piece cannot be a product of two.
+Miller-Rabin runs only on such a cofactor past 1009**2, with the first k
+of twelve fixed witnesses, k being the smallest count proved exact below n
+(one witness below 2,047, nine below 3,825,123,056,546,413,051, all twelve
+above).
 """
 
 from __future__ import annotations
@@ -85,12 +87,9 @@ def is_prime(n: int) -> bool:
     318,665,857,834,031,151,167,461, so on the whole 2**63 working range."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    if n < 41 * 41:
-        return True
-    return _miller_rabin(n)
+    if math.gcd(n, _TRIAL_PRODUCT) > 1:
+        return n < _TRIAL_BOUND and n in _TRIAL_PRIMES
+    return n < _NEXT_PRIME_SQ or _miller_rabin(n)
 
 
 def _miller_rabin(n: int) -> bool:
@@ -115,9 +114,7 @@ def _miller_rabin(n: int) -> bool:
 def factor(n: int) -> Factorization:
     """Prime factorization of n, primes strictly increasing; factor(1) == ().
 
-    The primes below 1000 come out by trial division guided by
-    gcd(n, product of those primes), so only the primes that divide n are
-    divided out.  The cofactor left above the table is factored by
+    After ``_strip_table_primes``, the cofactor is factored by
     deterministic Miller-Rabin, perfect-power roots and Brent's rho with a
     fixed parameter schedule, so the output (and everything downstream of
     it) is reproducible.  Only that cofactor step is memoized, so 2(q - 1),
@@ -129,6 +126,19 @@ def factor(n: int) -> Factorization:
         raise ValueError(f"cannot factor {n}: positive integer required")
     if n >= MAX_VALUE:
         raise OverflowError(f"{n} is out of range: inputs must be below 2**63")
+    out, n = _strip_table_primes(n)
+    if n >= _NEXT_PRIME_SQ:
+        out.extend(_factor_cached(n))
+    elif n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def _strip_table_primes(n: int) -> tuple[list[tuple[int, int]], int]:
+    """([(p, e), ...] for the primes p < 1000 dividing n >= 1, cofactor).
+
+    gcd(n, product of those primes) names the primes that divide n, so only
+    they are divided out; n may be of any size."""
     out: list[tuple[int, int]] = []
     small = math.gcd(n, _TRIAL_PRODUCT)  # each table prime dividing n, once
     for p in _TRIAL_PRIMES:
@@ -144,11 +154,7 @@ def factor(n: int) -> Factorization:
             n //= p
             e += 1
         out.append((p, e))
-    if n >= _NEXT_PRIME_SQ:
-        out.extend(_factor_cached(n))
-    elif n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    return out, n
 
 
 @functools.lru_cache(maxsize=1 << 15)
@@ -215,37 +221,28 @@ def _brent_rho(n: int) -> int:
 
 def omega(n: int) -> int:
     """Number of prime divisors of n counted with multiplicity; omega(1) == 0."""
-    if n == 1:
-        return 0
     return sum(e for _, e in factor(n))
 
 
 def omega_at_least(n: int, k: int) -> bool:
     """Decide whether Omega(n) >= k, for n of any size.
 
-    Small primes are stripped first; once the running count plus one prime
-    for any nontrivial cofactor settles the bound, no full factorization is
-    needed, so this works on values far beyond 2**63.  When the bound
-    cannot be settled that way the cofactor is factored exactly, which
-    requires it to be in range.
+    The primes below 1000 are stripped as in ``factor``.  When their count,
+    plus one prime for a nontrivial cofactor, settles the bound, or the
+    cofactor is 1 or a prime below 1009**2, no factoring is needed, so this
+    works on values far beyond 2**63.  Otherwise the cofactor is factored
+    exactly, which requires it to be below 2**63.
     """
     if n < 1:
         raise ValueError(f"Omega is undefined for {n}")
-    count = 0
-    for p in _TRIAL_PRIMES:
-        while n % p == 0:
-            n //= p
-            count += 1
-        if count >= k:
-            return True
-        if p * p > n:
-            break
-    if n > 1 and count + 1 >= k:
-        return True
-    if n == 1:
+    stripped, n = _strip_table_primes(n)
+    count = sum(e for _, e in stripped)
+    if count >= k or n == 1:
         return count >= k
+    if count + 1 >= k or n < _NEXT_PRIME_SQ:
+        return count + 1 >= k
     if n < MAX_VALUE:
-        return count + omega(n) >= k
+        return count + sum(e for _, e in _factor_cached(n)) >= k
     raise OverflowError(f"cannot settle Omega >= {k} for an out-of-range cofactor")
 
 

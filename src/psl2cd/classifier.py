@@ -128,7 +128,7 @@ _ROWS = (
         "PSL(2,2^f).<phi^(f/4)>",
         kind=OuterKind.UNTWISTED,
         matcher=lambda g: g.q.p == 2 and g.outer.d == 4,
-        conditions=lambda g: g.q.q + 1 > 5 and is_fermat_prime(g.q.q + 1),
+        conditions=lambda g: is_fermat_prime(g.q.q + 1),
         expected_degrees=lambda g: (
             g.q.q, 4 * (g.q.q - 1), g.q.q + 1, 2 * (g.q.q + 1), 4 * (g.q.q + 1)
         ),
@@ -138,7 +138,7 @@ _ROWS = (
         "PSL(2,2^f).<phi^(f/2)>",
         kind=OuterKind.UNTWISTED,
         matcher=lambda g: g.q.p == 2 and g.outer.d == 2,
-        conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
+        conditions=lambda g: omega(g.q.q + 1) <= 2,
         expected_degrees=_expected_half,
     ),
     TableRow(
@@ -146,7 +146,7 @@ _ROWS = (
         "PSL(2,q).<phi^(f/2)>, q odd",
         kind=OuterKind.UNTWISTED,
         matcher=lambda g: g.q.p != 2 and g.outer.d == 2,
-        conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
+        conditions=lambda g: omega(g.q.q + 1) <= 2,
         expected_degrees=lambda g: None
         if g.q.q == 9
         else (
@@ -158,7 +158,7 @@ _ROWS = (
         "PSL(2,q).<delta*phi^(f/2)>",
         kind=OuterKind.TWISTED,
         matcher=lambda g: g.outer.d == 2,
-        conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
+        conditions=lambda g: omega(g.q.q + 1) <= 2,
         expected_degrees=lambda g: None if g.q.q == 9 else _expected_half(g),
     ),
     TableRow(
@@ -166,7 +166,7 @@ _ROWS = (
         "PGL(2,q).<phi^(f/2)>",
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda g: g.outer.d == 2,  # with a diagonal part, so q is odd
-        conditions=lambda g: g.q.f % 2 == 0 and omega(g.q.q + 1) <= 2,
+        conditions=lambda g: omega(g.q.q + 1) <= 2,
         expected_degrees=_expected_half,
     ),
     TableRow(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arithmetic import MAX_VALUE, divisors, is_prime, prime_power_decompose
 
@@ -48,18 +48,14 @@ class PrimePower:
 
     p: int
     f: int
-    q: int = 0
+    q: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.f < 1:
             raise ValueError(f"exponent must be positive, got {self.f}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        q = self.p**self.f
-        if self.q == 0:
-            object.__setattr__(self, "q", q)
-        elif self.q != q:
-            raise ValueError(f"inconsistent prime power: {self.p}**{self.f} != {self.q}")
+        object.__setattr__(self, "q", self.p**self.f)
         if self.q < 4:
             raise ValueError(f"q = {self.q} < 4 admits no almost simple group here")
         if self.q >= MAX_VALUE:

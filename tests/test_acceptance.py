@@ -74,7 +74,9 @@ def criterion_3_pgl_universality() -> None:
     started = time.perf_counter()
     count = 0
     for q, p, f in prime_powers_in_range(7, 1 << 20):
-        degrees = character_degrees(pgl_descriptor(PrimePower(p, f, q)))
+        pp = PrimePower(p, f)
+        assert pp.q == q
+        degrees = character_degrees(pgl_descriptor(pp))
         violations = check_set(degrees)
         assert not violations, (q, violations)
         count += 1
@@ -122,7 +124,8 @@ def criterion_7_maximal_subgroup_consistency() -> None:
     started = time.perf_counter()
     count = 0
     for q, p, f in prime_powers_in_range(7, 4096):
-        pp = PrimePower(p, f, q)
+        pp = PrimePower(p, f)
+        assert pp.q == q
         order = psl2_order(pp)
         for entry in maximal_subgroups(pp):
             assert entry.order * entry.index == order, (q, entry)

@@ -303,7 +303,7 @@ class TestIsPrime:
 
     @settings(max_examples=500)
     @given(
-        st.sampled_from(MR_TIER_BOUNDS).flatmap(
+        st.sampled_from(MR_TIER_BOUNDS + (1009**2,)).flatmap(
             lambda b: st.integers(min_value=b - 10**4, max_value=b + 10**4)
         )
     )
@@ -359,6 +359,25 @@ class TestOmega:
         n = 5**39 - 1
         assert n >= MAX_VALUE
         assert omega_at_least(n, 3)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_omega_at_least_on_constructed_products(self, data):
+        # n = s * m with s a product of table primes, which takes n past
+        # 2**63, and m a product of at most three primes in [1009, 2**20],
+        # so Omega(n) is known by construction and m < 2**63.
+        powers = data.draw(
+            st.lists(st.tuples(st.sampled_from(TABLE_PRIMES), st.integers(0, 40)), max_size=4),
+            label="s",
+        )
+        primes = [
+            _prime_at_or_below(data.draw(st.integers(1009, 1 << 20), label="m"))
+            for _ in range(data.draw(st.integers(0, 3), label="len(m)"))
+        ]
+        n = math.prod(p**e for p, e in powers) * math.prod(primes)
+        expected = sum(e for _, e in powers) + len(primes)
+        for k in range(9):
+            assert omega_at_least(n, k) == (expected >= k), (n, k)
 
 
 class TestDivisors:

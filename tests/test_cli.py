@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import multiprocessing.process
 import os
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psl2cd
 from psl2cd import cli
@@ -381,3 +385,71 @@ class TestOutputContracts:
         assert code_t == code_j == 0
         assert ("PASS" in out_t) == payload["pass"]
         assert ("sym6" in out_t) == ("sym6" in payload["rows"])
+
+
+# A bounded argv grammar: every command and flag, well-formed and malformed
+# values, sweep ends below 3,000 and facts limits of at most 70, so that each
+# call finishes in well under a second.
+_NUMBER = st.one_of(
+    st.integers(-10, 5000).map(str),
+    st.integers(-(1 << 64), 1 << 64).map(str),
+    st.sampled_from(("", "abc", "1e3", "0x10", "7.0", "-", "1_000", " 9 ")),
+)
+_Q = st.one_of(
+    _NUMBER,
+    st.sampled_from(
+        tuple(map(str, (4, 7, 8, 9, 11, 25, 27, 64, 81, 256, 2**61 - 1, 2**62, 3**39)))
+    ),
+)
+_OUTER = st.one_of(
+    st.sampled_from(
+        ("", "delta", "phi^1", "phi^2", "delta*phi^1", "delta,phi^2", "phi^0", "phi^", ",", "phi^1,,delta")
+    ),
+    st.text(alphabet="deltaphi^*,0123 ", max_size=16),
+)
+_DEGREES = st.one_of(
+    st.lists(st.integers(-3, 10**6).map(str), max_size=6).map(",".join),
+    st.sampled_from(("a,b", ",", "1,,2", "1;2")),
+)
+_SWEEP_END = st.one_of(st.integers(-5, 2999).map(str), st.sampled_from(("", "x", "3e3")))
+_ARGS = {  # command: (flag, values, required); values None is a switch
+    "factor": (("--n", _NUMBER, True),),
+    "omega": (("--n", _NUMBER, True),),
+    "cd": (("--q", _Q, True), ("--outer", _OUTER, False)),
+    "check": (("--degrees", _DEGREES, True),),
+    "maximals": (("--q", _Q, True), ("--pgl", None, False)),
+    "classify": (("--q", _Q, True), ("--outer", _OUTER, True)),
+    "sweep": (
+        ("--qmin", _SWEEP_END, True),
+        ("--qmax", _SWEEP_END, True),
+        ("--jobs", st.integers(-2, 4).map(str), False),
+    ),
+    # facts without --limit runs its default ranges, which take seconds
+    "facts": (
+        ("--fact", st.sampled_from((*sorted(FACTS), "F0")), False),
+        ("--limit", st.one_of(st.integers(-5, 70).map(str), st.just("x")), True),
+    ),
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_ARGS)))
+    argv = [command]
+    for flag, values, required in _ARGS[command]:
+        if required or draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    fmt = draw(st.sampled_from((None, "text", "json", "yaml")))
+    return argv if fmt is None else [*argv, "--format", fmt]
+
+
+class TestArgvProperty:
+    @settings(deadline=None, max_examples=200)
+    @given(_argv())
+    def test_every_argv_exits_0_1_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert err.getvalue(), argv

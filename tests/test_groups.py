@@ -29,14 +29,11 @@ class TestPrimePower:
     def test_construction(self):
         pp = PrimePower(3, 2)
         assert (pp.p, pp.f, pp.q) == (3, 2, 9)
-        assert PrimePower(3, 2, 9) == pp
         assert PrimePower.from_value(8) == PrimePower(2, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PrimePower(4, 2)
-        with pytest.raises(ValueError):
-            PrimePower(3, 2, 10)
         with pytest.raises(ValueError):
             PrimePower(3, 1)  # q = 3 < 4
         with pytest.raises(ValueError):

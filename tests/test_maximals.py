@@ -144,7 +144,7 @@ class TestCatalogInvariants:
         for q, p, f in prime_powers_in_range(7, 4096):
             if p == 2:
                 continue
-            pp = PrimePower(p, f, q)
+            pp = PrimePower(p, f)
             if q in (7, 9, 11):
                 continue
             for e in maximal_subgroups(pp):
