@@ -20,7 +20,7 @@ printed sets).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .arithmetic import is_fermat_prime, is_prime, omega, prime_powers_in_range
 from .groups import (
@@ -232,6 +232,44 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
 
 
 @dataclass(frozen=True)
+class SweepTally:
+    """What a sweep's verdicts add up to: the summary counts and the
+    verdicts that break a claim."""
+
+    summary: dict[str, int]
+    disagreements: tuple[GroupVerdict, ...]
+    degree_mismatched: tuple[GroupVerdict, ...]
+
+
+def tally_verdicts(verdicts: Iterable[GroupVerdict]) -> SweepTally:
+    """Counts of groups, passing groups, disagreements, converse anomalies
+    (matched groups with violations) and degree mismatches, in one pass
+    that keeps only the disagreeing and degree-mismatched verdicts.  No
+    other code defines these counts."""
+    groups = passing = converse = 0
+    disagreements: list[GroupVerdict] = []
+    mismatched: list[GroupVerdict] = []
+    for v in verdicts:
+        groups += 1
+        if not v.violations:
+            passing += 1
+        elif v.matched_rows:
+            converse += 1
+        if not v.agree:
+            disagreements.append(v)
+        if v.degree_mismatches:
+            mismatched.append(v)
+    summary = {
+        "groups": groups,
+        "passing": passing,
+        "disagreements": len(disagreements),
+        "converse_anomalies": converse,
+        "degree_mismatches": len(mismatched),
+    }
+    return SweepTally(summary, tuple(disagreements), tuple(mismatched))
+
+
+@dataclass(frozen=True)
 class SweepReport:
     q_min: int
     q_max: int
@@ -239,36 +277,25 @@ class SweepReport:
 
     @property
     def disagreements(self) -> tuple[GroupVerdict, ...]:
-        return tuple(v for v in self.verdicts if not v.agree)
+        return tally_verdicts(self.verdicts).disagreements
 
     @property
     def degree_mismatched(self) -> tuple[GroupVerdict, ...]:
-        return tuple(v for v in self.verdicts if v.degree_mismatches)
+        return tally_verdicts(self.verdicts).degree_mismatched
 
     def summary(self) -> dict[str, int]:
-        """Counts of groups, passing groups, disagreements, converse
-        anomalies (matched groups with violations) and degree mismatches,
-        in one pass over the verdicts.  No other code defines these counts."""
-        passing = disagreements = converse = mismatched = 0
-        for v in self.verdicts:
-            if not v.violations:
-                passing += 1
-            else:
-                converse += bool(v.matched_rows)
-            disagreements += not v.agree
-            mismatched += bool(v.degree_mismatches)
-        return {
-            "groups": len(self.verdicts),
-            "passing": passing,
-            "disagreements": disagreements,
-            "converse_anomalies": converse,
-            "degree_mismatches": mismatched,
-        }
+        return tally_verdicts(self.verdicts).summary
 
 
-def sweep(q_min: int, q_max: int) -> SweepReport:
+def iter_verdicts(q_min: int, q_max: int) -> Iterator[GroupVerdict]:
     """Verdicts for every prime power in [q_min, q_max] and every proper
-    extension, deterministically ordered by (q, kind, d).
+    extension, deterministically ordered by (q, kind, d), each yielded as
+    soon as it is decided.
+
+    The range is checked, and the prime powers sieved, when this is
+    called, not at the first verdict.  A range that holds no prime power
+    raises ValueError, as an inverted one does, so that no sweep passes
+    with nothing checked.
 
     The order needs no sort: q comes ascending from the sieve, and each
     q's subgroups come in ``OuterKind`` order with ascending d.
@@ -277,9 +304,6 @@ def sweep(q_min: int, q_max: int) -> SweepReport:
     (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a range past 2**57
     needs a sieve larger than any address space, so it raises MemoryError
     before the first verdict.
-
-    A range that holds no prime power raises ValueError, as an inverted
-    one does, so that no sweep passes with nothing checked.
     """
     if q_min < 7:
         raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
@@ -288,18 +312,22 @@ def sweep(q_min: int, q_max: int) -> SweepReport:
     prime_powers = prime_powers_in_range(q_min, q_max)
     if not prime_powers:
         raise ValueError(f"no prime power in [{q_min}, {q_max}]: nothing to check")
-    verdicts: list[GroupVerdict] = []
-    for q, p, f in prime_powers:
-        pp = PrimePower.from_sieve(q, p, f)
-        for outer in enumerate_outer_subgroups(pp, include_trivial=False):
-            verdicts.append(brute_force_verdict(GroupDescriptor(pp, outer)))
-    return SweepReport(q_min, q_max, tuple(verdicts))
+    return (
+        brute_force_verdict(GroupDescriptor(pp, outer))
+        for pp in (PrimePower.from_sieve(q, p, f) for q, p, f in prime_powers)
+        for outer in enumerate_outer_subgroups(pp, include_trivial=False)
+    )
+
+
+def sweep(q_min: int, q_max: int) -> SweepReport:
+    """Every verdict of ``iter_verdicts(q_min, q_max)``, held in a report."""
+    return SweepReport(q_min, q_max, tuple(iter_verdicts(q_min, q_max)))
 
 
 def verdict_to_dict(v: GroupVerdict) -> dict:
     """JSON-ready shape: {q, group:{kind,d,name}, degrees, pass, violations,
     rows, agree}.  The sweep report's writer (``cli``) prints this shape
-    without building the dict."""
+    from a template per verdict shape, without building the dict."""
     return {
         "q": v.descriptor.q.q,
         "group": {

@@ -10,14 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .arithmetic import factor, omega
 from .classifier import (
     GroupVerdict,
-    SweepReport,
+    SweepTally,
     brute_force_verdict,
-    sweep,
+    iter_verdicts,
+    sweep,  # not called here; perfbench/measure.py wraps cli.sweep by name
+    tally_verdicts,
     verdict_to_dict,
 )
 from .facts import FACTS, fact_report_to_dict, verify_all, verify_fact
@@ -42,7 +44,9 @@ def to_json(payload: object) -> str:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_VERDICT_BATCH = 4096  # verdicts formatted per write of a sweep report
+_VERDICT_BATCH = 4096  # verdicts joined into one string of a sweep report
+_TEMPLATE_LIMIT = 1024  # verdict shapes cached (146 in 7..2^20); a full cache starts over
+_templates: dict[tuple, str] = {}
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -54,63 +58,99 @@ def _json_list(items: list[str], indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
-def _verdict_json(v: GroupVerdict) -> str:
+def _literal(s: str) -> str:
+    """A JSON string as literal text of a ``%`` template."""
+    return _encode_str(s).replace("%", "%%")
+
+
+_VIOLATION_TEMPLATE = (
+    '{\n          "a": %d,\n          "b": %d,\n          "gcd": %d,\n          "omega": %d\n        }'
+)
+
+
+def _verdict_template(v: GroupVerdict) -> str:
     """``to_json(verdict_to_dict(v))`` as an item of the sweep report's
-    verdict list (four spaces deep), without building the dict."""
+    verdict list (four spaces deep), with a ``%d`` slot for each degree,
+    for q (in the name, then in "q") and for each violation's a, b, gcd
+    and omega."""
     g = v.descriptor
-    violations = [
-        "{\n"
-        f'          "a": {w.a},\n'
-        f'          "b": {w.b},\n'
-        f'          "gcd": {w.gcd},\n'
-        f'          "omega": {w.omega}\n'
-        "        }"
-        for w in v.violations
-    ]
+    name = _literal(group_name(g)).replace(f"(2,{g.q.q})", "(2,%d)", 1)
     return (
         "{\n"
         f'      "agree": {"true" if v.agree else "false"},\n'
-        f'      "degrees": {_json_list(list(map(str, v.degrees)), "      ")},\n'
+        f'      "degrees": {_json_list(["%d"] * len(v.degrees), "      ")},\n'
         '      "group": {\n'
         f'        "d": {g.outer.d},\n'
-        f'        "kind": {_encode_str(g.outer.kind.value)},\n'
-        f'        "name": {_encode_str(group_name(g))}\n'
+        f'        "kind": {_literal(g.outer.kind.value)},\n'
+        f'        "name": {name}\n'
         "      },\n"
         f'      "pass": {"true" if v.brute_pass else "false"},\n'
-        f'      "q": {g.q.q},\n'
-        f'      "rows": {_json_list(list(map(_encode_str, v.matched_rows)), "      ")},\n'
-        f'      "violations": {_json_list(violations, "      ")}\n'
+        '      "q": %d,\n'
+        f'      "rows": {_json_list(list(map(_literal, v.matched_rows)), "      ")},\n'
+        f'      "violations": {_json_list([_VIOLATION_TEMPLATE] * len(v.violations), "      ")}\n'
         "    }"
     )
 
 
-def _write_sweep_json(report: SweepReport, summary: dict[str, int], out: TextIO) -> None:
+def _verdict_json(v: GroupVerdict) -> str:
+    """``to_json(verdict_to_dict(v))`` as an item of the sweep report's
+    verdict list, filled into the cached template of v's shape."""
+    g = v.descriptor
+    # The key fixes every literal part of the template; "pass" and "agree"
+    # follow from the rows and the number of violations.
+    key = (g.outer.kind, g.outer.d, g.q.f, len(v.degrees), v.matched_rows, len(v.violations))
+    template = _templates.get(key)
+    if template is None:
+        if len(_templates) >= _TEMPLATE_LIMIT:
+            _templates.clear()
+        template = _templates[key] = _verdict_template(v)
+    q = g.q.q
+    if not v.violations:
+        return template % (*v.degrees, q, q)
+    fields = [x for w in v.violations for x in (w.a, w.b, w.gcd, w.omega)]
+    return template % (*v.degrees, q, q, *fields)
+
+
+def _rendered(verdicts: Iterable[GroupVerdict], batches: list[str]) -> Iterator[GroupVerdict]:
+    """Pass the verdicts through, rendering each one's report text as it
+    arrives; each batch of ``_VERDICT_BATCH`` texts, and the last, shorter
+    one, is joined into one string of ``batches``."""
+    batch: list[str] = []
+    for v in verdicts:
+        batch.append(_verdict_json(v))
+        if len(batch) == _VERDICT_BATCH:
+            batches.append(",\n    ".join(batch))
+            batch = []
+        yield v
+    if batch:
+        batches.append(",\n    ".join(batch))
+
+
+def _write_sweep_json(q_min: int, q_max: int, tally: SweepTally, batches: list[str], out: TextIO) -> None:
     """Write ``to_json`` of the sweep report, plus a newline, to ``out``.
 
     The keys before "verdicts" go through ``to_json``; the verdict list,
-    which sorts last and is nearly all of the text, is formatted directly
-    and written in batches, so the report never exists as one string or
-    as dicts.  ``sweep`` never returns an empty report, so the verdict
-    list always has items.
+    which sorts last and is nearly all of the text, is written batch by
+    batch, so the report never exists as one string or as dicts.  A
+    sweep always has verdicts, so ``batches`` is never empty.
     """
     head = to_json(
         {
-            "q_min": report.q_min,
-            "q_max": report.q_max,
+            "q_min": q_min,
+            "q_max": q_max,
             "degree_mismatches": [
                 {"q": v.descriptor.q.q, "group": group_name(v.descriptor), "rows": list(v.degree_mismatches)}
-                for v in report.degree_mismatched
+                for v in tally.degree_mismatched
             ],
-            "overflowed": [],  # kept for the format; see classifier.sweep
-            "summary": summary,
+            "overflowed": [],  # kept for the format; see classifier.iter_verdicts
+            "summary": tally.summary,
         }
     )
     out.write(head[: -len("\n}")] + ',\n  "verdicts": [\n    ')
-    verdicts = report.verdicts
-    for start in range(0, len(verdicts), _VERDICT_BATCH):
-        if start:
+    for i, batch in enumerate(batches):
+        if i:
             out.write(",\n    ")
-        out.write(",\n    ".join(map(_verdict_json, verdicts[start : start + _VERDICT_BATCH])))
+        out.write(batch)
     out.write("\n  ]\n}\n")
 
 
@@ -251,21 +291,26 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         print("note: sweeps run serially; --jobs is ignored", file=sys.stderr)
-    report = sweep(args.qmin, args.qmax)
-    summary = report.summary()
+    # Verdicts are tallied (and, for JSON, rendered) as they are decided
+    # and then dropped; nothing is printed until the last one, so a sweep
+    # that fails part way prints nothing to stdout.
+    verdicts = iter_verdicts(args.qmin, args.qmax)
     if args.format == "json":
-        _write_sweep_json(report, summary, sys.stdout)
+        batches: list[str] = []
+        tally = tally_verdicts(_rendered(verdicts, batches))
+        _write_sweep_json(args.qmin, args.qmax, tally, batches, sys.stdout)
     else:
-        print(f"sweep q in [{report.q_min}, {report.q_max}]: {summary['groups']} groups")
+        tally = tally_verdicts(verdicts)
+        print(f"sweep q in [{args.qmin}, {args.qmax}]: {tally.summary['groups']} groups")
         print(
             "passing: {passing}   disagreements: {disagreements}   "
-            "converse anomalies: {converse_anomalies}   degree mismatches: {degree_mismatches}".format(**summary)
+            "converse anomalies: {converse_anomalies}   degree mismatches: {degree_mismatches}".format(**tally.summary)
         )
-        for verdict in report.disagreements:
+        for verdict in tally.disagreements:
             print(f"  DISAGREEMENT: {group_name(verdict.descriptor)} passes but matches no row")
-        for verdict in report.degree_mismatched:
+        for verdict in tally.degree_mismatched:
             print(f"  DEGREE MISMATCH: {group_name(verdict.descriptor)} rows {', '.join(verdict.degree_mismatches)}")
-    return 1 if summary["disagreements"] or summary["degree_mismatches"] else 0
+    return 1 if tally.disagreements or tally.degree_mismatched else 0
 
 
 def _cmd_facts(args: argparse.Namespace) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .arithmetic import (
+    MAX_VALUE,
     is_fermat_prime,
     is_mersenne_prime,
     is_prime,
@@ -150,12 +151,15 @@ def verify_fact(fact_id: str, limit: int | None = None) -> FactReport:
     """Exhaustively check one fact over its range; collects every counterexample.
 
     Raises ValueError when the limit leaves the range empty, so that no
-    fact holds vacuously.
+    fact holds vacuously, and OverflowError for a limit of 2**63 or more,
+    as for every other range end.
     """
     fact = FACTS.get(fact_id)
     if fact is None:
         raise ValueError(f"unknown fact {fact_id!r}; known: {', '.join(FACTS)}")
     bound = fact.default_limit if limit is None else limit
+    if bound >= MAX_VALUE:
+        raise OverflowError(f"{fact.fact_id}: limit {bound} is out of range: must be below 2**63")
     values = iter(fact.values(bound))
     first = next(values, None)
     if first is None:

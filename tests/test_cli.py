@@ -6,17 +6,20 @@ import multiprocessing.process
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import psl2cd
 from psl2cd import cli
-from psl2cd.classifier import SweepReport, sweep, verdict_to_dict
+from psl2cd.arithmetic import MAX_VALUE, is_prime
+from psl2cd.classifier import SweepReport, brute_force_verdict, sweep, verdict_to_dict
 from psl2cd.cli import main, to_json
 from psl2cd.facts import FACTS
+from psl2cd.groups import GroupDescriptor, PrimePower, enumerate_outer_subgroups
 from psl2cd.twoprime import Violation
 
 
@@ -204,8 +207,7 @@ class TestErrorPaths:
         "argv",
         [
             ("sweep", "--qmin", "7", "--qmax", str(2**63)),
-            ("facts", "--fact", "F6", "--limit", str(2**63)),
-            ("facts", "--fact", "F8", "--limit", str(2**63)),
+            *(("facts", "--fact", fact_id, "--limit", str(2**63)) for fact_id in sorted(FACTS)),
         ],
     )
     def test_range_past_2_63(self, capsys, argv):
@@ -274,7 +276,7 @@ class TestErrorPaths:
         def out_of_memory(q_min, q_max):
             raise MemoryError
 
-        monkeypatch.setattr("psl2cd.cli.sweep", out_of_memory)
+        monkeypatch.setattr("psl2cd.cli.iter_verdicts", out_of_memory)
         code, out, err = run(capsys, "sweep", "--qmin", "7", "--qmax", "11")
         assert code == 2
         assert out == ""
@@ -332,7 +334,7 @@ class TestSweepReportWriter:
                 dataclasses.replace(sym6, degree_mismatches=("sym6",)),
             ),
         )
-        monkeypatch.setattr("psl2cd.cli.sweep", lambda q_min, q_max: report)
+        monkeypatch.setattr("psl2cd.cli.iter_verdicts", lambda q_min, q_max: iter(report.verdicts))
         code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "9", "--format", "json")
         assert code == 1
         payload = json.loads(out)
@@ -349,6 +351,92 @@ class TestSweepReportWriter:
         code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "9")
         assert code == 1
         assert "DISAGREEMENT: PGL(2,7)" in out and "DEGREE MISMATCH: PSL(2,9).<phi^1> rows sym6" in out
+
+
+@st.composite
+def _prime_power(draw) -> tuple[int, int]:
+    """(p, f) with 7 <= p**f < 2**63 and f <= 40."""
+    f = draw(st.integers(1, 40))
+    root = round((MAX_VALUE - 1) ** (1 / f))  # the largest p with p**f < 2**63
+    while root**f >= MAX_VALUE:
+        root -= 1
+    while (root + 1) ** f < MAX_VALUE:
+        root += 1
+    p = draw(st.integers(2, root))
+    while not is_prime(p):
+        p -= 1
+    assume(p**f >= 7)
+    return p, f
+
+
+def _variants(v):
+    """v, then copies of v edited so that each part of a template's key
+    differs from v's in at least one copy: another kind or d, another f,
+    another number of degrees, no matched rows, several violations."""
+    pp = v.descriptor.q
+    yield v
+    for outer in enumerate_outer_subgroups(pp, include_trivial=False):
+        yield dataclasses.replace(v, descriptor=GroupDescriptor(pp, outer))
+    small_p = 2 if pp.p == 2 else 3
+    if small_p ** (2 * pp.f) < MAX_VALUE:
+        doubled = PrimePower(small_p, 2 * pp.f)
+        if v.descriptor.outer in enumerate_outer_subgroups(doubled, include_trivial=False):
+            yield dataclasses.replace(v, descriptor=GroupDescriptor(doubled, v.descriptor.outer))
+    yield dataclasses.replace(v, degrees=v.degrees[:-1])
+    yield dataclasses.replace(v, matched_rows=())  # a disagreement when v passes
+    yield dataclasses.replace(v, degree_mismatches=("sym6",))
+    yield dataclasses.replace(
+        v, violations=tuple(Violation(a, a * 2, a, 3 + i) for i, a in enumerate((8, 12, 30)))
+    )
+
+
+class TestVerdictTemplates:
+    @given(_prime_power())
+    @example((3, 2))
+    @settings(deadline=None, max_examples=60)
+    def test_rendered_verdict_is_the_canonical_json(self, p_f):
+        # Rendering goes through the module's template cache, which keeps
+        # the shapes of earlier examples, so a key that leaves out a part
+        # of the shape renders some verdict from another verdict's template.
+        pp = PrimePower(*p_f)
+        for outer in enumerate_outer_subgroups(pp, include_trivial=False):
+            try:
+                verdict = brute_force_verdict(GroupDescriptor(pp, outer))
+            except OverflowError:  # a degree reaches 2**63
+                continue
+            for v in _variants(verdict):
+                assert cli._verdict_json(v) == to_json(verdict_to_dict(v)).replace("\n", "\n    ")
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(cli, "_TEMPLATE_LIMIT", 3)
+        monkeypatch.setattr(cli, "_templates", {})
+        for v in sweep(7, 64).verdicts:
+            assert cli._verdict_json(v) == to_json(verdict_to_dict(v)).replace("\n", "\n    ")
+            assert len(cli._templates) <= 3
+
+    def test_report_memory_stays_below_twice_its_size(self):
+        # A sweep holds its report text until the last verdict; the verdicts
+        # themselves are dropped as they are rendered.  The first run fills
+        # the bounded caches (factor, lattice, templates), so the traced run
+        # measures only the sweep's own allocations.
+        class Sink:
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+
+        argv = ["sweep", "--qmin", "7", "--qmax", "65536", "--format", "json"]
+        with contextlib.redirect_stdout(Sink()):
+            assert main(argv) == 0
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sink.written, (peak, sink.written)
 
 
 class TestOutputContracts:
