@@ -269,24 +269,6 @@ def tally_verdicts(verdicts: Iterable[GroupVerdict]) -> SweepTally:
     return SweepTally(summary, tuple(disagreements), tuple(mismatched))
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    q_min: int
-    q_max: int
-    verdicts: tuple[GroupVerdict, ...]
-
-    @property
-    def disagreements(self) -> tuple[GroupVerdict, ...]:
-        return tally_verdicts(self.verdicts).disagreements
-
-    @property
-    def degree_mismatched(self) -> tuple[GroupVerdict, ...]:
-        return tally_verdicts(self.verdicts).degree_mismatched
-
-    def summary(self) -> dict[str, int]:
-        return tally_verdicts(self.verdicts).summary
-
-
 def iter_verdicts(q_min: int, q_max: int) -> Iterator[GroupVerdict]:
     """Verdicts for every prime power in [q_min, q_max] and every proper
     extension, deterministically ordered by (q, kind, d), each yielded as
@@ -319,15 +301,17 @@ def iter_verdicts(q_min: int, q_max: int) -> Iterator[GroupVerdict]:
     )
 
 
-def sweep(q_min: int, q_max: int) -> SweepReport:
-    """Every verdict of ``iter_verdicts(q_min, q_max)``, held in a report."""
-    return SweepReport(q_min, q_max, tuple(iter_verdicts(q_min, q_max)))
+def sweep(q_min: int, q_max: int) -> tuple[GroupVerdict, ...]:
+    """Every verdict of ``iter_verdicts(q_min, q_max)``; ``tally_verdicts``
+    gives their counts, disagreements and degree mismatches."""
+    return tuple(iter_verdicts(q_min, q_max))
 
 
 def verdict_to_dict(v: GroupVerdict) -> dict:
     """JSON-ready shape: {q, group:{kind,d,name}, degrees, pass, violations,
-    rows, agree}.  The sweep report's writer (``cli``) prints this shape
-    from a template per verdict shape, without building the dict."""
+    rows, agree}.  This is the one statement of a verdict's layout: the
+    sweep report's writer (``cli``) renders its per-shape templates from
+    it, with a sentinel in each integer slot."""
     return {
         "q": v.descriptor.q.q,
         "group": {

@@ -8,6 +8,7 @@ or a fact counterexample); 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -31,7 +32,7 @@ from .groups import (
     parse_outer,
 )
 from .maximals import maximal_subgroups, pgl_maximals_special, pgl2_order, psl2_order
-from .twoprime import check_set
+from .twoprime import Violation, check_set
 
 
 def to_json(payload: object) -> str:
@@ -43,53 +44,29 @@ def to_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-_encode_str = json.encoder.encode_basestring_ascii
 _VERDICT_BATCH = 4096  # verdicts joined into one string of a sweep report
 _TEMPLATE_LIMIT = 1024  # verdict shapes cached (146 in 7..2^20); a full cache starts over
 _templates: dict[tuple, str] = {}
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """A list of encoded items as ``to_json`` lays it out, for a list whose
-    closing bracket sits at ``indent``."""
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-
-
-def _literal(s: str) -> str:
-    """A JSON string as literal text of a ``%`` template."""
-    return _encode_str(s).replace("%", "%%")
-
-
-_VIOLATION_TEMPLATE = (
-    '{\n          "a": %d,\n          "b": %d,\n          "gcd": %d,\n          "omega": %d\n        }'
-)
+# Every integer slot of a template; no literal part of a verdict has three
+# digits in a row (d and f are at most 62), so its digits mark the slots.
+_SLOT = 2**63 - 1
 
 
 def _verdict_template(v: GroupVerdict) -> str:
     """``to_json(verdict_to_dict(v))`` as an item of the sweep report's
     verdict list (four spaces deep), with a ``%d`` slot for each degree,
     for q (in the name, then in "q") and for each violation's a, b, gcd
-    and omega."""
+    and omega.  It is rendered from a verdict of v's shape whose every
+    such integer is ``_SLOT`` (``from_sieve`` takes that q unchecked)."""
     g = v.descriptor
-    name = _literal(group_name(g)).replace(f"(2,{g.q.q})", "(2,%d)", 1)
-    return (
-        "{\n"
-        f'      "agree": {"true" if v.agree else "false"},\n'
-        f'      "degrees": {_json_list(["%d"] * len(v.degrees), "      ")},\n'
-        '      "group": {\n'
-        f'        "d": {g.outer.d},\n'
-        f'        "kind": {_literal(g.outer.kind.value)},\n'
-        f'        "name": {name}\n'
-        "      },\n"
-        f'      "pass": {"true" if v.brute_pass else "false"},\n'
-        '      "q": %d,\n'
-        f'      "rows": {_json_list(list(map(_literal, v.matched_rows)), "      ")},\n'
-        f'      "violations": {_json_list([_VIOLATION_TEMPLATE] * len(v.violations), "      ")}\n'
-        "    }"
+    placeholder = dataclasses.replace(
+        v,
+        descriptor=GroupDescriptor(PrimePower.from_sieve(_SLOT, g.q.p, g.q.f), g.outer),
+        degrees=(_SLOT,) * len(v.degrees),
+        violations=(Violation(_SLOT, _SLOT, _SLOT, _SLOT),) * len(v.violations),
     )
+    text = to_json(verdict_to_dict(placeholder)).replace("%", "%%")
+    return text.replace("\n", "\n    ").replace(str(_SLOT), "%d")
 
 
 def _verdict_json(v: GroupVerdict) -> str:
@@ -129,12 +106,12 @@ def _rendered(verdicts: Iterable[GroupVerdict], batches: list[str]) -> Iterator[
 def _write_sweep_json(q_min: int, q_max: int, tally: SweepTally, batches: list[str], out: TextIO) -> None:
     """Write ``to_json`` of the sweep report, plus a newline, to ``out``.
 
-    The keys before "verdicts" go through ``to_json``; the verdict list,
-    which sorts last and is nearly all of the text, is written batch by
-    batch, so the report never exists as one string or as dicts.  A
-    sweep always has verdicts, so ``batches`` is never empty.
+    The head and tail are ``to_json`` of the report with ``_SLOT`` as its
+    one verdict, split at the last ``_SLOT``.  The verdicts, nearly all of
+    the text, are written batch by batch between them, so the report never
+    exists as one string or as dicts.  ``batches`` is never empty.
     """
-    head = to_json(
+    head, _, tail = to_json(
         {
             "q_min": q_min,
             "q_max": q_max,
@@ -144,14 +121,15 @@ def _write_sweep_json(q_min: int, q_max: int, tally: SweepTally, batches: list[s
             ],
             "overflowed": [],  # kept for the format; see classifier.iter_verdicts
             "summary": tally.summary,
+            "verdicts": [_SLOT],
         }
-    )
-    out.write(head[: -len("\n}")] + ',\n  "verdicts": [\n    ')
+    ).rpartition(str(_SLOT))
+    out.write(head)
     for i, batch in enumerate(batches):
         if i:
             out.write(",\n    ")
         out.write(batch)
-    out.write("\n  ]\n}\n")
+    out.write(tail + "\n")
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arithmetic import factor, omega
+from .arithmetic import MAX_VALUE, factor, omega
 from .groups import PrimePower
 
 
@@ -38,10 +38,12 @@ def pgl2_order(q: int) -> int:
     return q * (q * q - 1)
 
 
-def _entry(structure: str, family: str, order: int, group_order: int) -> MaximalSubgroup:
+def _entry(structure: str, family: str, order: int, group: str, group_order: int) -> MaximalSubgroup:
     index = group_order // order
     if index * order != group_order:
         raise AssertionError(f"order {order} does not divide {group_order}")
+    if index >= MAX_VALUE:
+        raise OverflowError(f"the index of {structure} in {group} is out of range: must be below 2**63")
     return MaximalSubgroup(structure, family, order, index, omega(index))
 
 
@@ -71,7 +73,7 @@ def maximal_subgroups(q: PrimePower) -> list[MaximalSubgroup]:
     n, p, f = q.q, q.p, q.f
     if n < 7:
         raise ValueError(f"maximal subgroup catalog starts at q = 7, got {n}")
-    group_order = psl2_order(q)
+    group, group_order = f"PSL(2,{n})", psl2_order(q)
 
     if p == 2:
         entries = [
@@ -84,10 +86,10 @@ def maximal_subgroups(q: PrimePower) -> list[MaximalSubgroup]:
             if q0 != 2:
                 # PGL(2,q0) = PSL(2,q0) in characteristic 2
                 entries.append((f"PGL(2,{q0})", "subfield_pgl", pgl2_order(q0)))
-        return [_entry(*e, group_order) for e in entries]
+        return [_entry(*e, group, group_order) for e in entries]
 
     if n in _ATLAS_PSL:
-        return [_entry(*e, group_order) for e in _ATLAS_PSL[n]]
+        return [_entry(*e, group, group_order) for e in _ATLAS_PSL[n]]
 
     borel = f"{p}:{(n - 1) // 2}" if f == 1 else f"{p}^{f}:{(n - 1) // 2}"
     entries = [
@@ -108,12 +110,12 @@ def maximal_subgroups(q: PrimePower) -> list[MaximalSubgroup]:
         entries.append(("A4", "alt4", 12))
     if n % 8 in (1, 7) and (f == 1 or (f == 2 and p > 3 and p % 8 in (3, 5))):
         entries.append(("S4", "sym4", 24))
-    return [_entry(*e, group_order) for e in entries]
+    return [_entry(*e, group, group_order) for e in entries]
 
 
 def pgl_maximals_special(q: int) -> list[MaximalSubgroup]:
     """Maximal subgroups of PGL(2,q) not containing PSL(2,q), for q in {7, 11}."""
     if q not in _ATLAS_PGL:
         raise ValueError(f"special PGL catalog exists only for q in {{7, 11}}, got {q}")
-    group_order = pgl2_order(q)
-    return [_entry(*e, group_order) for e in _ATLAS_PGL[q]]
+    group, group_order = f"PGL(2,{q})", pgl2_order(q)
+    return [_entry(*e, group, group_order) for e in _ATLAS_PGL[q]]

@@ -11,7 +11,7 @@ import sys
 import time
 
 from psl2cd.arithmetic import factor, is_prime, prime_powers_in_range, zsigmondy_base2
-from psl2cd.classifier import sweep
+from psl2cd.classifier import sweep, tally_verdicts
 from psl2cd.groups import (
     GroupDescriptor,
     OuterKind,
@@ -54,20 +54,21 @@ def criterion_1_known_degree_sets() -> None:
 
 def criterion_2_classification_sweep() -> None:
     started = time.perf_counter()
-    report = sweep(7, 4096)
-    assert report.verdicts, "sweep produced no verdicts"
-    assert report.disagreements == (), [
-        (v.descriptor.q.q, v.descriptor.outer) for v in report.disagreements
+    verdicts = sweep(7, 4096)
+    assert verdicts, "sweep produced no verdicts"
+    tally = tally_verdicts(verdicts)
+    assert tally.disagreements == (), [
+        (v.descriptor.q.q, v.descriptor.outer) for v in tally.disagreements
     ]
-    assert report.degree_mismatched == (), [
-        (v.descriptor.q.q, v.degree_mismatches) for v in report.degree_mismatched
+    assert tally.degree_mismatched == (), [
+        (v.descriptor.q.q, v.degree_mismatches) for v in tally.degree_mismatched
     ]
     keys = [
         (v.descriptor.q.q, list(OuterKind).index(v.descriptor.outer.kind), v.descriptor.outer.d)
-        for v in report.verdicts
+        for v in verdicts
     ]
     assert all(a < b for a, b in zip(keys, keys[1:])), "verdicts are not in (q, kind, d) order"
-    _report(2, f"classification sweep 7..4096, {len(report.verdicts)} groups", started)
+    _report(2, f"classification sweep 7..4096, {len(verdicts)} groups", started)
 
 
 def criterion_3_pgl_universality() -> None:

@@ -8,9 +8,11 @@ from psl2cd.classifier import (
     brute_force_verdict,
     sweep,
     table_rows,
+    tally_verdicts,
     verdict_to_dict,
 )
 from psl2cd.cli import main, to_json
+from psl2cd.twoprime import Violation
 from psl2cd.groups import (
     GroupDescriptor,
     OuterKind,
@@ -55,11 +57,11 @@ class TestTableRows:
         assert matches == [(9, T, 2)]
 
     def test_kind_indexed_rows_match_full_scan(self):
-        report = sweep(7, 4096)
-        for v in report.verdicts:
+        verdicts = sweep(7, 4096)
+        for v in verdicts:
             full_scan = tuple(self.matched_ids(v.descriptor))
             assert v.matched_rows == full_scan, group_name(v.descriptor)
-        assert {v.descriptor.outer.kind for v in report.verdicts if v.matched_rows} == set(OuterKind)
+        assert {v.descriptor.outer.kind for v in verdicts if v.matched_rows} == set(OuterKind)
 
     # Written from the paper's table, one entry per proper extension.
     # Behind the empty entries: 50 = 2 * 5^2, 242 = 2 * 11^2 and
@@ -157,10 +159,10 @@ class TestBruteForceVerdict:
 
 class TestSweep:
     def test_range_7_to_11(self):
-        report = sweep(7, 11)
+        verdicts = sweep(7, 11)
         keys = [
             (v.descriptor.q.q, v.descriptor.outer.kind, v.descriptor.outer.d)
-            for v in report.verdicts
+            for v in verdicts
         ]
         assert keys == [
             (7, WD, 1),
@@ -171,47 +173,68 @@ class TestSweep:
             (9, T, 2),
             (11, WD, 1),
         ]
-        assert all(v.brute_pass for v in report.verdicts)
-        assert all(v.agree for v in report.verdicts)
-        assert report.disagreements == ()
-        assert report.degree_mismatched == ()
+        assert all(v.brute_pass for v in verdicts)
+        assert all(v.agree for v in verdicts)
+        tally = tally_verdicts(verdicts)
+        assert tally.disagreements == ()
+        assert tally.degree_mismatched == ()
 
     def test_q9_all_four_extensions_pass(self):
-        report = sweep(9, 9)
-        assert len(report.verdicts) == 4
-        assert all(v.brute_pass for v in report.verdicts)
+        verdicts = sweep(9, 9)
+        assert len(verdicts) == 4
+        assert all(v.brute_pass for v in verdicts)
 
     def test_q13_only_pgl(self):
-        report = sweep(13, 13)
-        assert len(report.verdicts) == 1
-        v = report.verdicts[0]
+        verdicts = sweep(13, 13)
+        assert len(verdicts) == 1
+        v = verdicts[0]
         assert group_name(v.descriptor) == "PGL(2,13)"
         assert v.brute_pass and v.matched_rows == ("pgl",)
 
     def test_converse_anomalies_empty_in_range(self):
         # empirical finding over the sweep range, reported rather than assumed
-        report = sweep(7, 512)
-        assert not [v for v in report.verdicts if v.matched_rows and not v.brute_pass]
-        assert report.summary()["converse_anomalies"] == 0
+        verdicts = sweep(7, 512)
+        assert not [v for v in verdicts if v.matched_rows and not v.brute_pass]
+        assert tally_verdicts(verdicts).summary["converse_anomalies"] == 0
 
     def test_pgl_always_passes(self):
-        report = sweep(7, 512)
         pgl_verdicts = [
             v
-            for v in report.verdicts
+            for v in sweep(7, 512)
             if v.descriptor.outer == OuterSubgroup(WD, 1)
         ]
         assert pgl_verdicts
         assert all(v.brute_pass for v in pgl_verdicts)
 
     def test_q9_overlap_is_benign(self):
-        report = sweep(9, 9)
+        verdicts = sweep(9, 9)
         by_outer = {
-            (v.descriptor.outer.kind, v.descriptor.outer.d): v for v in report.verdicts
+            (v.descriptor.outer.kind, v.descriptor.outer.d): v for v in verdicts
         }
         assert {"sym6", "s_phi_half_odd"} <= set(by_outer[(U, 2)].matched_rows)
         assert {"m10", "s_delta_phi_half"} <= set(by_outer[(T, 2)].matched_rows)
-        assert all(v.brute_pass and v.agree for v in report.verdicts)
+        assert all(v.brute_pass and v.agree for v in verdicts)
+
+    def test_tally_counts_each_claim(self):
+        # No real range breaks a claim, so edit real verdicts into a
+        # disagreement, a converse anomaly and a degree mismatch.
+        pgl7, field8, sym6, pgl9 = sweep(7, 9)[:4]
+        disagreement = dataclasses.replace(pgl7, matched_rows=())
+        converse = dataclasses.replace(field8, violations=(Violation(8, 24, 8, 3),))
+        mismatch = dataclasses.replace(sym6, degree_mismatches=("sym6",))
+        both = dataclasses.replace(pgl9, matched_rows=(), degree_mismatches=("pgl",))
+        unmatched_failure = dataclasses.replace(converse, matched_rows=())  # agrees: no claim broken
+        verdicts = (disagreement, converse, mismatch, pgl9, both, unmatched_failure)
+        tally = tally_verdicts(verdicts)
+        assert tally.summary == {
+            "groups": 6,
+            "passing": 4,
+            "disagreements": 2,
+            "converse_anomalies": 1,
+            "degree_mismatches": 2,
+        }
+        assert tally.disagreements == (disagreement, both)
+        assert tally.degree_mismatched == (mismatch, both)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

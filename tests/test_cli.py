@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import psl2cd
 from psl2cd import cli
 from psl2cd.arithmetic import MAX_VALUE, is_prime
-from psl2cd.classifier import SweepReport, brute_force_verdict, sweep, verdict_to_dict
+from psl2cd.classifier import brute_force_verdict, sweep, tally_verdicts, verdict_to_dict
 from psl2cd.cli import main, to_json
 from psl2cd.facts import FACTS
 from psl2cd.groups import GroupDescriptor, PrimePower, enumerate_outer_subgroups
@@ -272,6 +272,14 @@ class TestErrorPaths:
             assert out == ""
             assert err == f"error: {message}\n"
 
+    def test_maximals_index_past_2_63_names_the_subgroup(self, capsys):
+        # |PSL(2,q)| / 60 for q = 4294967291 exceeds 2**63; the message names
+        # the group and the subgroup, not the index.
+        code, out, err = run(capsys, "maximals", "--q", "4294967291")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the index of A5 in PSL(2,4294967291) is out of range: must be below 2**63\n"
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def out_of_memory(q_min, q_max):
             raise MemoryError
@@ -292,15 +300,15 @@ class TestSweepReportWriter:
         assert code == 0
         payload = json.loads(out)
         assert to_json(payload) + "\n" == out
-        report = sweep(q_min, q_max)
-        assert payload["verdicts"] == [verdict_to_dict(v) for v in report.verdicts]
-        verdicts = report.verdicts
+        verdicts = sweep(q_min, q_max)
+        assert payload["verdicts"] == [verdict_to_dict(v) for v in verdicts]
+        tally = tally_verdicts(verdicts)
         assert payload["summary"] == {
             "groups": len(verdicts),
             "passing": sum(v.brute_pass for v in verdicts),
-            "disagreements": len(report.disagreements),
+            "disagreements": len(tally.disagreements),
             "converse_anomalies": sum(bool(v.matched_rows) and not v.brute_pass for v in verdicts),
-            "degree_mismatches": len(report.degree_mismatched),
+            "degree_mismatches": len(tally.degree_mismatched),
         }
         assert payload["overflowed"] == []
         assert (payload["q_min"], payload["q_max"], payload["degree_mismatches"]) == (q_min, q_max, [])
@@ -324,22 +332,18 @@ class TestSweepReportWriter:
     def test_failed_claims_counted_and_exit_1(self, capsys, monkeypatch):
         # No real range has a disagreement or a degree mismatch, so edit
         # three real verdicts into one of each kind of failure.
-        pgl7, field8, sym6 = sweep(7, 9).verdicts[:3]
-        report = SweepReport(
-            7,
-            9,
-            (
-                dataclasses.replace(pgl7, matched_rows=()),
-                dataclasses.replace(field8, violations=(Violation(8, 24, 8, 3),)),
-                dataclasses.replace(sym6, degree_mismatches=("sym6",)),
-            ),
+        pgl7, field8, sym6 = sweep(7, 9)[:3]
+        verdicts = (
+            dataclasses.replace(pgl7, matched_rows=()),
+            dataclasses.replace(field8, violations=(Violation(8, 24, 8, 3),)),
+            dataclasses.replace(sym6, degree_mismatches=("sym6",)),
         )
-        monkeypatch.setattr("psl2cd.cli.iter_verdicts", lambda q_min, q_max: iter(report.verdicts))
+        monkeypatch.setattr("psl2cd.cli.iter_verdicts", lambda q_min, q_max: iter(verdicts))
         code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "9", "--format", "json")
         assert code == 1
         payload = json.loads(out)
         assert to_json(payload) + "\n" == out
-        assert payload["verdicts"] == [verdict_to_dict(v) for v in report.verdicts]
+        assert payload["verdicts"] == [verdict_to_dict(v) for v in verdicts]
         assert payload["summary"] == {
             "groups": 3,
             "passing": 2,
@@ -410,7 +414,7 @@ class TestVerdictTemplates:
     def test_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(cli, "_TEMPLATE_LIMIT", 3)
         monkeypatch.setattr(cli, "_templates", {})
-        for v in sweep(7, 64).verdicts:
+        for v in sweep(7, 64):
             assert cli._verdict_json(v) == to_json(verdict_to_dict(v)).replace("\n", "\n    ")
             assert len(cli._templates) <= 3
 
