@@ -56,6 +56,33 @@ def primes_up_to(limit: int) -> list[int]:
     return list(itertools.compress(range(limit + 1), sieve))
 
 
+_INCREMENT = bytes(range(1, 256)) + b"\0"  # bytes.translate table for b -> b + 1
+
+
+def omega_table(limit: int) -> bytearray:
+    """Omega(n) for every 0 <= n <= limit, as table[n]; table[0] == table[1] == 0.
+
+    A sieve of Eratosthenes over one zero table: the next prime is the
+    next zero byte past p (no smaller prime divides it), and each power m
+    of that prime adds one to every multiple of m.  No list of primes is
+    built.  Omega(n) < 63 below 2**63, so a byte always suffices.
+
+    Raises MemoryError, before allocating anything, when a table of
+    limit + 1 bytes could not even be indexed (limit >= sys.maxsize).
+    """
+    if limit >= sys.maxsize:
+        raise MemoryError(f"a sieve up to {limit} does not fit in memory")
+    table = bytearray(max(limit + 1, 0))
+    p = table.find(0, 2)
+    while p != -1:
+        m = p
+        while m <= limit:
+            table[m::m] = table[m::m].translate(_INCREMENT)
+            m *= p
+        p = table.find(0, p + 1)
+    return table
+
+
 _TRIAL_BOUND = 1000
 _TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)

@@ -1,8 +1,12 @@
 """Registry of the standalone number-theoretic facts the classification
 arguments lean on, each verified exhaustively over a configurable range.
 
-Facts are data: id, claim text, default range, and a predicate, so new
+Facts are data: id, claim text, default range, and a test, so new
 micro-claims can be registered without touching the verification loop.
+A fact's test is built once per range: `Fact.test(limit)` returns the
+predicate every value is checked with.  F6 and F8 read Omega from one
+`omega_table(limit + 1)` built there, which lives only as long as that
+check; the other facts' predicates do not depend on the range.
 Every fact is expected to hold with zero counterexamples; a counterexample
 would contradict a step of the classification and is treated as a failure
 by the CLI and the acceptance suite.
@@ -10,6 +14,7 @@ by the CLI and the acceptance suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -21,6 +26,7 @@ from .arithmetic import (
     is_prime,
     omega,
     omega_at_least,
+    omega_table,
     prime_powers_in_range,
     zsigmondy_base2,
 )
@@ -32,8 +38,9 @@ class Fact:
     claim: str
     default_limit: int
     values: Callable[[int], Iterable[int]]
-    predicate: Callable[[int], bool]
+    test: Callable[[int], Callable[[int], bool]]
     range_text: Callable[[int], str]
+    variable: str
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,11 @@ class FactReport:
 
 def _odd_prime_powers(lo: int, hi: int) -> Iterator[int]:
     return (q for q, p, _ in prime_powers_in_range(lo, hi) if p != 2)
+
+
+def _any_limit(predicate: Callable[[int], bool]) -> Callable[[int], Callable[[int], bool]]:
+    """The test of a fact whose predicate does not depend on the range."""
+    return lambda limit: predicate
 
 
 def _prime_or_prime_square(n: int) -> bool:
@@ -69,78 +81,99 @@ def _omega_split_power4(f: int) -> bool:
     return omega((1 << f) - 1) + omega((1 << f) + 1) >= 3
 
 
+def _omega_q_minus_eps(limit: int) -> Callable[[int], bool]:
+    """F6's predicate for q <= limit: Omega(q - eps) >= 3, eps = q (mod 4)."""
+    table = omega_table(limit + 1)
+    return lambda q: table[q - 1 if q % 4 == 1 else q + 1] >= 3
+
+
+def _omega_either_neighbour(limit: int) -> Callable[[int], bool]:
+    """F8's predicate for q <= limit: Omega(q - 1) >= 3 or Omega(q + 1) >= 3."""
+    table = omega_table(limit + 1)
+    return lambda q: table[q - 1] >= 3 or table[q + 1] >= 3
+
+
 _FACT_LIST = (
     Fact(
         "F1",
         "for odd f > 1: 4 divides 5^f - 1 and Omega(5^f - 1) >= 3",
         40,
         lambda limit: range(3, limit + 1, 2),
-        lambda f: (5**f - 1) % 4 == 0 and omega_at_least(5**f - 1, 3),
+        _any_limit(lambda f: (5**f - 1) % 4 == 0 and omega_at_least(5**f - 1, 3)),
         lambda limit: f"odd f in [3, {limit}]",
+        "f",
     ),
     Fact(
         "F2",
         "8 divides 3^f - 1 whenever f = 2 (mod 4)",
         40,
         lambda limit: range(2, limit + 1, 4),
-        lambda f: pow(3, f, 8) == 1,
+        _any_limit(lambda f: pow(3, f, 8) == 1),
         lambda limit: f"f = 2 (mod 4), f in [2, {limit}]",
+        "f",
     ),
     Fact(
         "F3",
         "3 divides 2^f - 1 exactly when f is even",
         40,
         lambda limit: range(1, limit + 1),
-        lambda f: (pow(2, f, 3) == 1) == (f % 2 == 0),
+        _any_limit(lambda f: (pow(2, f, 3) == 1) == (f % 2 == 0)),
         lambda limit: f"f in [1, {limit}]",
+        "f",
     ),
     Fact(
         "F4",
         "Omega(2^f - 1) <= 2 forces f to be a prime or the square of a prime",
         40,
         lambda limit: range(2, limit + 1),
-        lambda f: omega((1 << f) - 1) > 2 or _prime_or_prime_square(f),
+        _any_limit(lambda f: omega((1 << f) - 1) > 2 or _prime_or_prime_square(f)),
         lambda limit: f"f in [2, {limit}]",
+        "f",
     ),
     Fact(
         "F5",
         "for q > 5: q - 1 a Mersenne prime and q + 1 a Fermat prime never hold together",
         10**6,
         lambda limit: range(6, limit + 1),
-        _mersenne_fermat_window,
+        _any_limit(_mersenne_fermat_window),
         lambda limit: f"q in [6, {limit}]",
+        "q",
     ),
     Fact(
         "F6",
         "Omega(q - eps) >= 3 for odd prime powers q >= 7, where q = eps (mod 4)",
         10**6,
         lambda limit: _odd_prime_powers(7, limit),
-        lambda q: omega(q - (1 if q % 4 == 1 else -1)) >= 3,
+        _omega_q_minus_eps,
         lambda limit: f"odd prime powers q in [7, {limit}]",
+        "q",
     ),
     Fact(
         "F7",
         "Omega(4^f - 1) >= 3 for f >= 4",
         40,
         lambda limit: range(4, limit + 1),
-        _omega_split_power4,
+        _any_limit(_omega_split_power4),
         lambda limit: f"f in [4, {limit}]",
+        "f",
     ),
     Fact(
         "F8",
         "Omega(q - 1) >= 3 or Omega(q + 1) >= 3 for odd prime powers q >= 13",
         10**6,
         lambda limit: _odd_prime_powers(13, limit),
-        lambda q: omega(q - 1) >= 3 or omega(q + 1) >= 3,
+        _omega_either_neighbour,
         lambda limit: f"odd prime powers q in [13, {limit}]",
+        "q",
     ),
     Fact(
         "F9",
         "2^n - 1 has a primitive prime divisor for every n >= 2 except n = 6",
         40,
         lambda limit: (n for n in range(2, limit + 1) if n != 6),
-        lambda n: zsigmondy_base2(n) is not None,
+        _any_limit(lambda n: zsigmondy_base2(n) is not None),
         lambda limit: f"n in [2, {limit}], n != 6",
+        "n",
     ),
 )
 
@@ -150,9 +183,11 @@ FACTS: dict[str, Fact] = {fact.fact_id: fact for fact in _FACT_LIST}
 def verify_fact(fact_id: str, limit: int | None = None) -> FactReport:
     """Exhaustively check one fact over its range; collects every counterexample.
 
+    The fact's test is built once for the range, then applied to each value.
     Raises ValueError when the limit leaves the range empty, so that no
     fact holds vacuously, and OverflowError for a limit of 2**63 or more,
-    as for every other range end.
+    as for every other range end, or for a value whose arithmetic leaves
+    that range; the message names the fact and that value.
     """
     fact = FACTS.get(fact_id)
     if fact is None:
@@ -164,9 +199,25 @@ def verify_fact(fact_id: str, limit: int | None = None) -> FactReport:
     first = next(values, None)
     if first is None:
         raise ValueError(f"{fact.fact_id}: limit {bound} leaves nothing to check ({fact.range_text(bound)})")
-    counterexamples = [] if fact.predicate(first) else [first]
-    counterexamples.extend(v for v in values if not fact.predicate(v))
-    return FactReport(fact.fact_id, fact.claim, fact.range_text(bound), tuple(counterexamples))
+    test = fact.test(bound)
+    try:
+        counterexamples = tuple(itertools.filterfalse(test, itertools.chain((first,), values)))
+    except OverflowError:
+        # The scan does not say which value overflowed, so find it again.
+        value = next(v for v in fact.values(bound) if _overflows(test, v))
+        raise OverflowError(
+            f"{fact.fact_id}: {fact.variable} = {value} is out of range: "
+            "the numbers it factors must be below 2**63"
+        ) from None
+    return FactReport(fact.fact_id, fact.claim, fact.range_text(bound), counterexamples)
+
+
+def _overflows(test: Callable[[int], bool], value: int) -> bool:
+    try:
+        test(value)
+    except OverflowError:
+        return True
+    return False
 
 
 def verify_all() -> list[FactReport]:

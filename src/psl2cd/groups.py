@@ -41,6 +41,11 @@ class OuterKind(enum.Enum):
     WITH_DIAGONAL = "with_diagonal"
     TWISTED = "twisted"
 
+    # Members are singletons compared by identity, so an identity hash agrees
+    # with equality and spares Enum.__hash__'s Python-level call on every
+    # lookup keyed by kind.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class PrimePower:

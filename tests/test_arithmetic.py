@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,6 +18,7 @@ from psl2cd.arithmetic import (
     is_prime,
     omega,
     omega_at_least,
+    omega_table,
     prime_power_decompose,
     prime_powers_in_range,
     primes_up_to,
@@ -378,6 +381,37 @@ class TestOmega:
         expected = sum(e for _, e in powers) + len(primes)
         for k in range(9):
             assert omega_at_least(n, k) == (expected >= k), (n, k)
+
+
+class TestOmegaTable:
+    def test_matches_sieve_oracle(self):
+        limit = 2 * 10**5
+        table = omega_table(limit)
+        oracle = sieve_factorizer(limit)
+        assert len(table) == limit + 1
+        assert table[0] == table[1] == 0
+        for n in range(2, limit + 1):
+            assert table[n] == sum(e for _, e in oracle(n)), n
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3])
+    def test_small_limits(self, limit):
+        assert list(omega_table(limit)) == [0, 0, 1, 1][: limit + 1]
+
+    @pytest.mark.parametrize("limit", [4, 5000, 2**16, 3**10, 65521, 99991, 10**5])
+    def test_last_index(self, limit):
+        table = omega_table(limit)
+        assert len(table) == limit + 1
+        assert table[limit] == omega(limit)
+
+    def test_too_large_is_out_of_memory_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError):
+                omega_table(sys.maxsize)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDivisors:

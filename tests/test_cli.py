@@ -127,8 +127,10 @@ class TestBasicCommands:
 
     def test_facts_counterexamples_exit_1(self, capsys, monkeypatch):
         # Every registered fact holds, so register a copy of F3 whose
-        # predicate rejects 9.
-        monkeypatch.setitem(FACTS, "F3", dataclasses.replace(FACTS["F3"], predicate=lambda n: n != 9))
+        # test rejects 9.
+        monkeypatch.setitem(
+            FACTS, "F3", dataclasses.replace(FACTS["F3"], test=lambda limit: lambda n: n != 9)
+        )
         code, out, _ = run(capsys, "facts", "--fact", "F3", "--limit", "20")
         assert code == 1
         assert out.splitlines() == [
@@ -215,6 +217,21 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "2**63" in err
+
+    @pytest.mark.parametrize(
+        "fact_id, value, operand",
+        [("F4", 64, 2**64 - 1), ("F7", 63, 2**63 + 1)],
+    )
+    def test_fact_overflow_names_the_fact_and_value(self, capsys, fact_id, value, operand):
+        # The error names the value in the range, not the operand past 2**63.
+        code, out, err = run(capsys, "facts", "--fact", fact_id, "--limit", str(value))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {fact_id}: f = {value} is out of range: "
+            "the numbers it factors must be below 2**63\n"
+        )
+        assert str(operand) not in err
 
     @pytest.mark.parametrize(
         "argv",

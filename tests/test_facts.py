@@ -38,18 +38,33 @@ class TestIndividualFacts:
         # 2^29 - 1 = 233 * 1103 * 2089 has three prime divisors
         assert omega(2**29 - 1) == 3
         fact = FACTS["F4"]
-        assert fact.predicate(29)  # vacuously true in the stated direction
+        assert fact.test(40)(29)  # vacuously true in the stated direction
 
     def test_f5_counterexample_below_window(self):
         # q = 4 shows why the range starts above 5: 3 and 5 are adjacent
         fact = FACTS["F5"]
-        assert not fact.predicate(4)
+        assert not fact.test(10**4)(4)
         assert verify_fact("F5", 10**4).holds
 
     def test_f6_f8_small(self):
         assert verify_fact("F6", 10**4).holds
         assert verify_fact("F8", 10**4).holds
         assert omega(13 - 1) == 3
+
+    @pytest.mark.parametrize(
+        "fact_id, reference",
+        [
+            ("F6", lambda q: omega(q - (1 if q % 4 == 1 else -1)) >= 3),
+            ("F8", lambda q: omega(q - 1) >= 3 or omega(q + 1) >= 3),
+        ],
+    )
+    def test_f6_f8_tests_agree_with_omega(self, fact_id, reference):
+        # Every integer, prime power or not, read from the one Omega table.
+        limit = 10**4
+        test = FACTS[fact_id].test(limit)
+        assert test(5) is False  # Omega(4) = Omega(6) = 2
+        for q in range(5, limit + 1):
+            assert test(q) == reference(q), q
 
     def test_f7(self):
         report = verify_fact("F7", 40)

@@ -1,10 +1,12 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psl2cd import groups
 from psl2cd.arithmetic import divisors, is_prime, prime_powers_in_range
-from psl2cd.classifier import sweep
+from psl2cd.classifier import _ROWS_BY_KIND, sweep
 from psl2cd.groups import (
     GroupDescriptor,
     OuterExpressionError,
@@ -44,6 +46,22 @@ class TestPrimePower:
             trusted = PrimePower.from_sieve(q, p, f)
             assert trusted == PrimePower(p, f) == PrimePower.from_value(q)
             assert hash(trusted) == hash(PrimePower(p, f))
+
+
+class TestOuterKind:
+    def test_pickle_round_trip_is_the_same_member(self):
+        for kind in OuterKind:
+            assert pickle.loads(pickle.dumps(kind)) is kind
+
+    def test_kind_keyed_lookups_hit(self):
+        groups._shape.cache_clear()
+        for kind in OuterKind:
+            copy = pickle.loads(pickle.dumps(kind))
+            assert hash(copy) == hash(kind)
+            assert _ROWS_BY_KIND[copy] is _ROWS_BY_KIND[kind]
+            character_degrees(desc(81, kind, 2))
+            character_degrees(GroupDescriptor(PrimePower(3, 4), OuterSubgroup(copy, 2)))
+        assert groups._shape.cache_info().hits == 3
 
 
 class TestDescriptors:
