@@ -57,6 +57,7 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 _INCREMENT = bytes(range(1, 256)) + b"\0"  # bytes.translate table for b -> b + 1
+_ZERO_TO_ONE = b"\1" + bytes(range(1, 256))  # bytes.translate table for 0 -> 1
 
 
 def omega_table(limit: int) -> bytearray:
@@ -64,8 +65,11 @@ def omega_table(limit: int) -> bytearray:
 
     A sieve of Eratosthenes over one zero table: the next prime is the
     next zero byte past p (no smaller prime divides it), and each power m
-    of that prime adds one to every multiple of m.  No list of primes is
-    built.  Omega(n) < 63 below 2**63, so a byte always suffices.
+    of that prime adds one to every multiple of m.  Only primes up to
+    limit // 2 have a multiple to mark, so the sieve stops there; every
+    zero byte left above limit // 2 (index 2 or more) is then a prime, and
+    one translate gives them all Omega 1.  No list of primes is built.
+    Omega(n) < 63 below 2**63, so a byte always suffices.
 
     Raises MemoryError, before allocating anything, when a table of
     limit + 1 bytes could not even be indexed (limit >= sys.maxsize).
@@ -73,13 +77,16 @@ def omega_table(limit: int) -> bytearray:
     if limit >= sys.maxsize:
         raise MemoryError(f"a sieve up to {limit} does not fit in memory")
     table = bytearray(max(limit + 1, 0))
-    p = table.find(0, 2)
+    half = limit // 2
+    p = table.find(0, 2, half + 1)
     while p != -1:
         m = p
         while m <= limit:
             table[m::m] = table[m::m].translate(_INCREMENT)
             m *= p
-        p = table.find(0, p + 1)
+        p = table.find(0, p + 1, half + 1)
+    tail = max(half + 1, 2)
+    table[tail:] = table[tail:].translate(_ZERO_TO_ONE)
     return table
 
 

@@ -4,9 +4,13 @@ arguments lean on, each verified exhaustively over a configurable range.
 Facts are data: id, claim text, default range, and a test, so new
 micro-claims can be registered without touching the verification loop.
 A fact's test is built once per range: `Fact.test(limit)` returns the
-predicate every value is checked with.  F6 and F8 read Omega from one
-`omega_table(limit + 1)` built there, which lives only as long as that
-check; the other facts' predicates do not depend on the range.
+predicate every value is checked with.  F6 and F8 share one cached range
+(`_omega_sieve`, at most one entry): the `omega_table(limit + 1)` they
+read Omega from and the odd prime powers they run over, so the default
+check builds each once.  F5's test looks q up in the counterexamples
+found once per range among the powers of two, the only q for which
+q - 1 can be a Mersenne prime.  The other facts' predicates do not
+depend on the range, and `omega` itself stays unmemoized.
 Every fact is expected to hold with zero counterexamples; a counterexample
 would contradict a step of the classification and is treated as a failure
 by the CLI and the acceptance suite.
@@ -14,10 +18,11 @@ by the CLI and the acceptance suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .arithmetic import (
     MAX_VALUE,
@@ -55,10 +60,6 @@ class FactReport:
         return not self.counterexamples
 
 
-def _odd_prime_powers(lo: int, hi: int) -> Iterator[int]:
-    return (q for q, p, _ in prime_powers_in_range(lo, hi) if p != 2)
-
-
 def _any_limit(predicate: Callable[[int], bool]) -> Callable[[int], Callable[[int], bool]]:
     """The test of a fact whose predicate does not depend on the range."""
     return lambda limit: predicate
@@ -75,21 +76,44 @@ def _mersenne_fermat_window(q: int) -> bool:
     return not (is_mersenne_prime(q - 1) and is_fermat_prime(q + 1))
 
 
+def _mersenne_fermat_test(limit: int) -> Callable[[int], bool]:
+    """F5's predicate for q <= limit, from its counterexamples found once.
+
+    q - 1 = 2**k - 1 forces q = 2**k, so only the powers of two up to
+    limit (q = 4 among them) can fail the window.
+    """
+    powers_of_two = (1 << k for k in range(1, limit.bit_length()))
+    failing = frozenset(q for q in powers_of_two if not _mersenne_fermat_window(q))
+    return lambda q: q not in failing
+
+
 def _omega_split_power4(f: int) -> bool:
     # 4^f - 1 = (2^f - 1)(2^f + 1) with coprime (odd, consecutive-even) halves,
     # so Omega adds; this keeps both factored values below 2**63 for f <= 62.
     return omega((1 << f) - 1) + omega((1 << f) + 1) >= 3
 
 
+@functools.lru_cache(maxsize=1)
+def _omega_sieve(limit: int) -> tuple[memoryview, tuple[int, ...]]:
+    """Omega(n) for 0 <= n <= limit + 1 and the odd prime powers in [7, limit].
+
+    F6 and F8 check the same default range, so both read this one entry;
+    a call with another limit replaces it, so at most one range is held.
+    The table is read-only because every caller shares it.
+    """
+    table = memoryview(omega_table(limit + 1)).toreadonly()
+    return table, tuple(q for q, p, _ in prime_powers_in_range(7, limit) if p != 2)
+
+
 def _omega_q_minus_eps(limit: int) -> Callable[[int], bool]:
     """F6's predicate for q <= limit: Omega(q - eps) >= 3, eps = q (mod 4)."""
-    table = omega_table(limit + 1)
+    table = _omega_sieve(limit)[0]
     return lambda q: table[q - 1 if q % 4 == 1 else q + 1] >= 3
 
 
 def _omega_either_neighbour(limit: int) -> Callable[[int], bool]:
     """F8's predicate for q <= limit: Omega(q - 1) >= 3 or Omega(q + 1) >= 3."""
-    table = omega_table(limit + 1)
+    table = _omega_sieve(limit)[0]
     return lambda q: table[q - 1] >= 3 or table[q + 1] >= 3
 
 
@@ -135,7 +159,7 @@ _FACT_LIST = (
         "for q > 5: q - 1 a Mersenne prime and q + 1 a Fermat prime never hold together",
         10**6,
         lambda limit: range(6, limit + 1),
-        _any_limit(_mersenne_fermat_window),
+        _mersenne_fermat_test,
         lambda limit: f"q in [6, {limit}]",
         "q",
     ),
@@ -143,7 +167,7 @@ _FACT_LIST = (
         "F6",
         "Omega(q - eps) >= 3 for odd prime powers q >= 7, where q = eps (mod 4)",
         10**6,
-        lambda limit: _odd_prime_powers(7, limit),
+        lambda limit: _omega_sieve(limit)[1],
         _omega_q_minus_eps,
         lambda limit: f"odd prime powers q in [7, {limit}]",
         "q",
@@ -161,7 +185,8 @@ _FACT_LIST = (
         "F8",
         "Omega(q - 1) >= 3 or Omega(q + 1) >= 3 for odd prime powers q >= 13",
         10**6,
-        lambda limit: _odd_prime_powers(13, limit),
+        # 7, 9 and 11 are the odd prime powers below 13
+        lambda limit: itertools.islice(_omega_sieve(limit)[1], 3, None),
         _omega_either_neighbour,
         lambda limit: f"odd prime powers q in [13, {limit}]",
         "q",

@@ -393,9 +393,11 @@ class TestOmegaTable:
         for n in range(2, limit + 1):
             assert table[n] == sum(e for _, e in oracle(n)), n
 
-    @pytest.mark.parametrize("limit", [0, 1, 2, 3])
+    @pytest.mark.parametrize("limit", range(65))
     def test_small_limits(self, limit):
-        assert list(omega_table(limit)) == [0, 0, 1, 1][: limit + 1]
+        # Odd and even limits on both sides of the limit // 2 cut-off.
+        expected = [0, 0][: limit + 1] + [omega(n) for n in range(2, limit + 1)]
+        assert list(omega_table(limit)) == expected
 
     @pytest.mark.parametrize("limit", [4, 5000, 2**16, 3**10, 65521, 99991, 10**5])
     def test_last_index(self, limit):

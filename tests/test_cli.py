@@ -125,6 +125,20 @@ class TestBasicCommands:
         assert code == 0
         assert out.startswith("F3 PASS")
 
+    @pytest.mark.parametrize(
+        "fact_id, limit, code, stdout",
+        [
+            ("F5", 5, 2, ""),
+            ("F5", 6, 0, "F5 PASS  (q in [6, 6])  {claim}\n"),
+            ("F5", 7, 0, "F5 PASS  (q in [6, 7])  {claim}\n"),
+            ("F6", 6, 2, ""),
+        ],
+    )
+    def test_facts_at_the_smallest_limits(self, capsys, fact_id, limit, code, stdout):
+        # F5 runs over every q >= 6, powers of two or not, and F6 from q = 7.
+        result = run(capsys, "facts", "--fact", fact_id, "--limit", str(limit))
+        assert result[:2] == (code, stdout.format(claim=FACTS[fact_id].claim))
+
     def test_facts_counterexamples_exit_1(self, capsys, monkeypatch):
         # Every registered fact holds, so register a copy of F3 whose
         # test rejects 9.

@@ -1,6 +1,7 @@
 import pytest
 
-from psl2cd.arithmetic import omega
+from psl2cd import arithmetic, facts
+from psl2cd.arithmetic import is_fermat_prime, is_mersenne_prime, omega
 from psl2cd.facts import FACTS, fact_report_to_dict, verify_all, verify_fact
 
 
@@ -46,6 +47,15 @@ class TestIndividualFacts:
         assert not fact.test(10**4)(4)
         assert verify_fact("F5", 10**4).holds
 
+    def test_f5_test_agrees_with_the_window(self):
+        # The test is built from the powers of two alone; every other q
+        # must still read as the written-out window.
+        limit = 10**5
+        test = FACTS["F5"].test(limit)
+        assert test(4) is False
+        for q in range(1, limit + 1):
+            assert test(q) == (not (is_mersenne_prime(q - 1) and is_fermat_prime(q + 1))), q
+
     def test_f6_f8_small(self):
         assert verify_fact("F6", 10**4).holds
         assert verify_fact("F8", 10**4).holds
@@ -74,6 +84,43 @@ class TestIndividualFacts:
     def test_f9(self):
         report = verify_fact("F9", 40)
         assert report.holds
+
+
+class TestSharedSieve:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = {"omega_table": 0, "prime_powers_in_range": 0}
+
+        def counted(name):
+            real = getattr(arithmetic, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(facts, name, counted(name))
+        facts._omega_sieve.cache_clear()
+        yield counts
+        facts._omega_sieve.cache_clear()
+
+    def test_f6_and_f8_ranges(self):
+        assert list(FACTS["F6"].values(30)) == [7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
+        assert list(FACTS["F8"].values(30)) == [13, 17, 19, 23, 25, 27, 29]
+        assert list(FACTS["F8"].values(12)) == []
+
+    def test_verify_all_builds_the_sieve_once(self, builds):
+        assert all(report.holds for report in verify_all())
+        assert builds == {"omega_table": 1, "prime_powers_in_range": 1}
+
+    def test_another_limit_replaces_the_range(self, builds):
+        for limit in (10**4, 10**4, 2 * 10**4, 10**4):
+            assert verify_fact("F6", limit).holds
+            assert verify_fact("F8", limit).holds
+            assert facts._omega_sieve.cache_info().currsize == 1
+        assert builds == {"omega_table": 3, "prime_powers_in_range": 3}
 
 
 class TestReports:
