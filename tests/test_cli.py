@@ -128,27 +128,61 @@ class TestBasicCommands:
     @pytest.mark.parametrize(
         "fact_id, limit, code, stdout",
         [
+            ("F1", 2, 2, ""),
+            ("F1", 3, 0, "F1 PASS  (odd f in [3, 3])  {claim}\n"),
+            ("F2", 1, 2, ""),
+            ("F2", 2, 0, "F2 PASS  (f = 2 (mod 4), f in [2, 2])  {claim}\n"),
+            ("F3", 0, 2, ""),
+            ("F3", 1, 0, "F3 PASS  (f in [1, 1])  {claim}\n"),
+            ("F4", 1, 2, ""),
+            ("F4", 2, 0, "F4 PASS  (f in [2, 2])  {claim}\n"),
             ("F5", 5, 2, ""),
             ("F5", 6, 0, "F5 PASS  (q in [6, 6])  {claim}\n"),
             ("F5", 7, 0, "F5 PASS  (q in [6, 7])  {claim}\n"),
             ("F6", 6, 2, ""),
+            ("F6", 7, 0, "F6 PASS  (odd prime powers q in [7, 7])  {claim}\n"),
+            ("F7", 3, 2, ""),
+            ("F7", 4, 0, "F7 PASS  (f in [4, 4])  {claim}\n"),
+            ("F8", 12, 2, ""),
+            ("F8", 13, 0, "F8 PASS  (odd prime powers q in [13, 13])  {claim}\n"),
+            ("F9", 1, 2, ""),
+            ("F9", 2, 0, "F9 PASS  (n in [2, 2], n != 6)  {claim}\n"),
         ],
     )
     def test_facts_at_the_smallest_limits(self, capsys, fact_id, limit, code, stdout):
-        # F5 runs over every q >= 6, powers of two or not, and F6 from q = 7.
+        # A limit one below a fact's start leaves nothing to check; at the
+        # start the range holds one value.  F5 accepts 6 and 7, though its
+        # first power of two is 8.
         result = run(capsys, "facts", "--fact", fact_id, "--limit", str(limit))
         assert result[:2] == (code, stdout.format(claim=FACTS[fact_id].claim))
+        assert (limit < FACTS[fact_id].start) == (code == 2)
+
+    def test_f5_at_2_62_ends(self):
+        # F5 tests only the 60 powers of two in [6, 2**62], not every q.  A
+        # child interpreter with a timeout keeps a regression from hanging
+        # the suite.
+        env = {**os.environ, "PYTHONPATH": str(Path(psl2cd.__file__).parent.parent)}
+        limit = str(2**62)
+        result = subprocess.run(
+            [sys.executable, "-m", "psl2cd", "facts", "--fact", "F5", "--limit", limit],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert result.returncode == 0
+        assert result.stdout == f"F5 PASS  (q in [6, {limit}])  {FACTS['F5'].claim}\n"
 
     def test_facts_counterexamples_exit_1(self, capsys, monkeypatch):
-        # Every registered fact holds, so register a copy of F3 whose
-        # test rejects 9.
+        # Every registered fact holds, so register a copy of F3 that
+        # finds 9.
         monkeypatch.setitem(
-            FACTS, "F3", dataclasses.replace(FACTS["F3"], test=lambda limit: lambda n: n != 9)
+            FACTS, "F3", dataclasses.replace(FACTS["F3"], counterexamples=lambda limit: [9])
         )
         code, out, _ = run(capsys, "facts", "--fact", "F3", "--limit", "20")
         assert code == 1
         assert out.splitlines() == [
-            f"F3 FAIL  ({FACTS['F3'].range_text(20)})  {FACTS['F3'].claim}",
+            f"F3 FAIL  ({FACTS['F3'].range_text.format(20)})  {FACTS['F3'].claim}",
             "  counterexamples: 9",
         ]
 

@@ -1,8 +1,10 @@
 import pytest
 
-from psl2cd import arithmetic, facts
-from psl2cd.arithmetic import is_fermat_prime, is_mersenne_prime, omega
+from psl2cd import facts
+from psl2cd.arithmetic import is_mersenne_prime, omega, omega_table
 from psl2cd.facts import FACTS, fact_report_to_dict, verify_all, verify_fact
+
+from _oracles import sieve_factorizer
 
 
 class TestRegistry:
@@ -38,23 +40,30 @@ class TestIndividualFacts:
         # only the stated direction holds: f = 29 is prime but
         # 2^29 - 1 = 233 * 1103 * 2089 has three prime divisors
         assert omega(2**29 - 1) == 3
-        fact = FACTS["F4"]
-        assert fact.test(40)(29)  # vacuously true in the stated direction
+        # vacuously true in the stated direction
+        assert 29 not in FACTS["F4"].counterexamples(40)
 
     def test_f5_counterexample_below_window(self):
         # q = 4 shows why the range starts above 5: 3 and 5 are adjacent
-        fact = FACTS["F5"]
-        assert not fact.test(10**4)(4)
+        assert not facts._mersenne_fermat_window(4)
         assert verify_fact("F5", 10**4).holds
 
-    def test_f5_test_agrees_with_the_window(self):
-        # The test is built from the powers of two alone; every other q
-        # must still read as the written-out window.
-        limit = 10**5
-        test = FACTS["F5"].test(limit)
-        assert test(4) is False
-        for q in range(1, limit + 1):
-            assert test(q) == (not (is_mersenne_prime(q - 1) and is_fermat_prime(q + 1))), q
+    def test_f5_test_agrees_with_the_window(self, monkeypatch):
+        # F5 tests the powers of two alone; a scan of every q in [6, limit]
+        # against the written-out window must find the same values.
+        def full_scan(limit):
+            return [
+                q for q in range(6, limit + 1) if is_mersenne_prime(q - 1) and facts.is_fermat_prime(q + 1)
+            ]
+
+        assert facts._mersenne_fermat_window(4) is False
+        assert FACTS["F5"].counterexamples(10**5) == full_scan(10**5) == []
+        # With every q + 1 read as a Fermat prime, q fails exactly when
+        # q - 1 is a Mersenne prime, so there are values to find.
+        monkeypatch.setattr(facts, "is_fermat_prime", lambda n: True)
+        assert FACTS["F5"].counterexamples(10**5) == full_scan(10**5) == [8, 32, 128, 8192]
+        for limit in (7, 8, 8191, 8192):
+            assert FACTS["F5"].counterexamples(limit) == full_scan(limit), limit
 
     def test_f6_f8_small(self):
         assert verify_fact("F6", 10**4).holds
@@ -68,13 +77,21 @@ class TestIndividualFacts:
             ("F8", lambda q: omega(q - 1) >= 3 or omega(q + 1) >= 3),
         ],
     )
-    def test_f6_f8_tests_agree_with_omega(self, fact_id, reference):
-        # Every integer, prime power or not, read from the one Omega table.
+    def test_f6_f8_tests_agree_with_omega(self, monkeypatch, fact_id, reference):
+        # Every odd q from 5, prime power or not, read from the fact's Omega
+        # table; 5 lies below both ranges and fails both claims.
+        calls = []
+
+        def every_odd_integer(table, lo, hi):
+            calls.append((lo, hi))
+            return range(5, hi + 1, 2)
+
+        monkeypatch.setattr(facts, "_odd_prime_powers", every_odd_integer)
         limit = 10**4
-        test = FACTS[fact_id].test(limit)
-        assert test(5) is False  # Omega(4) = Omega(6) = 2
-        for q in range(5, limit + 1):
-            assert test(q) == reference(q), q
+        found = FACTS[fact_id].counterexamples(limit)
+        assert calls == [(FACTS[fact_id].start, limit)]
+        assert found[0] == 5  # Omega(4) = Omega(6) = 2
+        assert found == [q for q in range(5, limit + 1, 2) if not reference(q)]
 
     def test_f7(self):
         report = verify_fact("F7", 40)
@@ -86,41 +103,39 @@ class TestIndividualFacts:
         assert report.holds
 
 
-class TestSharedSieve:
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        counts = {"omega_table": 0, "prime_powers_in_range": 0}
+class TestOddPrimePowers:
+    def test_f6_and_f8_ranges(self, monkeypatch):
+        # The odd prime powers each fact enumerates, recorded on the way.
+        enumerated = []
+        real = facts._odd_prime_powers
 
-        def counted(name):
-            real = getattr(arithmetic, name)
+        def recorded(table, lo, hi):
+            enumerated.append(real(table, lo, hi))
+            return enumerated[-1]
 
-            def wrapper(*args):
-                counts[name] += 1
-                return real(*args)
+        monkeypatch.setattr(facts, "_odd_prime_powers", recorded)
+        assert verify_fact("F6", 30).holds and verify_fact("F8", 30).holds
+        assert enumerated == [[7, 9, 11, 13, 17, 19, 23, 25, 27, 29], [13, 17, 19, 23, 25, 27, 29]]
+        with pytest.raises(ValueError, match="leaves nothing to check"):
+            verify_fact("F8", 12)
+        assert len(enumerated) == 2
 
-            return wrapper
+    @staticmethod
+    def oracle(factor, lo, hi):
+        return [n for n in range(max(lo, 1), hi + 1) if n % 2 and len(factor(n)) == 1]
 
-        for name in counts:
-            monkeypatch.setattr(facts, name, counted(name))
-        facts._omega_sieve.cache_clear()
-        yield counts
-        facts._omega_sieve.cache_clear()
+    def test_every_small_range(self):
+        factor = sieve_factorizer(300)
+        for hi in range(301):
+            table = omega_table(hi)
+            for lo in range(hi + 1):
+                assert facts._odd_prime_powers(table, lo, hi) == self.oracle(factor, lo, hi), (lo, hi)
 
-    def test_f6_and_f8_ranges(self):
-        assert list(FACTS["F6"].values(30)) == [7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
-        assert list(FACTS["F8"].values(30)) == [13, 17, 19, 23, 25, 27, 29]
-        assert list(FACTS["F8"].values(12)) == []
-
-    def test_verify_all_builds_the_sieve_once(self, builds):
-        assert all(report.holds for report in verify_all())
-        assert builds == {"omega_table": 1, "prime_powers_in_range": 1}
-
-    def test_another_limit_replaces_the_range(self, builds):
-        for limit in (10**4, 10**4, 2 * 10**4, 10**4):
-            assert verify_fact("F6", limit).holds
-            assert verify_fact("F8", limit).holds
-            assert facts._omega_sieve.cache_info().currsize == 1
-        assert builds == {"omega_table": 3, "prime_powers_in_range": 3}
+    def test_a_wide_range(self):
+        hi = 2 * 10**5
+        expected = self.oracle(sieve_factorizer(hi), 7, hi)
+        assert facts._odd_prime_powers(omega_table(hi + 1), 7, hi) == expected
+        assert 3**11 in expected and 443**2 in expected and 2**17 not in expected
 
 
 class TestReports:
