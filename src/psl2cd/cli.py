@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success and every checked claim holds; 1 = a verified
 claim failed (two-prime violation, sweep disagreement, degree mismatch,
-or a fact counterexample); 2 = usage or input error.
+or a fact counterexample); 2 = usage or input error, or stdout closed
+before the output was written.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -44,7 +46,7 @@ def to_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-_VERDICT_BATCH = 4096  # verdicts joined into one string of a sweep report
+_VERDICT_BATCH = 512  # verdicts filled into their templates with one format call
 _TEMPLATE_LIMIT = 1024  # verdict shapes cached (146 in 7..2^20); a full cache starts over
 _templates: dict[tuple, str] = {}
 # Every integer slot of a template; no literal part of a verdict has three
@@ -54,7 +56,7 @@ _SLOT = 2**63 - 1
 
 def _verdict_template(v: GroupVerdict) -> str:
     """``to_json(verdict_to_dict(v))`` as an item of the sweep report's
-    verdict list (four spaces deep), with a ``%d`` slot for each degree,
+    verdict list (four spaces deep), with a ``%s`` slot for each degree,
     for q (in the name, then in "q") and for each violation's a, b, gcd
     and omega.  It is rendered from a verdict of v's shape whose every
     such integer is ``_SLOT`` (``from_sieve`` takes that q unchecked)."""
@@ -66,50 +68,52 @@ def _verdict_template(v: GroupVerdict) -> str:
         violations=(Violation(_SLOT, _SLOT, _SLOT, _SLOT),) * len(v.violations),
     )
     text = to_json(verdict_to_dict(placeholder)).replace("%", "%%")
-    return text.replace("\n", "\n    ").replace(str(_SLOT), "%d")
+    return text.replace("\n", "\n    ").replace(str(_SLOT), "%s")
 
 
-def _verdict_json(v: GroupVerdict) -> str:
-    """``to_json(verdict_to_dict(v))`` as an item of the sweep report's
-    verdict list, filled into the cached template of v's shape."""
-    g = v.descriptor
-    # The key fixes every literal part of the template; "pass" and "agree"
-    # follow from the rows and the number of violations.
-    key = (g.outer.kind, g.outer.d, g.q.f, len(v.degrees), v.matched_rows, len(v.violations))
-    template = _templates.get(key)
-    if template is None:
-        if len(_templates) >= _TEMPLATE_LIMIT:
-            _templates.clear()
-        template = _templates[key] = _verdict_template(v)
-    q = g.q.q
-    if not v.violations:
-        return template % (*v.degrees, q, q)
-    fields = [x for w in v.violations for x in (w.a, w.b, w.gcd, w.omega)]
-    return template % (*v.degrees, q, q, *fields)
-
-
-def _rendered(verdicts: Iterable[GroupVerdict], batches: list[str]) -> Iterator[GroupVerdict]:
-    """Pass the verdicts through, rendering each one's report text as it
-    arrives; each batch of ``_VERDICT_BATCH`` texts, and the last, shorter
-    one, is joined into one string of ``batches``."""
-    batch: list[str] = []
+def _rendered(
+    verdicts: Iterable[GroupVerdict], batches: list[tuple[list[str], str]]
+) -> Iterator[GroupVerdict]:
+    """Pass the verdicts through, keeping for each one the cached template
+    of its shape and its slot integers ``(*degrees, q, q, *a_b_gcd_omega)``.
+    Each batch of ``_VERDICT_BATCH`` verdicts, and the last, shorter one,
+    becomes one item ``(templates, numbers)`` of ``batches``: the templates
+    in order, and every slot of the batch in decimal, joined by commas."""
+    templates: list[str] = []
+    slots: list[int] = []
     for v in verdicts:
-        batch.append(_verdict_json(v))
-        if len(batch) == _VERDICT_BATCH:
-            batches.append(",\n    ".join(batch))
-            batch = []
+        g = v.descriptor
+        # The key fixes every literal part of the template; "pass" and
+        # "agree" follow from the rows and the number of violations.
+        key = (g.outer.kind, g.outer.d, g.q.f, len(v.degrees), v.matched_rows, len(v.violations))
+        template = _templates.get(key)
+        if template is None:
+            if len(_templates) >= _TEMPLATE_LIMIT:
+                _templates.clear()  # batches hold their templates, so nothing is lost
+            template = _templates[key] = _verdict_template(v)
+        templates.append(template)
+        slots += v.degrees
+        slots += (g.q.q, g.q.q)
+        for w in v.violations:
+            slots += (w.a, w.b, w.gcd, w.omega)
+        if len(templates) == _VERDICT_BATCH:
+            batches.append((templates, ",".join(map(str, slots))))
+            templates, slots = [], []
         yield v
-    if batch:
-        batches.append(",\n    ".join(batch))
+    if templates:
+        batches.append((templates, ",".join(map(str, slots))))
 
 
-def _write_sweep_json(q_min: int, q_max: int, tally: SweepTally, batches: list[str], out: TextIO) -> None:
+def _write_sweep_json(
+    q_min: int, q_max: int, tally: SweepTally, batches: list[tuple[list[str], str]], out: TextIO
+) -> None:
     """Write ``to_json`` of the sweep report, plus a newline, to ``out``.
 
     The head and tail are ``to_json`` of the report with ``_SLOT`` as its
     one verdict, split at the last ``_SLOT``.  The verdicts, nearly all of
-    the text, are written batch by batch between them, so the report never
-    exists as one string or as dicts.  ``batches`` is never empty.
+    the text, are written between them, each batch of ``_rendered`` with
+    one ``%`` fill of its templates joined, so the report never exists as
+    one string or as dicts.  ``batches`` is never empty.
     """
     head, _, tail = to_json(
         {
@@ -125,10 +129,10 @@ def _write_sweep_json(q_min: int, q_max: int, tally: SweepTally, batches: list[s
         }
     ).rpartition(str(_SLOT))
     out.write(head)
-    for i, batch in enumerate(batches):
+    for i, (templates, numbers) in enumerate(batches):
         if i:
             out.write(",\n    ")
-        out.write(batch)
+        out.write(",\n    ".join(templates) % tuple(numbers.split(",")))
     out.write(tail + "\n")
 
 
@@ -269,12 +273,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         print("note: sweeps run serially; --jobs is ignored", file=sys.stderr)
-    # Verdicts are tallied (and, for JSON, rendered) as they are decided
-    # and then dropped; nothing is printed until the last one, so a sweep
-    # that fails part way prints nothing to stdout.
+    # Verdicts are tallied as they are decided and then dropped; nothing is
+    # printed until the last one, so a sweep that fails part way prints
+    # nothing to stdout.  For JSON each verdict leaves behind a reference
+    # to its shape's template and its slot integers as decimal text, about
+    # 45 bytes against the 330 of its rendered text; the text is made only
+    # while writing, one batch of _VERDICT_BATCH verdicts at a time.
     verdicts = iter_verdicts(args.qmin, args.qmax)
     if args.format == "json":
-        batches: list[str] = []
+        batches: list[tuple[list[str], str]] = []
         tally = tally_verdicts(_rendered(verdicts, batches))
         _write_sweep_json(args.qmin, args.qmax, tally, batches, sys.stdout)
     else:
@@ -360,7 +367,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        if sys.stdout is sys.__stdout__:
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does.  Point fd 1 at devnull
+        # so that the flush at exit cannot raise again (the SIGPIPE note in
+        # Python's signal module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,33 @@ class TestErrorPaths:
             assert out == ""
             assert err == "error: out of memory; try a smaller range\n"
 
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            # About 2 MB, far more than a pipe holds, so the child is still
+            # writing when the pipe closes.
+            (("sweep", "--qmin", "7", "--qmax", "65536", "--format", "json"), 20),
+            # Outputs that fit in a pipe: closed before the child, which
+            # writes only after its import and its work, writes a byte.
+            (("sweep", "--qmin", "7", "--qmax", "65536"), 0),
+            (("facts", "--format", "json"), 0),
+        ],
+    )
+    def test_closed_stdout_exits_2_with_one_line(self, argv, read):
+        env = {**os.environ, "PYTHONPATH": str(Path(psl2cd.__file__).parent.parent)}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "psl2cd", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        try:
+            assert len(child.stdout.read(read)) == read
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 2
+        finally:
+            child.kill()
+            child.stderr.close()
+        assert err == "error: stdout was closed before the output was written\n"
+
     def test_degree_overflow_exits_2(self, capsys, monkeypatch):
         # (2^59 + 1) * 59 exceeds the 63-bit degree bound; no sieve reaches
         # 2^59, so hand the sweep that single prime power.  Neither format
@@ -459,35 +487,71 @@ def _variants(v):
     )
 
 
+def _assert_batches_are_canonical(verdicts):
+    """Render the verdicts through ``_rendered`` and the batch writer and
+    check that each batch it writes is the canonical JSON of its verdicts,
+    four spaces deep.  Return the size of the template cache as each
+    verdict reaches ``_rendered``."""
+    sizes = []
+
+    def passed_in():
+        for v in verdicts:
+            sizes.append(len(cli._templates))
+            yield v
+
+    batches = []
+    tally = tally_verdicts(cli._rendered(passed_in(), batches))
+    writes = []
+    cli._write_sweep_json(7, 7, tally, batches, types.SimpleNamespace(write=writes.append))
+    # head, batch, separator, batch, ..., tail
+    n = cli._VERDICT_BATCH
+    assert writes[1:-1:2] == [
+        ",\n    ".join(to_json(verdict_to_dict(v)).replace("\n", "\n    ") for v in verdicts[i : i + n])
+        for i in range(0, len(verdicts), n)
+    ]
+    assert set(writes[2:-1:2]) <= {",\n    "}
+    return sizes
+
+
 class TestVerdictTemplates:
     @given(_prime_power())
     @example((3, 2))
     @settings(deadline=None, max_examples=60)
-    def test_rendered_verdict_is_the_canonical_json(self, p_f):
+    def test_rendered_batch_is_the_canonical_json(self, p_f):
         # Rendering goes through the module's template cache, which keeps
         # the shapes of earlier examples, so a key that leaves out a part
         # of the shape renders some verdict from another verdict's template.
+        # Batches of 5 put the variants of one group in several batches.
         pp = PrimePower(*p_f)
+        verdicts = []
         for outer in enumerate_outer_subgroups(pp, include_trivial=False):
             try:
                 verdict = brute_force_verdict(GroupDescriptor(pp, outer))
             except OverflowError:  # a degree reaches 2**63
                 continue
-            for v in _variants(verdict):
-                assert cli._verdict_json(v) == to_json(verdict_to_dict(v)).replace("\n", "\n    ")
+            verdicts.extend(_variants(verdict))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_VERDICT_BATCH", 5)
+            _assert_batches_are_canonical(verdicts)
+        _assert_batches_are_canonical(verdicts)
 
-    def test_cache_is_bounded(self, monkeypatch):
+    def test_cache_cleared_inside_a_batch_is_bounded(self, monkeypatch):
+        # sweep(7, 64) has more than 3 shapes, so the cache starts over
+        # while the one batch is open; the batch keeps the templates it took.
         monkeypatch.setattr(cli, "_TEMPLATE_LIMIT", 3)
         monkeypatch.setattr(cli, "_templates", {})
-        for v in sweep(7, 64):
-            assert cli._verdict_json(v) == to_json(verdict_to_dict(v)).replace("\n", "\n    ")
-            assert len(cli._templates) <= 3
+        verdicts = sweep(7, 64)
+        assert len(verdicts) < cli._VERDICT_BATCH
+        sizes = _assert_batches_are_canonical(verdicts) + [len(cli._templates)]
+        assert max(sizes) <= 3
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
-    def test_report_memory_stays_below_twice_its_size(self):
-        # A sweep holds its report text until the last verdict; the verdicts
-        # themselves are dropped as they are rendered.  The first run fills
-        # the bounded caches (factor, lattice, templates), so the traced run
-        # measures only the sweep's own allocations.
+    def test_report_memory_stays_below_its_size(self):
+        # A sweep holds each verdict's template and slot numbers, not its
+        # text, until the last verdict, and writes the text a batch at a
+        # time, so its peak is below the size of the report.  The first run
+        # fills the bounded caches (factor, lattice, templates), so the
+        # traced run measures only the sweep's own allocations.
         class Sink:
             written = 0
 
@@ -505,7 +569,7 @@ class TestVerdictTemplates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * sink.written, (peak, sink.written)
+        assert peak < sink.written, (peak, sink.written)
 
 
 class TestOutputContracts:
