@@ -35,17 +35,16 @@ Factorization = tuple[tuple[int, int], ...]
 """Prime factorization as ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, by sieve of Eratosthenes.
+def prime_sieve(limit: int) -> bytearray:
+    """sieve[n] == 1 exactly when n <= limit is prime, by sieve of Eratosthenes.
 
     Raises MemoryError, before allocating anything, when the sieve of
     limit + 1 bytes could not even be indexed (limit >= sys.maxsize).  The
     sieve starts as a bytes repetition because on CPython 3.11 a failed
-    bytearray repetition also prints a stray SystemError; that copy is
-    freed before the list of primes sets the peak.
+    bytearray repetition also prints a stray SystemError.
     """
     if limit < 2:
-        return []
+        return bytearray(max(limit + 1, 0))
     if limit >= sys.maxsize:
         raise MemoryError(f"a sieve up to {limit} does not fit in memory")
     sieve = bytearray(b"\x01" * (limit + 1))
@@ -53,11 +52,12 @@ def primes_up_to(limit: int) -> list[int]:
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return list(itertools.compress(range(limit + 1), sieve))
+    return sieve
 
 
 _INCREMENT = bytes(range(1, 256)) + b"\0"  # bytes.translate table for b -> b + 1
 _ZERO_TO_ONE = b"\1" + bytes(range(1, 256))  # bytes.translate table for 0 -> 1
+_IS_ONE = bytes(b == 1 for b in range(256))  # bytes.translate table for b -> (b == 1)
 
 
 def omega_table(limit: int) -> bytearray:
@@ -91,7 +91,7 @@ def omega_table(limit: int) -> bytearray:
 
 
 _TRIAL_BOUND = 1000
-_TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND))
+_TRIAL_PRIMES = tuple(itertools.compress(range(_TRIAL_BOUND + 1), prime_sieve(_TRIAL_BOUND)))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 _NEXT_PRIME_SQ = 1009 * 1009  # first prime beyond the table, squared
 
@@ -301,6 +301,29 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
     return None
 
 
+def prime_powers(table: bytes | bytearray, lo: int, hi: int) -> list[int]:
+    """The prime powers q with lo <= q <= hi, ascending.
+
+    table is any byte table longer than hi whose entries equal to 1 are
+    exactly the primes: a `prime_sieve` or an `omega_table`.  The odd
+    primes are read from one stepped slice of it; then 2 and the powers
+    p**k (k >= 2) of the primes up to sqrt(hi) are added.
+    """
+    first = max(lo, 3) | 1
+    powers = list(itertools.compress(range(first, hi + 1, 2), table[first : hi + 1 : 2].translate(_IS_ONE)))
+    if lo <= 2 <= hi:
+        powers.append(2)
+    root = math.isqrt(max(hi, 0))
+    for p in itertools.compress(range(2, root + 1), table[2 : root + 1].translate(_IS_ONE)):
+        q = p * p
+        while q <= hi:
+            if q >= lo:
+                powers.append(q)
+            q *= p
+    powers.sort()
+    return powers
+
+
 def prime_powers_in_range(lo: int, hi: int) -> list[tuple[int, int, int]]:
     """All prime powers q = p**f with lo <= q <= hi, as (q, p, f) ascending in q.
 
@@ -310,17 +333,8 @@ def prime_powers_in_range(lo: int, hi: int) -> list[tuple[int, int, int]]:
         raise OverflowError(f"range end {hi} is out of range: must be below 2**63")
     if hi < lo or hi < 2:
         return []
-    primes = primes_up_to(hi)
-    out = [(p, p, 1) for p in primes if p >= lo]
-    for p in primes[: bisect.bisect_right(primes, math.isqrt(hi))]:
-        q, f = p * p, 2
-        while q <= hi:
-            if q >= lo:
-                out.append((q, p, f))
-            q *= p
-            f += 1
-    out.sort()
-    return out
+    sieve = prime_sieve(hi)
+    return [(q, q, 1) if sieve[q] else (q, *prime_power_decompose(q)) for q in prime_powers(sieve, lo, hi)]
 
 
 def zsigmondy_base2(n: int) -> int | None:

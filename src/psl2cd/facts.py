@@ -7,8 +7,9 @@ micro-claims can be registered without touching the verification loop.
 Each fact finds its own counterexamples and keeps nothing between calls.
 The six facts on exponents test every value of their range.  F5 tests
 only the powers of two, the only q for which q - 1 can be a Mersenne
-prime.  F6 and F8 each build one `omega_table(limit + 1)` and read both
-Omega and their odd prime powers from it; `omega` stays unmemoized.
+prime.  F6 and F8 each build one `omega_table(limit + 1)`, read Omega
+from it and test the odd q of `prime_powers(table, start, limit)`;
+`omega` stays unmemoized.
 Every fact is expected to hold with zero counterexamples; a counterexample
 would contradict a step of the classification and is treated as a failure
 by the CLI and the acceptance suite.
@@ -16,7 +17,6 @@ by the CLI and the acceptance suite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -29,6 +29,7 @@ from .arithmetic import (
     omega,
     omega_at_least,
     omega_table,
+    prime_powers,
     zsigmondy_base2,
 )
 
@@ -103,42 +104,16 @@ def _omega_split_power4(f: int) -> bool:
     return omega((1 << f) - 1) + omega((1 << f) + 1) >= 3
 
 
-_OMEGA_IS_ONE = bytes(b == 1 for b in range(256))
-
-
-def _odd_primes(table: bytearray, lo: int, hi: int) -> Iterable[int]:
-    """The odd n in [lo, hi] with table[n] == 1: the odd primes, when table is Omega."""
-    first = max(lo, 3) | 1
-    return itertools.compress(range(first, hi + 1, 2), table[first : hi + 1 : 2].translate(_OMEGA_IS_ONE))
-
-
-def _odd_prime_powers(table: bytearray, lo: int, hi: int) -> list[int]:
-    """The odd prime powers in [lo, hi], ascending, for table = omega_table(n), n >= hi.
-
-    The odd primes are the odd entries with Omega 1; the higher powers are
-    those of the odd primes up to sqrt(hi).
-    """
-    powers = list(_odd_primes(table, lo, hi))
-    for p in _odd_primes(table, 3, math.isqrt(hi)):
-        q = p * p
-        while q <= hi:
-            if q >= lo:
-                powers.append(q)
-            q *= p
-    powers.sort()
-    return powers
-
-
 def _omega_q_minus_eps_counterexamples(limit: int) -> list[int]:
     """F6 for odd prime powers q in [7, limit]: Omega(q - eps) >= 3, eps = q (mod 4)."""
     table = omega_table(limit + 1)
-    return [q for q in _odd_prime_powers(table, 7, limit) if table[q - 1 if q % 4 == 1 else q + 1] < 3]
+    return [q for q in prime_powers(table, 7, limit) if q & 1 and table[q - 1 if q % 4 == 1 else q + 1] < 3]
 
 
 def _omega_either_neighbour_counterexamples(limit: int) -> list[int]:
     """F8 for odd prime powers q in [13, limit]: Omega(q - 1) >= 3 or Omega(q + 1) >= 3."""
     table = omega_table(limit + 1)
-    return [q for q in _odd_prime_powers(table, 13, limit) if table[q - 1] < 3 and table[q + 1] < 3]
+    return [q for q in prime_powers(table, 13, limit) if q & 1 and table[q - 1] < 3 and table[q + 1] < 3]
 
 
 _FACT_LIST = (

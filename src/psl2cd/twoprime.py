@@ -68,7 +68,9 @@ def check_set(degrees: Iterable[int]) -> tuple[Violation, ...]:
 
 def check_sorted_set(values: Sequence[int]) -> tuple[Violation, ...]:
     """``check_set`` for values the caller has proved sorted, distinct and
-    positive (as ``character_degrees`` returns them); nothing is checked."""
+    positive (as ``character_degrees`` returns them); nothing is checked.
+
+    Raises OverflowError naming the pair when a gcd reaches 2**63."""
     violations = []
     for i, a in enumerate(values):
         if a < 8:  # gcd(a, b) <= a < 2**3, so Omega(gcd) <= 2
@@ -76,7 +78,10 @@ def check_sorted_set(values: Sequence[int]) -> tuple[Violation, ...]:
         for b in values[i + 1 :]:
             g = math.gcd(a, b)
             if g >= 8:  # Omega(g) >= 3 needs g >= 2**3
-                om = _gcd_omega(g)
+                try:
+                    om = _gcd_omega(g)
+                except OverflowError:
+                    raise OverflowError(f"gcd({a}, {b}) = {g} is out of range: must be below 2**63") from None
                 if om >= 3:
                     violations.append(Violation(a, b, g, om))
     return tuple(violations)  # the shared empty tuple when the set passes

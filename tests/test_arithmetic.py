@@ -20,8 +20,9 @@ from psl2cd.arithmetic import (
     omega_at_least,
     omega_table,
     prime_power_decompose,
+    prime_powers,
     prime_powers_in_range,
-    primes_up_to,
+    prime_sieve,
     zsigmondy_base2,
 )
 
@@ -325,9 +326,10 @@ class TestIsPrime:
                     assert _reference_is_prime(n) is False, n
 
     def test_against_sieve(self):
-        flags = set(primes_up_to(100000))
+        flags = prime_sieve(99999)
+        assert len(flags) == 100000
         for n in range(100000):
-            assert is_prime(n) == (n in flags)
+            assert is_prime(n) == flags[n]
 
     def test_known_large(self):
         assert is_prime(2**61 - 1)
@@ -416,6 +418,29 @@ class TestOmegaTable:
         assert peak < 1 << 20
 
 
+class TestPrimePowers:
+    @staticmethod
+    def oracle(factor, lo, hi):
+        return [n for n in range(max(lo, 1), hi + 1) if len(factor(n)) == 1]
+
+    def test_every_small_range(self):
+        # Both kinds of table: a 0/1 prime sieve just long enough, and Omega.
+        every = self.oracle(sieve_factorizer(300), 0, 300)
+        for hi in range(301):
+            tables = (prime_sieve(hi), omega_table(hi + 1))
+            for lo in range(hi + 1):
+                expected = [n for n in every if lo <= n <= hi]
+                for table in tables:
+                    assert prime_powers(table, lo, hi) == expected, (lo, hi, len(table))
+
+    def test_a_wide_range(self):
+        hi = 2 * 10**5
+        expected = self.oracle(sieve_factorizer(hi), 7, hi)
+        assert prime_powers(prime_sieve(hi), 7, hi) == expected
+        assert prime_powers(omega_table(hi + 1), 7, hi) == expected
+        assert 3**11 in expected and 443**2 in expected and 2**17 in expected
+
+
 class TestDivisors:
     def test_examples(self):
         assert divisors(1) == [1]
@@ -438,13 +463,13 @@ class TestPrimePowerDecompose:
             prime_power_decompose(1)
 
     def test_range_enumeration(self):
-        got = prime_powers_in_range(7, 100)
-        expected = [
-            (q, *prime_power_decompose(q))
-            for q in range(7, 101)
-            if prime_power_decompose(q) is not None
-        ]
-        assert got == expected
+        # (q, p, f) for every small range, including empty and negative ends.
+        factor = sieve_factorizer(300)
+        triples = [(n, *factor(n)[0]) for n in range(2, 301) if len(factor(n)) == 1]
+        for hi in range(-2, 301):
+            for lo in range(max(hi, 0) + 2):
+                expected = [t for t in triples if lo <= t[0] <= hi]
+                assert prime_powers_in_range(lo, hi) == expected, (lo, hi)
 
 
 class TestZsigmondy:

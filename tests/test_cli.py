@@ -223,6 +223,14 @@ class TestErrorPaths:
         assert code == 2
         assert "positive" in err
 
+    def test_check_gcd_past_cap_names_the_pair(self, capsys):
+        # 3 * 2**64 and 5 * 2**64 have gcd 2**64, a number the user never typed.
+        a, b = 3 << 64, 5 << 64
+        code, out, err = run(capsys, "check", "--degrees", f"{a},{b}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: gcd({a}, {b}) = {1 << 64} is out of range: must be below 2**63\n"
+
     @pytest.mark.parametrize(
         "degrees, message",
         [("a,b", "error: bad degree list 'a,b'"), (",", "error: empty degree list\n")],

@@ -1,10 +1,8 @@
 import pytest
 
 from psl2cd import facts
-from psl2cd.arithmetic import is_mersenne_prime, omega, omega_table
+from psl2cd.arithmetic import is_mersenne_prime, omega
 from psl2cd.facts import FACTS, fact_report_to_dict, verify_all, verify_fact
-
-from _oracles import sieve_factorizer
 
 
 class TestRegistry:
@@ -14,6 +12,11 @@ class TestRegistry:
     def test_unknown_fact(self):
         with pytest.raises(ValueError):
             verify_fact("F10")
+
+    def test_limits_below_start_leave_the_range_empty(self):
+        for fact in FACTS.values():
+            for limit in range(-3, fact.start):
+                assert fact.counterexamples(limit) == [], (fact.fact_id, limit)
 
 
 class TestIndividualFacts:
@@ -78,20 +81,22 @@ class TestIndividualFacts:
         ],
     )
     def test_f6_f8_tests_agree_with_omega(self, monkeypatch, fact_id, reference):
-        # Every odd q from 5, prime power or not, read from the fact's Omega
-        # table; 5 lies below both ranges and fails both claims.
+        # Every q from 4, prime power or not, read from the fact's Omega
+        # table; the fact keeps the odd ones.  5 lies below both ranges and
+        # fails both claims, and some even q fail them too.
         calls = []
 
-        def every_odd_integer(table, lo, hi):
+        def every_integer(table, lo, hi):
             calls.append((lo, hi))
-            return range(5, hi + 1, 2)
+            return range(4, hi + 1)
 
-        monkeypatch.setattr(facts, "_odd_prime_powers", every_odd_integer)
+        monkeypatch.setattr(facts, "prime_powers", every_integer)
         limit = 10**4
         found = FACTS[fact_id].counterexamples(limit)
         assert calls == [(FACTS[fact_id].start, limit)]
         assert found[0] == 5  # Omega(4) = Omega(6) = 2
         assert found == [q for q in range(5, limit + 1, 2) if not reference(q)]
+        assert any(not reference(q) for q in range(4, limit + 1, 2))
 
     def test_f7(self):
         report = verify_fact("F7", 40)
@@ -105,37 +110,21 @@ class TestIndividualFacts:
 
 class TestOddPrimePowers:
     def test_f6_and_f8_ranges(self, monkeypatch):
-        # The odd prime powers each fact enumerates, recorded on the way.
+        # The prime powers each fact enumerates, recorded on the way; the
+        # fact tests only the odd ones.
         enumerated = []
-        real = facts._odd_prime_powers
+        real = facts.prime_powers
 
         def recorded(table, lo, hi):
             enumerated.append(real(table, lo, hi))
             return enumerated[-1]
 
-        monkeypatch.setattr(facts, "_odd_prime_powers", recorded)
+        monkeypatch.setattr(facts, "prime_powers", recorded)
         assert verify_fact("F6", 30).holds and verify_fact("F8", 30).holds
-        assert enumerated == [[7, 9, 11, 13, 17, 19, 23, 25, 27, 29], [13, 17, 19, 23, 25, 27, 29]]
+        assert enumerated == [[7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29], [13, 16, 17, 19, 23, 25, 27, 29]]
         with pytest.raises(ValueError, match="leaves nothing to check"):
             verify_fact("F8", 12)
         assert len(enumerated) == 2
-
-    @staticmethod
-    def oracle(factor, lo, hi):
-        return [n for n in range(max(lo, 1), hi + 1) if n % 2 and len(factor(n)) == 1]
-
-    def test_every_small_range(self):
-        factor = sieve_factorizer(300)
-        for hi in range(301):
-            table = omega_table(hi)
-            for lo in range(hi + 1):
-                assert facts._odd_prime_powers(table, lo, hi) == self.oracle(factor, lo, hi), (lo, hi)
-
-    def test_a_wide_range(self):
-        hi = 2 * 10**5
-        expected = self.oracle(sieve_factorizer(hi), 7, hi)
-        assert facts._odd_prime_powers(omega_table(hi + 1), 7, hi) == expected
-        assert 3**11 in expected and 443**2 in expected and 2**17 not in expected
 
 
 class TestReports:
