@@ -31,7 +31,7 @@ from .groups import (
     enumerate_outer_subgroups,
     group_name,
 )
-from .twoprime import Violation, check_sorted_set
+from .twoprime import Violation, check_sorted_set, violation_to_dict
 
 Matcher = Callable[[GroupDescriptor], bool]
 Expected = Callable[[GroupDescriptor], tuple[int, ...] | None]
@@ -321,10 +321,7 @@ def verdict_to_dict(v: GroupVerdict) -> dict:
         },
         "degrees": list(v.degrees),
         "pass": v.brute_pass,
-        "violations": [
-            {"a": w.a, "b": w.b, "gcd": w.gcd, "omega": w.omega}
-            for w in v.violations
-        ],
+        "violations": [violation_to_dict(w) for w in v.violations],
         "rows": list(v.matched_rows),
         "agree": v.agree,
     }

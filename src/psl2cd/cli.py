@@ -9,7 +9,7 @@ before the output was written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import os
 import sys
@@ -28,13 +28,15 @@ from .classifier import (
 from .facts import FACTS, fact_report_to_dict, verify_all, verify_fact
 from .groups import (
     GroupDescriptor,
+    OuterKind,
+    OuterSubgroup,
     PrimePower,
     character_degrees,
     group_name,
     parse_outer,
 )
 from .maximals import maximal_subgroups, pgl_maximals_special, pgl2_order, psl2_order
-from .twoprime import Violation, check_set
+from .twoprime import Violation, check_set, violation_to_dict
 
 
 def to_json(payload: object) -> str:
@@ -47,26 +49,24 @@ def to_json(payload: object) -> str:
 
 
 _VERDICT_BATCH = 512  # verdicts filled into their templates with one format call
-_TEMPLATE_LIMIT = 1024  # verdict shapes cached (146 in 7..2^20); a full cache starts over
-_templates: dict[tuple, str] = {}
 # Every integer slot of a template; no literal part of a verdict has three
 # digits in a row (d and f are at most 62), so its digits mark the slots.
 _SLOT = 2**63 - 1
 
 
-def _verdict_template(v: GroupVerdict) -> str:
-    """``to_json(verdict_to_dict(v))`` as an item of the sweep report's
-    verdict list (four spaces deep), with a ``%s`` slot for each degree,
-    for q (in the name, then in "q") and for each violation's a, b, gcd
-    and omega.  It is rendered from a verdict of v's shape whose every
-    such integer is ``_SLOT`` (``from_sieve`` takes that q unchecked)."""
-    g = v.descriptor
-    placeholder = dataclasses.replace(
-        v,
-        descriptor=GroupDescriptor(PrimePower.from_sieve(_SLOT, g.q.p, g.q.f), g.outer),
-        degrees=(_SLOT,) * len(v.degrees),
-        violations=(Violation(_SLOT, _SLOT, _SLOT, _SLOT),) * len(v.violations),
-    )
+@functools.lru_cache(maxsize=1024)  # verdict shapes; 7..2^20 has 146
+def _verdict_template(
+    kind: OuterKind, d: int, f: int, n_degrees: int, rows: tuple[str, ...], n_violations: int
+) -> str:
+    """``to_json(verdict_to_dict(v))`` for every verdict v of this shape,
+    as an item of the sweep report's verdict list (four spaces deep), with
+    a ``%s`` slot for each degree, for q (in the name, then in "q") and for
+    each violation's a, b, gcd and omega.  The shape fixes every literal
+    part ("pass" and "agree" follow from the rows and the number of
+    violations); every other integer of the placeholder is ``_SLOT``."""
+    g = GroupDescriptor(PrimePower.from_sieve(_SLOT, _SLOT, f), OuterSubgroup(kind, d))
+    violations = (Violation(_SLOT, _SLOT, _SLOT, _SLOT),) * n_violations
+    placeholder = GroupVerdict(g, (_SLOT,) * n_degrees, violations, rows, degree_mismatches=())
     text = to_json(verdict_to_dict(placeholder)).replace("%", "%%")
     return text.replace("\n", "\n    ").replace(str(_SLOT), "%s")
 
@@ -83,15 +83,9 @@ def _rendered(
     slots: list[int] = []
     for v in verdicts:
         g = v.descriptor
-        # The key fixes every literal part of the template; "pass" and
-        # "agree" follow from the rows and the number of violations.
-        key = (g.outer.kind, g.outer.d, g.q.f, len(v.degrees), v.matched_rows, len(v.violations))
-        template = _templates.get(key)
-        if template is None:
-            if len(_templates) >= _TEMPLATE_LIMIT:
-                _templates.clear()  # batches hold their templates, so nothing is lost
-            template = _templates[key] = _verdict_template(v)
-        templates.append(template)
+        templates.append(
+            _verdict_template(g.outer.kind, g.outer.d, g.q.f, len(v.degrees), v.matched_rows, len(v.violations))
+        )
         slots += v.degrees
         slots += (g.q.q, g.q.q)
         for w in v.violations:
@@ -201,10 +195,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     payload = {
         "degrees": degrees,
         "pass": not violations,
-        "violations": [
-            {"a": v.a, "b": v.b, "gcd": v.gcd, "omega": v.omega}
-            for v in violations
-        ],
+        "violations": [violation_to_dict(v) for v in violations],
     }
     text = [f"degrees: {', '.join(map(str, degrees))}"]
     if not violations:

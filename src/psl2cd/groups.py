@@ -77,7 +77,8 @@ class PrimePower:
     def from_sieve(cls, q: int, p: int, f: int) -> "PrimePower":
         """Trusted constructor for a (q, p, f) triple from
         ``prime_powers_in_range``: the sieve or ``factor`` has proved p
-        prime and q == p**f, so none of the constructor's checks run."""
+        prime and q == p**f, so none of the constructor's checks run.  Its
+        one other use is ``cli._verdict_template``'s placeholder: q = p = ``_SLOT``."""
         pp = object.__new__(cls)
         object.__setattr__(pp, "p", p)
         object.__setattr__(pp, "f", f)

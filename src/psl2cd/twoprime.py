@@ -34,11 +34,18 @@ class Violation:
     omega: int
 
 
+def violation_to_dict(w: Violation) -> dict:
+    """The JSON entry {a, b, gcd, omega} of a violation, in ``check`` and in every verdict."""
+    return {"a": w.a, "b": w.b, "gcd": w.gcd, "omega": w.omega}
+
+
+_GCD_PAST_CAP = "gcd({}, {}) = {} is out of range: must be below 2**63"
 _gcd_omega = functools.lru_cache(maxsize=256)(omega)
 
 
 def check_pair(a: int, b: int) -> Violation | None:
-    """Violation for the pair, or None when Omega(gcd(a, b)) <= 2."""
+    """Violation for the pair, or None when Omega(gcd(a, b)) <= 2.
+    Raises OverflowError naming the pair when its gcd reaches 2**63."""
     if a == b:
         raise ValueError(f"pair members must be distinct, got {a} twice")
     if a < 1 or b < 1:
@@ -46,7 +53,10 @@ def check_pair(a: int, b: int) -> Violation | None:
     if a > b:
         a, b = b, a
     g = math.gcd(a, b)
-    om = omega(g)
+    try:
+        om = omega(g)
+    except OverflowError:
+        raise OverflowError(_GCD_PAST_CAP.format(a, b, g)) from None
     if om >= 3:
         return Violation(a, b, g, om)
     return None
@@ -81,7 +91,7 @@ def check_sorted_set(values: Sequence[int]) -> tuple[Violation, ...]:
                 try:
                     om = _gcd_omega(g)
                 except OverflowError:
-                    raise OverflowError(f"gcd({a}, {b}) = {g} is out of range: must be below 2**63") from None
+                    raise OverflowError(_GCD_PAST_CAP.format(a, b, g)) from None
                 if om >= 3:
                     violations.append(Violation(a, b, g, om))
     return tuple(violations)  # the shared empty tuple when the set passes

@@ -1,0 +1,54 @@
+"""The canonical-output digests pinned in the CI workflow, run in-process.
+
+Each ``test "$(python -m psl2cd ARGS | sha256sum | cut -d' ' -f1)" = HEX``
+line of the workflow's "Canonical outputs are byte-identical" step becomes
+one case: ARGS, split as the shell splits them, go through ``cli.main``
+and the sha256 of what it writes to stdout must be HEX.
+"""
+
+import contextlib
+import hashlib
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from psl2cd import cli
+
+_WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+_LINE = re.compile(r"""test "\$\(python -m psl2cd (.+) \| sha256sum \| cut -d' ' -f1\)" = ([0-9a-f]{64})$""")
+
+
+def _step_lines() -> list[str]:
+    """The lines of the workflow step after its name, up to the next step."""
+    text = _WORKFLOW.read_text()
+    _, _, step = text.partition("- name: Canonical outputs are byte-identical\n")
+    return step.split("\n      - ")[0].splitlines()
+
+
+_PINNED = [m.groups() for line in _step_lines() if (m := _LINE.search(line.strip()))]
+
+
+class _Digest:
+    """A write-only stdout that keeps only the sha256 of what it is sent."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode())
+
+
+def test_every_command_of_the_step_is_pinned():
+    commands = [line for line in _step_lines() if "python -m psl2cd" in line]
+    assert len(commands) >= 23
+    assert len(_PINNED) == len(commands)
+
+
+@pytest.mark.parametrize("args, digest", _PINNED, ids=[args for args, _ in _PINNED])
+def test_output_matches_the_pinned_digest(args, digest):
+    out = _Digest()
+    with contextlib.redirect_stdout(out):
+        cli.main(shlex.split(args))
+    assert out.sha.hexdigest() == digest

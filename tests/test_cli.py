@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import multiprocessing.process
@@ -504,7 +505,7 @@ def _assert_batches_are_canonical(verdicts):
 
     def passed_in():
         for v in verdicts:
-            sizes.append(len(cli._templates))
+            sizes.append(cli._verdict_template.cache_info().currsize)
             yield v
 
     batches = []
@@ -543,16 +544,17 @@ class TestVerdictTemplates:
             _assert_batches_are_canonical(verdicts)
         _assert_batches_are_canonical(verdicts)
 
-    def test_cache_cleared_inside_a_batch_is_bounded(self, monkeypatch):
-        # sweep(7, 64) has more than 3 shapes, so the cache starts over
-        # while the one batch is open; the batch keeps the templates it took.
-        monkeypatch.setattr(cli, "_TEMPLATE_LIMIT", 3)
-        monkeypatch.setattr(cli, "_templates", {})
+    def test_cache_evicting_inside_a_batch_is_bounded(self, monkeypatch):
+        # sweep(7, 64) has more than 3 shapes, so a cache of 3 evicts
+        # templates while the one batch is open; the batch keeps the
+        # templates it took.
+        small = functools.lru_cache(maxsize=3)(cli._verdict_template.__wrapped__)
+        monkeypatch.setattr(cli, "_verdict_template", small)
         verdicts = sweep(7, 64)
         assert len(verdicts) < cli._VERDICT_BATCH
-        sizes = _assert_batches_are_canonical(verdicts) + [len(cli._templates)]
+        sizes = _assert_batches_are_canonical(verdicts) + [small.cache_info().currsize]
         assert max(sizes) <= 3
-        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+        assert small.cache_info().misses > 3
 
     def test_report_memory_stays_below_its_size(self):
         # A sweep holds each verdict's template and slot numbers, not its

@@ -34,6 +34,19 @@ class TestCheckPair:
         with pytest.raises(ValueError):
             check_pair(0, 3)
 
+    @pytest.mark.parametrize("a, b", [(3 << 64, 5 << 64), (5 << 64, 3 << 64)], ids=["ascending", "descending"])
+    def test_gcd_past_cap_names_the_pair(self, a, b):
+        # The same message as check_set's, with the pair in ascending order.
+        message = (
+            "gcd(55340232221128654848, 92233720368547758080) = 18446744073709551616"
+            " is out of range: must be below 2**63"
+        )
+        with pytest.raises(OverflowError) as pair_error:
+            check_pair(a, b)
+        with pytest.raises(OverflowError) as set_error:
+            check_set([a, b])
+        assert str(pair_error.value) == str(set_error.value) == message
+
 
 class TestCheckSet:
     def test_examples(self):
