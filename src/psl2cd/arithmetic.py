@@ -27,6 +27,7 @@ import functools
 import itertools
 import math
 import sys
+from typing import Iterator
 
 MAX_VALUE = 1 << 63
 """Exclusive upper bound for factoring inputs; larger values raise OverflowError."""
@@ -301,40 +302,48 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
     return None
 
 
-def prime_powers(table: bytes | bytearray, lo: int, hi: int) -> list[int]:
-    """The prime powers q with lo <= q <= hi, ascending.
+def prime_powers(table: bytes | bytearray, lo: int, hi: int) -> Iterator[int]:
+    """The prime powers q with lo <= q <= hi, yielded ascending.
 
     table is any byte table longer than hi whose entries equal to 1 are
-    exactly the primes: a `prime_sieve` or an `omega_table`.  The odd
-    primes are read from one stepped slice of it; then 2 and the powers
-    p**k (k >= 2) of the primes up to sqrt(hi) are added.
+    exactly the primes: a `prime_sieve` or an `omega_table`.  Only 2 and
+    the powers p**k (k >= 2) of the primes up to sqrt(hi) are listed and
+    sorted, about 250 values below 2**20.  The odd primes between each two
+    of them are read from one stepped slice of the table, so no list of
+    the whole range is ever held.
     """
-    first = max(lo, 3) | 1
-    powers = list(itertools.compress(range(first, hi + 1, 2), table[first : hi + 1 : 2].translate(_IS_ONE)))
-    if lo <= 2 <= hi:
-        powers.append(2)
+    higher = [2] if lo <= 2 <= hi else []
     root = math.isqrt(max(hi, 0))
     for p in itertools.compress(range(2, root + 1), table[2 : root + 1].translate(_IS_ONE)):
         q = p * p
         while q <= hi:
             if q >= lo:
-                powers.append(q)
+                higher.append(q)
             q *= p
-    powers.sort()
-    return powers
+    higher.sort()
+    first = max(lo, 3) | 1
+    for q in higher:
+        yield from itertools.compress(range(first, q, 2), table[first:q:2].translate(_IS_ONE))
+        yield q
+        first = (q + 1) | 1
+    yield from itertools.compress(range(first, hi + 1, 2), table[first : hi + 1 : 2].translate(_IS_ONE))
 
 
-def prime_powers_in_range(lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """All prime powers q = p**f with lo <= q <= hi, as (q, p, f) ascending in q.
+def prime_powers_in_range(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """The prime powers q = p**f with lo <= q <= hi, as a lazy iterator of
+    (q, p, f) ascending in q; ``list(...)`` of it gives them as a list.
 
-    Raises OverflowError for hi >= 2**63.
+    The range is checked and ``prime_sieve(hi)`` built when this is
+    called, so OverflowError for hi >= 2**63 and the sieve's MemoryError
+    come from the call, not from the first item.  Only the few q that are
+    not prime are factored, to give their (p, f).
     """
     if hi >= MAX_VALUE:
         raise OverflowError(f"range end {hi} is out of range: must be below 2**63")
     if hi < lo or hi < 2:
-        return []
+        return iter(())
     sieve = prime_sieve(hi)
-    return [(q, q, 1) if sieve[q] else (q, *prime_power_decompose(q)) for q in prime_powers(sieve, lo, hi)]
+    return ((q, q, 1) if sieve[q] else (q, *prime_power_decompose(q)) for q in prime_powers(sieve, lo, hi))
 
 
 def zsigmondy_base2(n: int) -> int | None:

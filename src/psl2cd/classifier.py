@@ -19,6 +19,7 @@ printed sets).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -274,10 +275,11 @@ def iter_verdicts(q_min: int, q_max: int) -> Iterator[GroupVerdict]:
     extension, deterministically ordered by (q, kind, d), each yielded as
     soon as it is decided.
 
-    The range is checked, and the prime powers sieved, when this is
-    called, not at the first verdict.  A range that holds no prime power
-    raises ValueError, as an inverted one does, so that no sweep passes
-    with nothing checked.
+    The range is checked, the prime powers sieved and the first of them
+    read when this is called, not at the first verdict.  A range that
+    holds no prime power raises ValueError, as an inverted one does, so
+    that no sweep passes with nothing checked.  After that the prime
+    powers are streamed: the sweep holds the sieve, not a list of them.
 
     The order needs no sort: q comes ascending from the sieve, and each
     q's subgroups come in ``OuterKind`` order with ascending d.
@@ -291,12 +293,13 @@ def iter_verdicts(q_min: int, q_max: int) -> Iterator[GroupVerdict]:
         raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
     if q_max < q_min:
         raise ValueError(f"empty range: q_min = {q_min} > q_max = {q_max}")
-    prime_powers = prime_powers_in_range(q_min, q_max)
-    if not prime_powers:
+    prime_powers = iter(prime_powers_in_range(q_min, q_max))
+    first = next(prime_powers, None)
+    if first is None:
         raise ValueError(f"no prime power in [{q_min}, {q_max}]: nothing to check")
     return (
         brute_force_verdict(GroupDescriptor(pp, outer))
-        for pp in (PrimePower.from_sieve(q, p, f) for q, p, f in prime_powers)
+        for pp in (PrimePower.from_sieve(q, p, f) for q, p, f in itertools.chain((first,), prime_powers))
         for outer in enumerate_outer_subgroups(pp, include_trivial=False)
     )
 

@@ -431,13 +431,13 @@ class TestPrimePowers:
             for lo in range(hi + 1):
                 expected = [n for n in every if lo <= n <= hi]
                 for table in tables:
-                    assert prime_powers(table, lo, hi) == expected, (lo, hi, len(table))
+                    assert list(prime_powers(table, lo, hi)) == expected, (lo, hi, len(table))
 
     def test_a_wide_range(self):
         hi = 2 * 10**5
         expected = self.oracle(sieve_factorizer(hi), 7, hi)
-        assert prime_powers(prime_sieve(hi), 7, hi) == expected
-        assert prime_powers(omega_table(hi + 1), 7, hi) == expected
+        assert list(prime_powers(prime_sieve(hi), 7, hi)) == expected
+        assert list(prime_powers(omega_table(hi + 1), 7, hi)) == expected
         assert 3**11 in expected and 443**2 in expected and 2**17 in expected
 
 
@@ -469,7 +469,7 @@ class TestPrimePowerDecompose:
         for hi in range(-2, 301):
             for lo in range(max(hi, 0) + 2):
                 expected = [t for t in triples if lo <= t[0] <= hi]
-                assert prime_powers_in_range(lo, hi) == expected, (lo, hi)
+                assert list(prime_powers_in_range(lo, hi)) == expected, (lo, hi)
 
 
 class TestZsigmondy:

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
 from psl2cd import classifier
+from psl2cd.arithmetic import prime_sieve
 from psl2cd.classifier import (
     brute_force_verdict,
+    iter_verdicts,
     sweep,
     table_rows,
     tally_verdicts,
@@ -244,6 +247,35 @@ class TestSweep:
         for q_min, q_max in ((24, 24), (33, 36)):
             with pytest.raises(ValueError, match="no prime power"):
                 sweep(q_min, q_max)
+
+    def test_errors_come_from_the_call(self, monkeypatch):
+        # The range is checked, the sieve built and the first prime power
+        # read when iter_verdicts is called, so no error waits for next().
+        for q_min, q_max in ((24, 24), (11, 7)):
+            with pytest.raises(ValueError):
+                iter_verdicts(q_min, q_max)
+
+        def out_of_memory(limit):
+            raise MemoryError
+
+        monkeypatch.setattr("psl2cd.arithmetic.prime_sieve", out_of_memory)
+        with pytest.raises(MemoryError):
+            iter_verdicts(7, 11)
+
+    def test_memory_is_set_by_the_sieve(self):
+        # The prime powers are streamed out of the sieve, so the traced peak
+        # of a sweep stays near the sieve's bytes.  A list of the 6,631
+        # (q, p, f) of 7..2^16 alone took about 9 times as much.
+        hi = 2**16
+        bound = 3 * len(prime_sieve(hi))
+        tally_verdicts(iter_verdicts(7, hi))  # fill the factor and shape caches
+        tracemalloc.start()
+        try:
+            tally_verdicts(iter_verdicts(7, hi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_degree_overflow_raises(self, monkeypatch):
         # (2^59 + 1) * 59 exceeds the 63-bit degree bound; no sieve reaches

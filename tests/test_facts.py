@@ -110,14 +110,15 @@ class TestIndividualFacts:
 
 class TestOddPrimePowers:
     def test_f6_and_f8_ranges(self, monkeypatch):
-        # The prime powers each fact enumerates, recorded on the way; the
-        # fact tests only the odd ones.
+        # The prime powers each fact enumerates, recorded on the way and
+        # handed on as an iterator, as `prime_powers` yields them; the fact
+        # tests only the odd ones.
         enumerated = []
         real = facts.prime_powers
 
         def recorded(table, lo, hi):
-            enumerated.append(real(table, lo, hi))
-            return enumerated[-1]
+            enumerated.append(list(real(table, lo, hi)))
+            return iter(enumerated[-1])
 
         monkeypatch.setattr(facts, "prime_powers", recorded)
         assert verify_fact("F6", 30).holds and verify_fact("F8", 30).holds
