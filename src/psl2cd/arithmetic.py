@@ -308,7 +308,7 @@ def prime_powers(table: bytes | bytearray, lo: int, hi: int) -> Iterator[int]:
     table is any byte table longer than hi whose entries equal to 1 are
     exactly the primes: a `prime_sieve` or an `omega_table`.  Only 2 and
     the powers p**k (k >= 2) of the primes up to sqrt(hi) are listed and
-    sorted, about 250 values below 2**20.  The odd primes between each two
+    sorted, 243 values below 2**20.  The odd primes between each two
     of them are read from one stepped slice of the table, so no list of
     the whole range is ever held.
     """
