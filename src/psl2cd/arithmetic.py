@@ -41,14 +41,20 @@ def prime_sieve(limit: int) -> bytearray:
 
     Raises MemoryError, before allocating anything, when the sieve of
     limit + 1 bytes could not even be indexed (limit >= sys.maxsize).  The
-    sieve starts as a bytes repetition because on CPython 3.11 a failed
-    bytearray repetition also prints a stray SystemError.
+    sieve starts as zeros and its ones are written in 4 KiB pieces, so no
+    second copy of it exists while it is built; a bytearray repetition
+    would avoid the copy too, but on CPython 3.11 a failed one also prints
+    a stray SystemError.
     """
     if limit < 2:
         return bytearray(max(limit + 1, 0))
     if limit >= sys.maxsize:
         raise MemoryError(f"a sieve up to {limit} does not fit in memory")
-    sieve = bytearray(b"\x01" * (limit + 1))
+    size, ones = limit + 1, b"\x01" * 4096
+    sieve = bytearray(size)
+    with memoryview(sieve) as view:
+        for i in range(0, size, 4096):
+            view[i : i + 4096] = ones[: size - i]
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:

@@ -20,8 +20,7 @@ printed sets).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .arithmetic import is_fermat_prime, is_prime, omega, prime_powers_in_range
 from .groups import (
@@ -38,8 +37,7 @@ Matcher = Callable[[GroupDescriptor], bool]
 Expected = Callable[[GroupDescriptor], tuple[int, ...] | None]
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One surviving group family: outer kind, shape matcher, necessary
     arithmetic conditions, and the predicted degree set cd(G) \\ {1}.
 
@@ -195,8 +193,7 @@ def table_rows() -> tuple[TableRow, ...]:
     return _ROWS
 
 
-@dataclass(frozen=True)
-class GroupVerdict:
+class GroupVerdict(NamedTuple):
     descriptor: GroupDescriptor
     degrees: tuple[int, ...]
     violations: tuple[Violation, ...]
@@ -232,8 +229,7 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
     return GroupVerdict(g, degrees, violations, tuple(matched), tuple(mismatched))
 
 
-@dataclass(frozen=True)
-class SweepTally:
+class SweepTally(NamedTuple):
     """What a sweep's verdicts add up to: the summary counts and the
     verdicts that break a claim."""
 

@@ -18,8 +18,7 @@ by the CLI and the acceptance suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .arithmetic import (
     MAX_VALUE,
@@ -34,8 +33,7 @@ from .arithmetic import (
 )
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     """One claim checked over [start, limit].
 
     `counterexamples(limit)` returns the failing values of the range in
@@ -52,8 +50,7 @@ class Fact:
     variable: str
 
 
-@dataclass(frozen=True)
-class FactReport:
+class FactReport(NamedTuple):
     fact_id: str
     claim: str
     range_tested: str

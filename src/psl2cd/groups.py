@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arithmetic import MAX_VALUE, divisors, is_prime, prime_power_decompose
 
@@ -47,24 +47,25 @@ class OuterKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """A prime power q = p**f with q >= 4."""
+class PrimePower(NamedTuple("PrimePower", [("p", int), ("f", int), ("q", int)])):
+    """A prime power q = p**f with q >= 4, built from p and f."""
 
-    p: int
-    f: int
-    q: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.f < 1:
-            raise ValueError(f"exponent must be positive, got {self.f}")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        object.__setattr__(self, "q", self.p**self.f)
-        if self.q < 4:
-            raise ValueError(f"q = {self.q} < 4 admits no almost simple group here")
-        if self.q >= MAX_VALUE:
-            raise OverflowError(f"q = {self.q} is out of range: must be below 2**63")
+    def __new__(cls, p: int, f: int) -> "PrimePower":
+        if f < 1:
+            raise ValueError(f"exponent must be positive, got {f}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        q = p**f
+        if q < 4:
+            raise ValueError(f"q = {q} < 4 admits no almost simple group here")
+        if q >= MAX_VALUE:
+            raise OverflowError(f"q = {q} is out of range: must be below 2**63")
+        return tuple.__new__(cls, (p, f, q))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.p, self.f  # pickle and copy rebuild through __new__(cls, p, f)
 
     @classmethod
     def from_value(cls, q: int) -> "PrimePower":
@@ -77,41 +78,36 @@ class PrimePower:
     def from_sieve(cls, q: int, p: int, f: int) -> "PrimePower":
         """Trusted constructor for a (q, p, f) triple from
         ``prime_powers_in_range``: the sieve or ``factor`` has proved p
-        prime and q == p**f, so none of the constructor's checks run.  Its
-        one other use is ``cli._verdict_template``'s placeholder: q = p = ``_SLOT``."""
-        pp = object.__new__(cls)
-        object.__setattr__(pp, "p", p)
-        object.__setattr__(pp, "f", f)
-        object.__setattr__(pp, "q", q)
-        return pp
+        prime and q == p**f, so it builds the tuple (p, f, q) directly and
+        none of ``__new__``'s checks run.  Its one other use is
+        ``cli._verdict_template``'s placeholder: q = p = ``_SLOT``."""
+        return tuple.__new__(cls, (p, f, q))
 
 
-@dataclass(frozen=True)
-class OuterSubgroup:
+class OuterSubgroup(NamedTuple("OuterSubgroup", [("kind", OuterKind), ("d", int)])):
     """A subgroup of Out(PSL(2,q)), in canonical (kind, d) form."""
 
-    kind: OuterKind
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be positive, got {self.d}")
-        if self.kind is OuterKind.TWISTED and self.d % 2:
+    def __new__(cls, kind: OuterKind, d: int) -> "OuterSubgroup":
+        if d < 1:
+            raise ValueError(f"d must be positive, got {d}")
+        if kind is OuterKind.TWISTED and d % 2:
             raise ValueError("a twisted subgroup needs even d; odd d contains delta")
+        return tuple.__new__(cls, (kind, d))
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(NamedTuple("GroupDescriptor", [("q", PrimePower), ("outer", OuterSubgroup)])):
     """One group H with S <= H <= Aut(S), S = PSL(2,q)."""
 
-    q: PrimePower
-    outer: OuterSubgroup
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q.f % self.outer.d:
-            raise ValueError(f"d = {self.outer.d} does not divide f = {self.q.f}")
-        if self.q.p == 2 and self.outer.kind is not OuterKind.UNTWISTED:
+    def __new__(cls, q: PrimePower, outer: OuterSubgroup) -> "GroupDescriptor":
+        if q.f % outer.d:
+            raise ValueError(f"d = {outer.d} does not divide f = {q.f}")
+        if q.p == 2 and outer.kind is not OuterKind.UNTWISTED:
             raise ValueError("no diagonal automorphism in characteristic 2")
+        return tuple.__new__(cls, (q, outer))
 
     @property
     def is_trivial(self) -> bool:

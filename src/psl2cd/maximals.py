@@ -12,14 +12,13 @@ multiplicity never enters the index arithmetic built on top of this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arithmetic import MAX_VALUE, factor, omega
 from .groups import PrimePower
 
 
-@dataclass(frozen=True)
-class MaximalSubgroup:
+class MaximalSubgroup(NamedTuple):
     structure: str
     family: str
     order: int

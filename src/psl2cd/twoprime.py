@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arithmetic import omega
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A pair a < b whose gcd carries at least three prime divisors."""
 
     a: int

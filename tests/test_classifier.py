@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 
@@ -144,7 +143,7 @@ class TestBruteForceVerdict:
         # Every real row predicts its degrees correctly, so swap in a pgl
         # row that predicts PGL(2,q) without its degree q.
         pgl = next(r for r in table_rows() if r.row_id == "pgl")
-        wrong = dataclasses.replace(pgl, expected_degrees=lambda g: (g.q.q - 1, g.q.q + 1))
+        wrong = pgl._replace(expected_degrees=lambda g: (g.q.q - 1, g.q.q + 1))
         rows = tuple(wrong if r is pgl else r for r in classifier._ROWS_BY_KIND[WD])
         monkeypatch.setitem(classifier._ROWS_BY_KIND, WD, rows)
         v = brute_force_verdict(desc(7, WD, 1))
@@ -222,11 +221,11 @@ class TestSweep:
         # No real range breaks a claim, so edit real verdicts into a
         # disagreement, a converse anomaly and a degree mismatch.
         pgl7, field8, sym6, pgl9 = sweep(7, 9)[:4]
-        disagreement = dataclasses.replace(pgl7, matched_rows=())
-        converse = dataclasses.replace(field8, violations=(Violation(8, 24, 8, 3),))
-        mismatch = dataclasses.replace(sym6, degree_mismatches=("sym6",))
-        both = dataclasses.replace(pgl9, matched_rows=(), degree_mismatches=("pgl",))
-        unmatched_failure = dataclasses.replace(converse, matched_rows=())  # agrees: no claim broken
+        disagreement = pgl7._replace(matched_rows=())
+        converse = field8._replace(violations=(Violation(8, 24, 8, 3),))
+        mismatch = sym6._replace(degree_mismatches=("sym6",))
+        both = pgl9._replace(matched_rows=(), degree_mismatches=("pgl",))
+        unmatched_failure = converse._replace(matched_rows=())  # agrees: no claim broken
         verdicts = (disagreement, converse, mismatch, pgl9, both, unmatched_failure)
         tally = tally_verdicts(verdicts)
         assert tally.summary == {
@@ -265,9 +264,10 @@ class TestSweep:
     def test_memory_is_set_by_the_sieve(self):
         # The prime powers are streamed out of the sieve, so the traced peak
         # of a sweep stays near the sieve's bytes.  A list of the 6,631
-        # (q, p, f) of 7..2^16 alone took about 9 times as much.
+        # (q, p, f) of 7..2^16 alone took about 9 times as much, and a sieve
+        # built through a copy of itself took twice its bytes.
         hi = 2**16
-        bound = 3 * len(prime_sieve(hi))
+        bound = 2 * len(prime_sieve(hi))
         tally_verdicts(iter_verdicts(7, hi))  # fill the factor and shape caches
         tracemalloc.start()
         try:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import functools
 import io
 import json
@@ -178,9 +177,7 @@ class TestBasicCommands:
     def test_facts_counterexamples_exit_1(self, capsys, monkeypatch):
         # Every registered fact holds, so register a copy of F3 that
         # finds 9.
-        monkeypatch.setitem(
-            FACTS, "F3", dataclasses.replace(FACTS["F3"], counterexamples=lambda limit: [9])
-        )
+        monkeypatch.setitem(FACTS, "F3", FACTS["F3"]._replace(counterexamples=lambda limit: [9]))
         code, out, _ = run(capsys, "facts", "--fact", "F3", "--limit", "20")
         assert code == 1
         assert out.splitlines() == [
@@ -436,9 +433,9 @@ class TestSweepReportWriter:
         # three real verdicts into one of each kind of failure.
         pgl7, field8, sym6 = sweep(7, 9)[:3]
         verdicts = (
-            dataclasses.replace(pgl7, matched_rows=()),
-            dataclasses.replace(field8, violations=(Violation(8, 24, 8, 3),)),
-            dataclasses.replace(sym6, degree_mismatches=("sym6",)),
+            pgl7._replace(matched_rows=()),
+            field8._replace(violations=(Violation(8, 24, 8, 3),)),
+            sym6._replace(degree_mismatches=("sym6",)),
         )
         monkeypatch.setattr("psl2cd.cli.iter_verdicts", lambda q_min, q_max: iter(verdicts))
         code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "9", "--format", "json")
@@ -482,18 +479,16 @@ def _variants(v):
     pp = v.descriptor.q
     yield v
     for outer in enumerate_outer_subgroups(pp, include_trivial=False):
-        yield dataclasses.replace(v, descriptor=GroupDescriptor(pp, outer))
+        yield v._replace(descriptor=GroupDescriptor(pp, outer))
     small_p = 2 if pp.p == 2 else 3
     if small_p ** (2 * pp.f) < MAX_VALUE:
         doubled = PrimePower(small_p, 2 * pp.f)
         if v.descriptor.outer in enumerate_outer_subgroups(doubled, include_trivial=False):
-            yield dataclasses.replace(v, descriptor=GroupDescriptor(doubled, v.descriptor.outer))
-    yield dataclasses.replace(v, degrees=v.degrees[:-1])
-    yield dataclasses.replace(v, matched_rows=())  # a disagreement when v passes
-    yield dataclasses.replace(v, degree_mismatches=("sym6",))
-    yield dataclasses.replace(
-        v, violations=tuple(Violation(a, a * 2, a, 3 + i) for i, a in enumerate((8, 12, 30)))
-    )
+            yield v._replace(descriptor=GroupDescriptor(doubled, v.descriptor.outer))
+    yield v._replace(degrees=v.degrees[:-1])
+    yield v._replace(matched_rows=())  # a disagreement when v passes
+    yield v._replace(degree_mismatches=("sym6",))
+    yield v._replace(violations=tuple(Violation(a, a * 2, a, 3 + i) for i, a in enumerate((8, 12, 30))))
 
 
 def _assert_batches_are_canonical(verdicts):

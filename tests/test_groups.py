@@ -45,6 +45,7 @@ class TestPrimePower:
         for q, p, f in prime_powers_in_range(4, 5000):
             trusted = PrimePower.from_sieve(q, p, f)
             assert trusted == PrimePower(p, f) == PrimePower.from_value(q)
+            assert type(trusted) is PrimePower
             assert hash(trusted) == hash(PrimePower(p, f))
 
 
