@@ -2,13 +2,13 @@
 condition.
 
 For each prime power q >= 7 and each group S < H <= Aut(S) the sweep
-computes cd(H) exactly, brute-forces the two-prime condition over all
-pairs, and matches H against the twelve group families known to be the
-only possible survivors (together with their necessary arithmetic
-conditions).  The hard assertion runs in one direction only: a group that
-passes the brute-force check must match some family whose conditions
-hold.  The converse -- a matched family whose group nevertheless fails --
-is reported, never assumed absent.
+computes cd(H) exactly, checks the two-prime condition on its pairs (those
+with a < 8 or gcd < 8 cannot fail and are skipped), and matches H against
+the twelve group families known to be the only possible survivors, picked
+once per shape, and their necessary arithmetic conditions.  The hard
+assertion runs in one direction only: a group that passes the pair check
+must match some family whose conditions hold.  The converse -- a matched
+family whose group nevertheless fails -- is reported, never assumed absent.
 
 Each family also carries its predicted degree set; the sweep cross-checks
 it against the computed one and surfaces any mismatch.  The generic
@@ -19,6 +19,7 @@ printed sets).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -33,7 +34,7 @@ from .groups import (
 )
 from .twoprime import Violation, check_sorted_set, violation_to_dict
 
-Matcher = Callable[[GroupDescriptor], bool]
+Matcher = Callable[[int, int, int], bool]
 Expected = Callable[[GroupDescriptor], tuple[int, ...] | None]
 
 
@@ -41,20 +42,16 @@ class TableRow(NamedTuple):
     """One surviving group family: outer kind, shape matcher, necessary
     arithmetic conditions, and the predicted degree set cd(G) \\ {1}.
 
-    ``kind`` is the row's outer kind, stated only here; the matcher tests
-    d, p and q, and ``holds`` combines the three.
+    ``kind`` is the row's outer kind, stated only here; the matcher reads
+    (d, f, p) with p capped at 7, never q, so it runs once per shape.
     """
 
     row_id: str
     group_shape: str
     kind: OuterKind
     matcher: Matcher
-    conditions: Matcher
+    conditions: Callable[[GroupDescriptor], bool]
     expected_degrees: Expected
-
-    def holds(self, g: GroupDescriptor) -> bool:
-        """Whether G belongs to this family and meets its conditions."""
-        return g.outer.kind is self.kind and self.matcher(g) and self.conditions(g)
 
 
 def _odd_prime(n: int) -> bool:
@@ -76,7 +73,7 @@ _ROWS = (
         "sym6",
         "Sym(6)",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.q == 9 and g.outer.d == 2,
+        matcher=lambda d, f, p: p == 3 and f == 2 and d == 2,
         conditions=lambda g: True,
         expected_degrees=lambda g: (5, 9, 10, 16),
     ),
@@ -84,7 +81,7 @@ _ROWS = (
         "m10",
         "M10",
         kind=OuterKind.TWISTED,
-        matcher=lambda g: g.q.q == 9 and g.outer.d == 2,
+        matcher=lambda d, f, p: p == 3 and f == 2 and d == 2,
         conditions=lambda g: True,
         expected_degrees=lambda g: (9, 10, 16),
     ),
@@ -92,7 +89,7 @@ _ROWS = (
         "pgl",
         "PGL(2,q)",
         kind=OuterKind.WITH_DIAGONAL,
-        matcher=lambda g: g.outer.d == 1,
+        matcher=lambda d, f, p: d == 1,
         conditions=lambda g: True,
         expected_degrees=lambda g: (g.q.q - 1, g.q.q, g.q.q + 1),
     ),
@@ -100,7 +97,7 @@ _ROWS = (
         "s_phi_p3",
         "PSL(2,3^f).<phi>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p == 3 and g.outer.d == g.q.f > 1,
+        matcher=lambda d, f, p: p == 3 and d == f > 1,
         conditions=lambda g: _odd_prime(g.q.f) and omega((g.q.q - 1) // 2) <= 2,
         expected_degrees=lambda g: (
             (g.q.q - 1) // 2, g.q.q, (g.q.q - 1) * g.q.f, (g.q.q + 1) * g.q.f
@@ -110,7 +107,7 @@ _ROWS = (
         "aut_p3",
         "PGL(2,3^f).<phi>",
         kind=OuterKind.WITH_DIAGONAL,
-        matcher=lambda g: g.q.p == 3 and g.outer.d == g.q.f,
+        matcher=lambda d, f, p: p == 3 and d == f,
         conditions=lambda g: _odd_prime(g.q.f) and omega(g.q.q - 1) == 2,
         expected_degrees=_expected_field_ext,
     ),
@@ -118,7 +115,7 @@ _ROWS = (
         "s_phi_p2",
         "PSL(2,2^f).<phi>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p == 2 and g.outer.d == g.q.f > 1,
+        matcher=lambda d, f, p: p == 2 and d == f > 1,
         conditions=lambda g: _odd_prime(g.q.f) and omega(g.q.q - 1) <= 2,
         expected_degrees=_expected_field_ext,
     ),
@@ -126,7 +123,7 @@ _ROWS = (
         "s_phi_quarter",
         "PSL(2,2^f).<phi^(f/4)>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p == 2 and g.outer.d == 4,
+        matcher=lambda d, f, p: p == 2 and d == 4,
         conditions=lambda g: is_fermat_prime(g.q.q + 1),
         expected_degrees=lambda g: (
             g.q.q, 4 * (g.q.q - 1), g.q.q + 1, 2 * (g.q.q + 1), 4 * (g.q.q + 1)
@@ -136,7 +133,7 @@ _ROWS = (
         "s_phi_half_even",
         "PSL(2,2^f).<phi^(f/2)>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p == 2 and g.outer.d == 2,
+        matcher=lambda d, f, p: p == 2 and d == 2,
         conditions=lambda g: omega(g.q.q + 1) <= 2,
         expected_degrees=_expected_half,
     ),
@@ -144,7 +141,7 @@ _ROWS = (
         "s_phi_half_odd",
         "PSL(2,q).<phi^(f/2)>, q odd",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p != 2 and g.outer.d == 2,
+        matcher=lambda d, f, p: p != 2 and d == 2,
         conditions=lambda g: omega(g.q.q + 1) <= 2,
         expected_degrees=lambda g: None
         if g.q.q == 9
@@ -156,7 +153,7 @@ _ROWS = (
         "s_delta_phi_half",
         "PSL(2,q).<delta*phi^(f/2)>",
         kind=OuterKind.TWISTED,
-        matcher=lambda g: g.outer.d == 2,
+        matcher=lambda d, f, p: d == 2,
         conditions=lambda g: omega(g.q.q + 1) <= 2,
         expected_degrees=lambda g: None if g.q.q == 9 else _expected_half(g),
     ),
@@ -164,7 +161,7 @@ _ROWS = (
         "pgl_phi_half",
         "PGL(2,q).<phi^(f/2)>",
         kind=OuterKind.WITH_DIAGONAL,
-        matcher=lambda g: g.outer.d == 2,  # with a diagonal part, so q is odd
+        matcher=lambda d, f, p: d == 2,  # with a diagonal part, so q is odd
         conditions=lambda g: omega(g.q.q + 1) <= 2,
         expected_degrees=_expected_half,
     ),
@@ -172,7 +169,7 @@ _ROWS = (
         "s_phi_over_m",
         "PSL(2,2^f).<phi^(f/m)>, m an odd prime < f",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda g: g.q.p == 2 and g.outer.d < g.q.f and _odd_prime(g.outer.d),
+        matcher=lambda d, f, p: p == 2 and d < f and _odd_prime(d),
         conditions=lambda g: omega(g.q.q - 1) <= 2 and omega(g.q.q + 1) <= 2,
         expected_degrees=lambda g: (
             g.q.q - 1,
@@ -185,7 +182,11 @@ _ROWS = (
 )
 
 
-_ROWS_BY_KIND = {kind: tuple(row for row in _ROWS if row.kind is kind) for kind in OuterKind}
+@functools.lru_cache(maxsize=None)
+def _shape_rows(kind: OuterKind, d: int, f: int, p: int) -> tuple[TableRow, ...]:
+    """The rows of this kind whose matcher holds on the shape, in table
+    order, keyed like ``groups._shape``: p is the characteristic capped at 7."""
+    return tuple(row for row in _ROWS if row.kind is kind and row.matcher(d, f, p))
 
 
 def table_rows() -> tuple[TableRow, ...]:
@@ -210,7 +211,8 @@ class GroupVerdict(NamedTuple):
 
 
 def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
-    """Exact degree set, brute-force pair check, and family matching for H."""
+    """Exact degree set, the two-prime check of its pairs with a >= 8 and
+    gcd >= 8 (no other pair can fail), and the shape's rows that H meets."""
     if g.q.q < 7:
         raise ValueError(f"the classification covers q >= 7, got {g.q.q}")
     if g.is_trivial:
@@ -220,8 +222,8 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
     nontrivial = degrees[1:]  # 1 is always the smallest degree
     matched: list[str] = []
     mismatched: list[str] = []
-    for row in _ROWS_BY_KIND[g.outer.kind]:
-        if row.holds(g):
+    for row in _shape_rows(g.outer.kind, g.outer.d, g.q.f, min(g.q.p, 7)):
+        if row.conditions(g):
             matched.append(row.row_id)
             expected = row.expected_degrees(g)
             if expected is not None and tuple(sorted(expected)) != nontrivial:

@@ -18,7 +18,7 @@ cases), and eps = +1 or -1 as q = 1 or 3 (mod 4),
 
     cd(H) = {1, q, (q+eps)/2} u {(q-1)*2^a*i : i | m} u {(q+1)*j : j | d},
 
-where (q+eps)/2 occurs only for odd q and H <= S<phi>, subject to five
+where (q+eps)/2 occurs only for odd q and H <= S<phi>, subject to six
 exceptional removals at small characteristic (see ``_shape``).  Note the
 membership convention: a TWISTED subgroup never contains delta itself (an
 even power of delta*phi^(f/d) is a pure field automorphism, an odd power
@@ -139,11 +139,12 @@ def _lattice(f: int, char_two: bool, include_trivial: bool) -> tuple[OuterSubgro
 
 
 @functools.lru_cache(maxsize=None)
-def _shape(
-    kind: OuterKind, d: int, f: int, p: int
-) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+def _shape(kind: OuterKind, d: int, f: int, p: int) -> tuple[bool, tuple[tuple[int, int], ...]]:
     """The q-independent part of ``character_degrees``: whether (q+eps)/2 is
-    a degree, the multipliers 2^a*i of q-1 and the multipliers j of q+1.
+    a degree, and the sorted forms (m, s) of the degrees above it and 1, each
+    the degree m*(q + s).  For q >= 4 this is the order of the values, which
+    are distinct: with equal m it is by s, and for M > J, both dividing d,
+    M(q-1) > J(q+1) exactly when q > (M+J)/(M-J) <= 2d - 1 < 2^d <= q.
 
     ``p`` is the characteristic capped at 7; every removal below tests p only
     against 2, 3 and 5, so all larger primes share one shape.
@@ -158,33 +159,30 @@ def _shape(
     is_full_aut = kind is OuterKind.WITH_DIAGONAL and d == f
     is_full_twist = kind is OuterKind.TWISTED and d == f
 
-    i_values = set(divisors(d >> a))
-    j_values = set(divisors(d))
+    forms = {(1, 0), *((i << a, -1) for i in divisors(d >> a)), *((j, 1) for j in divisors(d))}
     if f % 2 and p == 3 and is_field_ext:
-        i_values.discard(1)
+        forms.discard((1, -1))  # q - 1
     if f % 2 and p == 3 and is_full_aut:
-        j_values.discard(1)
+        forms.discard((1, 1))  # q + 1
     if f % 2 and p in (2, 3, 5) and is_field_ext:
-        j_values.discard(1)
+        forms.discard((1, 1))
     if f % 4 == 2 and p in (2, 3) and (is_field_ext or is_full_twist):
-        j_values.discard(2)
-
-    return half, tuple(i << a for i in sorted(i_values)), tuple(sorted(j_values))
+        forms.discard((2, 1))  # 2(q + 1)
+    if p == 5 and f == 1 and kind is OuterKind.UNTWISTED:  # H = S = A5: (q - 5)/4 = 0 of degree q + 1
+        forms.discard((1, 1))
+    return half, tuple(sorted(forms))
 
 
 def character_degrees(g: GroupDescriptor) -> list[int]:
-    """The irreducible character degrees of H, as a sorted deduplicated list:
-    the closed form of the module docstring, with its q-independent part
-    (the index split, the multipliers and the removals) taken from ``_shape``.
-
-    Removals act on individual (i, j) indices, not on values: a degree
-    survives when another family independently produces the same number.
-    Raises OverflowError if any degree would reach 2**63.
-    """
+    """The irreducible character degrees of H in ascending order: the closed
+    form of the module docstring, with its q-independent part (the index
+    split, the multipliers and the removals) taken from ``_shape`` as forms
+    already in the order of their values.  Raises OverflowError if any
+    degree would reach 2**63."""
     q = g.q.q
-    half, minus, plus = _shape(g.outer.kind, g.outer.d, g.q.f, min(g.q.p, 7))
-    core = (1, q, (q + (1 if q % 4 == 1 else -1)) // 2) if half else (1, q)
-    degrees = sorted({*core, *[(q - 1) * k for k in minus], *[(q + 1) * j for j in plus]})
+    half, forms = _shape(g.outer.kind, g.outer.d, g.q.f, min(g.q.p, 7))
+    degrees = [1, (q + (1 if q % 4 == 1 else -1)) // 2] if half else [1]
+    degrees += [m * (q + s) for m, s in forms]
     if degrees[-1] >= MAX_VALUE:
         raise OverflowError(f"degree {degrees[-1]} is out of range for q = {q}")
     return degrees

@@ -107,7 +107,7 @@ def maximal_subgroups(q: PrimePower) -> list[MaximalSubgroup]:
         entries.append(("A5", "alt5", 60))
     if f == 1 and n % 8 in (3, 5) and n % 10 not in (1, 9):
         entries.append(("A4", "alt4", 12))
-    if n % 8 in (1, 7) and (f == 1 or (f == 2 and p > 3 and p % 8 in (3, 5))):
+    if f == 1 and n % 8 in (1, 7):  # at q = p^2, S4 lies in the subfield PGL(2,p)
         entries.append(("S4", "sym4", 24))
     return [_entry(*e, group, group_order) for e in entries]
 

@@ -38,7 +38,14 @@ class TestTableRows:
         assert len({r.row_id for r in rows}) == 12
 
     def matched_ids(self, g):
-        return [r.row_id for r in table_rows() if r.holds(g)]
+        """The full scan: every row whose kind is H's, whose matcher holds on
+        (d, f, min(p, 7)) and whose conditions hold on H."""
+        d, f, p = g.outer.d, g.q.f, min(g.q.p, 7)
+        return [
+            r.row_id
+            for r in table_rows()
+            if r.kind is g.outer.kind and r.matcher(d, f, p) and r.conditions(g)
+        ]
 
     def test_pgl_unconditional(self):
         for q in (7, 9, 49, 4093):
@@ -48,18 +55,23 @@ class TestTableRows:
         assert self.matched_ids(desc(16, U, 4)) == ["s_phi_quarter"]
 
     def test_m10_row_only_at_q9_twisted(self):
-        m10_row = next(r for r in table_rows() if r.row_id == "m10")
         matches = []
         for q in (9, 25, 81):
             pp = PrimePower.from_value(q)
             for kind, d in ((U, 2), (WD, 2), (T, 2)):
                 g = GroupDescriptor(pp, OuterSubgroup(kind, d))
-                if m10_row.holds(g):
+                if "m10" in self.matched_ids(g):
                     matches.append((q, kind, d))
         assert matches == [(9, T, 2)]
 
     def test_kind_indexed_rows_match_full_scan(self):
-        verdicts = sweep(7, 4096)
+        # Every group of the sweep, then every proper extension of q = p^f
+        # for p <= 11 and f <= 12.
+        verdicts = list(sweep(7, 4096))
+        for p in (2, 3, 5, 7, 11):
+            for pp in (PrimePower(p, f) for f in range(1, 13) if p**f >= 7):
+                for outer in enumerate_outer_subgroups(pp, include_trivial=False):
+                    verdicts.append(brute_force_verdict(GroupDescriptor(pp, outer)))
         for v in verdicts:
             full_scan = tuple(self.matched_ids(v.descriptor))
             assert v.matched_rows == full_scan, group_name(v.descriptor)
@@ -144,13 +156,16 @@ class TestBruteForceVerdict:
         # row that predicts PGL(2,q) without its degree q.
         pgl = next(r for r in table_rows() if r.row_id == "pgl")
         wrong = pgl._replace(expected_degrees=lambda g: (g.q.q - 1, g.q.q + 1))
-        rows = tuple(wrong if r is pgl else r for r in classifier._ROWS_BY_KIND[WD])
-        monkeypatch.setitem(classifier._ROWS_BY_KIND, WD, rows)
-        v = brute_force_verdict(desc(7, WD, 1))
-        assert v.matched_rows == ("pgl",)
-        assert v.degree_mismatches == ("pgl",)
-        assert main(["classify", "--q", "7", "--outer", "delta"]) == 1
-        assert "rows matched: pgl" in capsys.readouterr().out
+        monkeypatch.setattr(classifier, "_ROWS", tuple(wrong if r is pgl else r for r in table_rows()))
+        classifier._shape_rows.cache_clear()
+        try:
+            v = brute_force_verdict(desc(7, WD, 1))
+            assert v.matched_rows == ("pgl",)
+            assert v.degree_mismatches == ("pgl",)
+            assert main(["classify", "--q", "7", "--outer", "delta"]) == 1
+            assert "rows matched: pgl" in capsys.readouterr().out
+        finally:
+            classifier._shape_rows.cache_clear()  # drop the rows cached from the swapped table
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

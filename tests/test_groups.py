@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2cd import groups
+from psl2cd import classifier, groups
 from psl2cd.arithmetic import divisors, is_prime, prime_powers_in_range
-from psl2cd.classifier import _ROWS_BY_KIND, sweep
+from psl2cd.classifier import sweep
 from psl2cd.groups import (
     GroupDescriptor,
     OuterExpressionError,
@@ -56,13 +56,15 @@ class TestOuterKind:
 
     def test_kind_keyed_lookups_hit(self):
         groups._shape.cache_clear()
+        classifier._shape_rows.cache_clear()
         for kind in OuterKind:
             copy = pickle.loads(pickle.dumps(kind))
             assert hash(copy) == hash(kind)
-            assert _ROWS_BY_KIND[copy] is _ROWS_BY_KIND[kind]
+            assert classifier._shape_rows(copy, 2, 4, 3) is classifier._shape_rows(kind, 2, 4, 3)
             character_degrees(desc(81, kind, 2))
             character_degrees(GroupDescriptor(PrimePower(3, 4), OuterSubgroup(copy, 2)))
         assert groups._shape.cache_info().hits == 3
+        assert classifier._shape_rows.cache_info().hits == 3
 
 
 class TestDescriptors:
@@ -138,6 +140,10 @@ KNOWN_DEGREE_SETS = {
     (27, U, 3): [1, 13, 27, 78, 84],
     (27, WD, 3): [1, 26, 27, 78, 84],
     (32, U, 5): [1, 31, 32, 155, 165],
+    (4, U, 1): [1, 3, 4, 5],  # A5
+    (4, U, 2): [1, 4, 5, 6],  # S5
+    (5, U, 1): [1, 3, 4, 5],  # A5
+    (5, WD, 1): [1, 4, 5, 6],  # S5
 }
 
 
@@ -236,7 +242,7 @@ class TestCharacterDegrees:
 def _reference_degrees(p: int, f: int, kind: OuterKind, d: int) -> list[int]:
     """cd(H) written straight from the module docstring's formula,
     {1, q, (q+eps)/2} u {(q-1)*2^a*i : i | m} u {(q+1)*j : j | d} with
-    d = 2^a * m, m odd, and its five exceptional removals."""
+    d = 2^a * m, m odd, and its six exceptional removals."""
     q = p**f
     a, m = 0, d
     while m % 2 == 0:
@@ -254,6 +260,8 @@ def _reference_degrees(p: int, f: int, kind: OuterKind, d: int) -> list[int]:
         j_values.discard(1)  # q + 1
     if p in (2, 3) and f % 4 == 2 and (field_extension or full_twist):
         j_values.discard(2)  # 2(q + 1)
+    if p == 5 and f == 1 and kind is U:  # A5: (q - 5)/4 = 0 characters of degree q + 1
+        j_values.discard(1)  # q + 1
     degrees = {1, q}
     if p != 2 and kind is U:  # (q+eps)/2 survives only inside S<phi>
         degrees.add((q + (1 if q % 4 == 1 else -1)) // 2)
@@ -264,19 +272,25 @@ def _reference_degrees(p: int, f: int, kind: OuterKind, d: int) -> list[int]:
 
 class TestCachedShape:
     """The per-(kind, d, f, p-class) cache behind ``character_degrees``
-    against the formula written out independently."""
+    against the formula written out independently, on every lattice member
+    of every q = p^f in [4, 2**63) for these p.  Because the reference
+    sorts and de-duplicates, this checks that ``_shape``'s forms come out
+    in the order of their values over the whole working range."""
 
     def compare_all(self):
-        for p in (2, 3, 5, 7, 11):
-            for f in range(1, 13):
+        for p in (2, 3, 5, 7, 11, 13):
+            for f in range(1, 63):
                 if p**f < 4 or p**f >= 2**63:
                     continue
                 pp = PrimePower(p, f)
                 for outer in enumerate_outer_subgroups(pp, True):
                     g = GroupDescriptor(pp, outer)
-                    assert character_degrees(g) == _reference_degrees(
-                        p, f, outer.kind, outer.d
-                    ), (p, f, outer)
+                    expected = _reference_degrees(p, f, outer.kind, outer.d)
+                    if expected[-1] >= 2**63:
+                        with pytest.raises(OverflowError, match=f"degree {expected[-1]} "):
+                            character_degrees(g)
+                    else:
+                        assert character_degrees(g) == expected, (p, f, outer)
 
     def test_cold_cache(self):
         groups._shape.cache_clear()

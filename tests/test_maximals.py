@@ -53,6 +53,26 @@ class TestCatalogExamples:
             "A4": (12, 91),
         }
 
+    def test_q25(self):
+        # S4 lies in the subfield PGL(2,5), so it is not maximal at q = p^2
+        # for p = 3 or 5 (mod 8); it is maximal only at q = p = 1 or 7 (mod 8).
+        entries = maximal_subgroups(PrimePower.from_value(25))
+        assert by_structure(entries) == {
+            "5^2:12": (300, 26),
+            "D24": (24, 325),
+            "D26": (26, 300),
+            "PGL(2,5)": (120, 65),
+        }
+
+    def test_q121(self):
+        entries = maximal_subgroups(PrimePower.from_value(121))
+        assert by_structure(entries) == {
+            "11^2:60": (7260, 122),
+            "D120": (120, 7381),
+            "D122": (122, 7260),
+            "PGL(2,11)": (1320, 671),
+        }
+
     def test_q64_subfields(self):
         entries = by_structure(maximal_subgroups(PrimePower.from_value(64)))
         assert "PGL(2,8)" in entries and entries["PGL(2,8)"][0] == 504
