@@ -10,11 +10,12 @@ assertion runs in one direction only: a group that passes the pair check
 must match some family whose conditions hold.  The converse -- a matched
 family whose group nevertheless fails -- is reported, never assumed absent.
 
-Each family also carries its predicted degree set; the sweep cross-checks
-it against the computed one and surfaces any mismatch.  The generic
-f-even rows skip this cross-check at q = 9 only, where the explicit
-Sym(6) / M10 rows are authoritative (the j = 2 removal trims their
-printed sets).
+Each family also carries its predicted degree set, in the degree forms of
+``groups._shape``; it is cross-checked against the computed one once per
+shape, which settles it for every q of the shape, and a matched family
+whose prediction differs is surfaced as a mismatch.  The generic f-even
+rows predict nothing at q = 9 only, where the explicit Sym(6) / M10 rows
+are authoritative (the j = 2 removal trims their printed sets).
 """
 
 from __future__ import annotations
@@ -28,22 +29,27 @@ from .groups import (
     GroupDescriptor,
     OuterKind,
     PrimePower,
+    _shape,
     character_degrees,
     enumerate_outer_subgroups,
     group_name,
+    shape_key,
 )
 from .twoprime import Violation, check_sorted_set, violation_to_dict
 
 Matcher = Callable[[int, int, int], bool]
-Expected = Callable[[GroupDescriptor], tuple[int, ...] | None]
+Expected = Callable[[int, int, int], tuple[int, set[tuple[int, int]]] | None]
 
 
 class TableRow(NamedTuple):
     """One surviving group family: outer kind, shape matcher, necessary
     arithmetic conditions, and the predicted degree set cd(G) \\ {1}.
 
-    ``kind`` is the row's outer kind, stated only here; the matcher reads
-    (d, f, p) with p capped at 7, never q, so it runs once per shape.
+    ``kind`` is the row's outer kind, stated only here.  The matcher and the
+    prediction read (d, f, p) with p capped at 7, never q, so they run once
+    per shape.  The prediction is in ``groups._shape``'s terms, (eps, forms)
+    with the form (m, s) the degree m*(q + s) and (q+eps)/2 a degree when
+    eps is not 0, or None where the row predicts nothing.
     """
 
     row_id: str
@@ -58,16 +64,6 @@ def _odd_prime(n: int) -> bool:
     return n % 2 == 1 and is_prime(n)
 
 
-def _expected_field_ext(g: GroupDescriptor) -> tuple[int, ...]:
-    q, f = g.q.q, g.q.f
-    return (q - 1, q, (q - 1) * f, (q + 1) * f)
-
-
-def _expected_half(g: GroupDescriptor) -> tuple[int, ...]:
-    q = g.q.q
-    return (q, 2 * (q - 1), q + 1, 2 * (q + 1))
-
-
 _ROWS = (
     TableRow(
         "sym6",
@@ -75,7 +71,7 @@ _ROWS = (
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 3 and f == 2 and d == 2,
         conditions=lambda g: True,
-        expected_degrees=lambda g: (5, 9, 10, 16),
+        expected_degrees=lambda d, f, p: (1, {(1, 0), (1, 1), (2, -1)}),  # 5, 9, 10, 16
     ),
     TableRow(
         "m10",
@@ -83,7 +79,7 @@ _ROWS = (
         kind=OuterKind.TWISTED,
         matcher=lambda d, f, p: p == 3 and f == 2 and d == 2,
         conditions=lambda g: True,
-        expected_degrees=lambda g: (9, 10, 16),
+        expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1), (2, -1)}),  # 9, 10, 16
     ),
     TableRow(
         "pgl",
@@ -91,7 +87,7 @@ _ROWS = (
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda d, f, p: d == 1,
         conditions=lambda g: True,
-        expected_degrees=lambda g: (g.q.q - 1, g.q.q, g.q.q + 1),
+        expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (1, 1)}),
     ),
     TableRow(
         "s_phi_p3",
@@ -99,9 +95,7 @@ _ROWS = (
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 3 and d == f > 1,
         conditions=lambda g: _odd_prime(g.q.f) and omega((g.q.q - 1) // 2) <= 2,
-        expected_degrees=lambda g: (
-            (g.q.q - 1) // 2, g.q.q, (g.q.q - 1) * g.q.f, (g.q.q + 1) * g.q.f
-        ),
+        expected_degrees=lambda d, f, p: (-1, {(1, 0), (f, -1), (f, 1)}),
     ),
     TableRow(
         "aut_p3",
@@ -109,7 +103,7 @@ _ROWS = (
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda d, f, p: p == 3 and d == f,
         conditions=lambda g: _odd_prime(g.q.f) and omega(g.q.q - 1) == 2,
-        expected_degrees=_expected_field_ext,
+        expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (f, -1), (f, 1)}),
     ),
     TableRow(
         "s_phi_p2",
@@ -117,7 +111,7 @@ _ROWS = (
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d == f > 1,
         conditions=lambda g: _odd_prime(g.q.f) and omega(g.q.q - 1) <= 2,
-        expected_degrees=_expected_field_ext,
+        expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (f, -1), (f, 1)}),
     ),
     TableRow(
         "s_phi_quarter",
@@ -125,9 +119,7 @@ _ROWS = (
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d == 4,
         conditions=lambda g: is_fermat_prime(g.q.q + 1),
-        expected_degrees=lambda g: (
-            g.q.q, 4 * (g.q.q - 1), g.q.q + 1, 2 * (g.q.q + 1), 4 * (g.q.q + 1)
-        ),
+        expected_degrees=lambda d, f, p: (0, {(1, 0), (4, -1), (1, 1), (2, 1), (4, 1)}),
     ),
     TableRow(
         "s_phi_half_even",
@@ -135,7 +127,7 @@ _ROWS = (
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d == 2,
         conditions=lambda g: omega(g.q.q + 1) <= 2,
-        expected_degrees=_expected_half,
+        expected_degrees=lambda d, f, p: (0, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
         "s_phi_half_odd",
@@ -143,11 +135,7 @@ _ROWS = (
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p != 2 and d == 2,
         conditions=lambda g: omega(g.q.q + 1) <= 2,
-        expected_degrees=lambda g: None
-        if g.q.q == 9
-        else (
-            (g.q.q + 1) // 2, g.q.q, 2 * (g.q.q - 1), g.q.q + 1, 2 * (g.q.q + 1)
-        ),
+        expected_degrees=lambda d, f, p: None if p == 3 and f == 2 else (1, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
         "s_delta_phi_half",
@@ -155,7 +143,7 @@ _ROWS = (
         kind=OuterKind.TWISTED,
         matcher=lambda d, f, p: d == 2,
         conditions=lambda g: omega(g.q.q + 1) <= 2,
-        expected_degrees=lambda g: None if g.q.q == 9 else _expected_half(g),
+        expected_degrees=lambda d, f, p: None if p == 3 and f == 2 else (0, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
         "pgl_phi_half",
@@ -163,7 +151,7 @@ _ROWS = (
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda d, f, p: d == 2,  # with a diagonal part, so q is odd
         conditions=lambda g: omega(g.q.q + 1) <= 2,
-        expected_degrees=_expected_half,
+        expected_degrees=lambda d, f, p: (0, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
         "s_phi_over_m",
@@ -171,22 +159,25 @@ _ROWS = (
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d < f and _odd_prime(d),
         conditions=lambda g: omega(g.q.q - 1) <= 2 and omega(g.q.q + 1) <= 2,
-        expected_degrees=lambda g: (
-            g.q.q - 1,
-            g.q.q,
-            g.outer.d * (g.q.q - 1),
-            g.q.q + 1,
-            g.outer.d * (g.q.q + 1),
-        ),
+        expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (d, -1), (1, 1), (d, 1)}),
     ),
 )
 
 
 @functools.lru_cache(maxsize=None)
-def _shape_rows(kind: OuterKind, d: int, f: int, p: int) -> tuple[TableRow, ...]:
+def _shape_rows(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple[tuple[TableRow, bool], ...]:
     """The rows of this kind whose matcher holds on the shape, in table
-    order, keyed like ``groups._shape``: p is the characteristic capped at 7."""
-    return tuple(row for row in _ROWS if row.kind is kind and row.matcher(d, f, p))
+    order, keyed like ``groups._shape``, each with whether its predicted
+    degrees differ from the shape's.  Two distinct forms with multipliers
+    up to f differ in value once q > 2f - 1, and 2f - 1 < 2^f <= q, so the
+    flag holds for every q of the shape."""
+    eps, forms = _shape(kind, d, f, p, q4)
+    computed = (eps, set(forms))
+    return tuple(
+        (row, (predicted := row.expected_degrees(d, f, p)) is not None and predicted != computed)
+        for row in _ROWS
+        if row.kind is kind and row.matcher(d, f, p)
+    )
 
 
 def table_rows() -> tuple[TableRow, ...]:
@@ -212,21 +203,20 @@ class GroupVerdict(NamedTuple):
 
 def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
     """Exact degree set, the two-prime check of its pairs with a >= 8 and
-    gcd >= 8 (no other pair can fail), and the shape's rows that H meets."""
+    gcd >= 8 (no other pair can fail), the shape's rows that H meets, and
+    those of them whose predicted degrees the shape has shown wrong."""
     if g.q.q < 7:
         raise ValueError(f"the classification covers q >= 7, got {g.q.q}")
     if g.is_trivial:
         raise ValueError("outer subgroup must be nontrivial: S < H is required")
     degrees = tuple(character_degrees(g))
     violations = check_sorted_set(degrees)  # sorted, distinct and positive
-    nontrivial = degrees[1:]  # 1 is always the smallest degree
     matched: list[str] = []
     mismatched: list[str] = []
-    for row in _shape_rows(g.outer.kind, g.outer.d, g.q.f, min(g.q.p, 7)):
+    for row, differs in _shape_rows(*shape_key(g)):
         if row.conditions(g):
             matched.append(row.row_id)
-            expected = row.expected_degrees(g)
-            if expected is not None and tuple(sorted(expected)) != nontrivial:
+            if differs:
                 mismatched.append(row.row_id)
     return GroupVerdict(g, degrees, violations, tuple(matched), tuple(mismatched))
 

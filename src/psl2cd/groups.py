@@ -19,7 +19,9 @@ cases), and eps = +1 or -1 as q = 1 or 3 (mod 4),
     cd(H) = {1, q, (q+eps)/2} u {(q-1)*2^a*i : i | m} u {(q+1)*j : j | d},
 
 where (q+eps)/2 occurs only for odd q and H <= S<phi>, subject to six
-exceptional removals at small characteristic (see ``_shape``).  Note the
+exceptional removals at small characteristic.  All of it but q itself is
+fixed by the shape ``shape_key`` names, so ``_shape`` states it once per
+shape, the sign eps included, as degree forms.  Note the
 membership convention: a TWISTED subgroup never contains delta itself (an
 even power of delta*phi^(f/d) is a pure field automorphism, an odd power
 keeps the delta component tied to a nontrivial field part), so it gets
@@ -125,9 +127,9 @@ def enumerate_outer_subgroups(q: PrimePower, include_trivial: bool) -> list[Oute
 
 
 # The lattice depends only on f and on whether p = 2, and the degree-formula
-# shape only on (kind, d, f) and the class of p (2, 3, 5 or larger), so both
-# are computed once per key.  q < 2**63 forces f <= 62, which bounds the caches
-# at 248 lattice keys and a few thousand shape keys.
+# shape only on ``shape_key``, so both are computed once per key.  q < 2**63
+# forces f <= 62, which bounds the caches at 248 lattice keys and 2,380 shape
+# keys.
 @functools.lru_cache(maxsize=None)
 def _lattice(f: int, char_two: bool, include_trivial: bool) -> tuple[OuterSubgroup, ...]:
     divs = divisors(f)
@@ -138,19 +140,26 @@ def _lattice(f: int, char_two: bool, include_trivial: bool) -> tuple[OuterSubgro
     return tuple(subs)
 
 
-@functools.lru_cache(maxsize=None)
-def _shape(kind: OuterKind, d: int, f: int, p: int) -> tuple[bool, tuple[tuple[int, int], ...]]:
-    """The q-independent part of ``character_degrees``: whether (q+eps)/2 is
-    a degree, and the sorted forms (m, s) of the degrees above it and 1, each
-    the degree m*(q + s).  For q >= 4 this is the order of the values, which
-    are distinct: with equal m it is by s, and for M > J, both dividing d,
-    M(q-1) > J(q+1) exactly when q > (M+J)/(M-J) <= 2d - 1 < 2^d <= q.
+def shape_key(g: GroupDescriptor) -> tuple[OuterKind, int, int, int, int]:
+    """(kind, d, f, min(p, 7), q mod 4): all that cd(H) reads of H but q
+    itself.  The removals test p only against 2, 3 and 5, so larger primes
+    share a key, and q mod 4 fixes the sign of (q+eps)/2."""
+    q = g.q
+    return g.outer.kind, g.outer.d, q.f, min(q.p, 7), q.q % 4
 
-    ``p`` is the characteristic capped at 7; every removal below tests p only
-    against 2, 3 and 5, so all larger primes share one shape.
+
+@functools.lru_cache(maxsize=None)
+def _shape(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The q-independent part of ``character_degrees``, keyed by
+    ``shape_key``: the sign eps of the degree (q+eps)/2, or 0 when H has no
+    such degree, and the sorted forms (m, s) of the degrees above it and 1,
+    each the degree m*(q + s).  For q >= 4 this is the order of the values,
+    which are distinct: with equal m it is by s, and for M > J, both dividing
+    d, M(q-1) > J(q+1) exactly when q > (M+J)/(M-J) <= 2d - 1 < 2^d <= q.
     """
     a = (d & -d).bit_length() - 1  # d = 2^a * m with m odd
-    half = p != 2 and kind is OuterKind.UNTWISTED  # removed for every H outside S<phi>
+    # (q+eps)/2 is removed for every H outside S<phi>, and p = 2 has none.
+    eps = (1 if q4 == 1 else -1) if p != 2 and kind is OuterKind.UNTWISTED else 0
 
     # The named degenerations the exceptional removals speak about.  S<phi>
     # only counts as such for f > 1 (otherwise it is S itself), and the full
@@ -170,18 +179,18 @@ def _shape(kind: OuterKind, d: int, f: int, p: int) -> tuple[bool, tuple[tuple[i
         forms.discard((2, 1))  # 2(q + 1)
     if p == 5 and f == 1 and kind is OuterKind.UNTWISTED:  # H = S = A5: (q - 5)/4 = 0 of degree q + 1
         forms.discard((1, 1))
-    return half, tuple(sorted(forms))
+    return eps, tuple(sorted(forms))
 
 
 def character_degrees(g: GroupDescriptor) -> list[int]:
     """The irreducible character degrees of H in ascending order: the closed
-    form of the module docstring, with its q-independent part (the index
-    split, the multipliers and the removals) taken from ``_shape`` as forms
-    already in the order of their values.  Raises OverflowError if any
-    degree would reach 2**63."""
+    form of the module docstring, with its q-independent part (the sign of
+    the half degree, the index split, the multipliers and the removals)
+    taken from ``_shape`` as forms already in the order of their values.
+    Raises OverflowError if any degree would reach 2**63."""
     q = g.q.q
-    half, forms = _shape(g.outer.kind, g.outer.d, g.q.f, min(g.q.p, 7))
-    degrees = [1, (q + (1 if q % 4 == 1 else -1)) // 2] if half else [1]
+    eps, forms = _shape(*shape_key(g))
+    degrees = [1, (q + eps) // 2] if eps else [1]
     degrees += [m * (q + s) for m, s in forms]
     if degrees[-1] >= MAX_VALUE:
         raise OverflowError(f"degree {degrees[-1]} is out of range for q = {q}")

@@ -20,8 +20,10 @@ from psl2cd.groups import (
     OuterKind,
     OuterSubgroup,
     PrimePower,
+    character_degrees,
     enumerate_outer_subgroups,
     group_name,
+    shape_key,
 )
 
 U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
@@ -29,6 +31,29 @@ U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
 
 def desc(q: int, kind: OuterKind, d: int) -> GroupDescriptor:
     return GroupDescriptor(PrimePower.from_value(q), OuterSubgroup(kind, d))
+
+
+@pytest.fixture
+def fresh_shape_rows():
+    classifier._shape_rows.cache_clear()
+    yield
+    classifier._shape_rows.cache_clear()  # drop the rows cached from a swapped table
+
+
+# Every real row predicts its degrees correctly, so tests swap in one of
+# these: PGL(2,q) without its degree q, and PSL(2,3^f).<phi> with only the
+# half degree's sign wrong, (q+1)/2 for (q-1)/2.
+WRONG_PREDICTIONS = {
+    "pgl": lambda d, f, p: (0, {(1, -1), (1, 1)}),
+    "s_phi_p3": lambda d, f, p: (1, {(1, 0), (f, -1), (f, 1)}),
+}
+
+
+def swap_prediction(monkeypatch, row_id):
+    """Give one row its wrong prediction for the rest of the test."""
+    row = next(r for r in table_rows() if r.row_id == row_id)
+    wrong = row._replace(expected_degrees=WRONG_PREDICTIONS[row_id])
+    monkeypatch.setattr(classifier, "_ROWS", tuple(wrong if r is row else r for r in table_rows()))
 
 
 class TestTableRows:
@@ -39,8 +64,8 @@ class TestTableRows:
 
     def matched_ids(self, g):
         """The full scan: every row whose kind is H's, whose matcher holds on
-        (d, f, min(p, 7)) and whose conditions hold on H."""
-        d, f, p = g.outer.d, g.q.f, min(g.q.p, 7)
+        the (d, f, p) of H's shape key and whose conditions hold on H."""
+        _, d, f, p, _ = shape_key(g)
         return [
             r.row_id
             for r in table_rows()
@@ -151,27 +176,75 @@ class TestBruteForceVerdict:
         assert v.agree
         assert v.degree_mismatches == ()
 
-    def test_degree_mismatch_recorded(self, capsys, monkeypatch):
-        # Every real row predicts its degrees correctly, so swap in a pgl
-        # row that predicts PGL(2,q) without its degree q.
-        pgl = next(r for r in table_rows() if r.row_id == "pgl")
-        wrong = pgl._replace(expected_degrees=lambda g: (g.q.q - 1, g.q.q + 1))
-        monkeypatch.setattr(classifier, "_ROWS", tuple(wrong if r is pgl else r for r in table_rows()))
-        classifier._shape_rows.cache_clear()
-        try:
-            v = brute_force_verdict(desc(7, WD, 1))
-            assert v.matched_rows == ("pgl",)
-            assert v.degree_mismatches == ("pgl",)
-            assert main(["classify", "--q", "7", "--outer", "delta"]) == 1
-            assert "rows matched: pgl" in capsys.readouterr().out
-        finally:
-            classifier._shape_rows.cache_clear()  # drop the rows cached from the swapped table
+    def test_degree_mismatch_recorded(self, capsys, monkeypatch, fresh_shape_rows):
+        swap_prediction(monkeypatch, "pgl")
+        v = brute_force_verdict(desc(7, WD, 1))
+        assert v.matched_rows == ("pgl",)
+        assert v.degree_mismatches == ("pgl",)
+        assert main(["classify", "--q", "7", "--outer", "delta"]) == 1
+        assert "rows matched: pgl" in capsys.readouterr().out
+
+    def test_wrong_half_degree_sign_recorded(self, capsys, monkeypatch, fresh_shape_rows):
+        swap_prediction(monkeypatch, "s_phi_p3")  # PSL(2,27).<phi> has (q-1)/2 = 13
+        v = brute_force_verdict(desc(27, U, 3))
+        assert v.matched_rows == ("s_phi_p3",)
+        assert v.degree_mismatches == ("s_phi_p3",)
+        assert main(["classify", "--q", "27", "--outer", "phi^1"]) == 1
+        assert "rows matched: s_phi_p3" in capsys.readouterr().out
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
             brute_force_verdict(desc(9, U, 1))
         with pytest.raises(ValueError):
             brute_force_verdict(desc(5, WD, 1))
+
+
+def _differs_at(row, g: GroupDescriptor) -> bool:
+    """The per-group check the shape's flag stands for: the row's predicted
+    forms evaluated at q, sorted and compared with cd(H) \\ {1}."""
+    _, d, f, p, _ = shape_key(g)
+    predicted = row.expected_degrees(d, f, p)
+    if predicted is None:
+        return False
+    q = g.q.q
+    eps, forms = predicted
+    values = [(q + eps) // 2] if eps else []
+    values += [m * (q + s) for m, s in forms]
+    return sorted(values) != character_degrees(g)[1:]
+
+
+def _verdicts_to_check():
+    """Every group of the 7..2^16 sweep, then every proper extension of
+    p^f < 2^63 for p <= 13 whose degrees stay below 2^63."""
+    yield from iter_verdicts(7, 2**16)
+    for p in (2, 3, 5, 7, 11, 13):
+        for pp in (PrimePower(p, f) for f in range(1, 63) if 7 <= p**f < 2**63):
+            for outer in enumerate_outer_subgroups(pp, include_trivial=False):
+                try:
+                    yield brute_force_verdict(GroupDescriptor(pp, outer))
+                except OverflowError:
+                    pass
+
+
+class TestShapeFlag:
+    """``_shape_rows`` flags a row once per shape; the flag must agree with
+    the per-group check on every group, with the real table and with each
+    of the wrong predictions."""
+
+    @pytest.mark.parametrize("wrong_row", [None, *WRONG_PREDICTIONS])
+    def test_flag_is_the_per_group_check(self, monkeypatch, fresh_shape_rows, wrong_row):
+        if wrong_row:
+            swap_prediction(monkeypatch, wrong_row)
+        mismatches = 0
+        for v in _verdicts_to_check():
+            shape_rows = classifier._shape_rows(*shape_key(v.descriptor))
+            for row, differs in shape_rows:
+                assert differs == _differs_at(row, v.descriptor), (group_name(v.descriptor), row.row_id)
+            assert v.degree_mismatches == tuple(
+                row.row_id for row, differs in shape_rows if differs and row.row_id in v.matched_rows
+            )
+            mismatches += len(v.degree_mismatches)
+        assert (mismatches > 0) == bool(wrong_row)
 
 
 class TestSweep:

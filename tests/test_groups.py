@@ -60,10 +60,11 @@ class TestOuterKind:
         for kind in OuterKind:
             copy = pickle.loads(pickle.dumps(kind))
             assert hash(copy) == hash(kind)
-            assert classifier._shape_rows(copy, 2, 4, 3) is classifier._shape_rows(kind, 2, 4, 3)
             character_degrees(desc(81, kind, 2))
             character_degrees(GroupDescriptor(PrimePower(3, 4), OuterSubgroup(copy, 2)))
-        assert groups._shape.cache_info().hits == 3
+            assert classifier._shape_rows(copy, 2, 4, 3, 1) is classifier._shape_rows(kind, 2, 4, 3, 1)
+        # Per kind, _shape hits on the copy's degrees and on the rows' cross-check.
+        assert groups._shape.cache_info().hits == 6
         assert classifier._shape_rows.cache_info().hits == 3
 
 
