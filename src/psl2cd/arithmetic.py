@@ -8,7 +8,7 @@ divisors counted with multiplicity), Zsigmondy primitive prime divisors of
 `factor`, `omega_at_least` and `is_prime` find the primes below 1000 that
 divide n in one stage, `_strip_table_primes`, with one gcd.  What it leaves
 has no prime factor below 1000, so below 1009**2 it is 1 or prime without a
-test.  The only shared state is one bounded memo (at most 32,768 entries)
+test.  The only shared state is one bounded memo (at most 1,024 entries)
 keyed on that cofactor, so n, 2n and n/2 reuse the same Miller-Rabin and
 rho work; everything is a pure function of its arguments and concurrent use
 is safe.
@@ -198,7 +198,7 @@ def _strip_table_primes(n: int) -> tuple[list[tuple[int, int]], int]:
     return out, n
 
 
-@functools.lru_cache(maxsize=1 << 15)
+@functools.lru_cache(maxsize=1 << 10)
 def _factor_cached(n: int) -> Factorization:
     """Factorization of n >= 1009**2 with no prime factor below 1000."""
     counts: dict[int, int] = {}

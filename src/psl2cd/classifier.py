@@ -5,7 +5,7 @@ For each prime power q >= 7 and each group S < H <= Aut(S) the sweep
 computes cd(H) exactly, checks the two-prime condition on its pairs (those
 with a < 8 or gcd < 8 cannot fail and are skipped), and matches H against
 the twelve group families known to be the only possible survivors, picked
-once per shape, and their necessary arithmetic conditions.  The hard
+once per shape, and their necessary arithmetic conditions on q.  The hard
 assertion runs in one direction only: a group that passes the pair check
 must match some family whose conditions hold.  The converse -- a matched
 family whose group nevertheless fails -- is reported, never assumed absent.
@@ -24,7 +24,7 @@ import functools
 import itertools
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .arithmetic import is_fermat_prime, is_prime, omega, prime_powers_in_range
+from .arithmetic import is_prime, omega, prime_powers_in_range
 from .groups import (
     GroupDescriptor,
     OuterKind,
@@ -42,22 +42,24 @@ Expected = Callable[[int, int, int], tuple[int, set[tuple[int, int]]] | None]
 
 
 class TableRow(NamedTuple):
-    """One surviving group family: outer kind, shape matcher, necessary
-    arithmetic conditions, and the predicted degree set cd(G) \\ {1}.
+    """One surviving group family: outer kind, shape matcher, predicted
+    degree set cd(G) \\ {1}, and necessary arithmetic conditions on q.
 
-    ``kind`` is the row's outer kind, stated only here.  The matcher and the
-    prediction read (d, f, p) with p capped at 7, never q, so they run once
-    per shape.  The prediction is in ``groups._shape``'s terms, (eps, forms)
-    with the form (m, s) the degree m*(q + s) and (q+eps)/2 a degree when
-    eps is not 0, or None where the row predicts nothing.
+    ``kind`` is the row's outer kind, stated only here.  The matcher, the
+    row's whole shape test, and the prediction read (d, f, p) with p capped
+    at 7, never q, so they run once per shape.  The prediction is in
+    ``groups._shape``'s terms, (eps, forms) with the form (m, s) the degree
+    m*(q + s) and (q+eps)/2 a degree when eps is not 0, or None where the
+    row predicts nothing.  ``conditions`` reads the integer q alone; it is
+    None for a row that holds on every q of its shapes.
     """
 
     row_id: str
     group_shape: str
     kind: OuterKind
     matcher: Matcher
-    conditions: Callable[[GroupDescriptor], bool]
     expected_degrees: Expected
+    conditions: Callable[[int], bool] | None = None
 
 
 def _odd_prime(n: int) -> bool:
@@ -70,7 +72,6 @@ _ROWS = (
         "Sym(6)",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 3 and f == 2 and d == 2,
-        conditions=lambda g: True,
         expected_degrees=lambda d, f, p: (1, {(1, 0), (1, 1), (2, -1)}),  # 5, 9, 10, 16
     ),
     TableRow(
@@ -78,7 +79,6 @@ _ROWS = (
         "M10",
         kind=OuterKind.TWISTED,
         matcher=lambda d, f, p: p == 3 and f == 2 and d == 2,
-        conditions=lambda g: True,
         expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1), (2, -1)}),  # 9, 10, 16
     ),
     TableRow(
@@ -86,39 +86,38 @@ _ROWS = (
         "PGL(2,q)",
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda d, f, p: d == 1,
-        conditions=lambda g: True,
         expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (1, 1)}),
     ),
     TableRow(
         "s_phi_p3",
         "PSL(2,3^f).<phi>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda d, f, p: p == 3 and d == f > 1,
-        conditions=lambda g: _odd_prime(g.q.f) and omega((g.q.q - 1) // 2) <= 2,
+        matcher=lambda d, f, p: p == 3 and d == f and _odd_prime(f),
+        conditions=lambda q: omega((q - 1) // 2) <= 2,
         expected_degrees=lambda d, f, p: (-1, {(1, 0), (f, -1), (f, 1)}),
     ),
     TableRow(
         "aut_p3",
         "PGL(2,3^f).<phi>",
         kind=OuterKind.WITH_DIAGONAL,
-        matcher=lambda d, f, p: p == 3 and d == f,
-        conditions=lambda g: _odd_prime(g.q.f) and omega(g.q.q - 1) == 2,
+        matcher=lambda d, f, p: p == 3 and d == f and _odd_prime(f),
+        conditions=lambda q: omega(q - 1) == 2,
         expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (f, -1), (f, 1)}),
     ),
     TableRow(
         "s_phi_p2",
         "PSL(2,2^f).<phi>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda d, f, p: p == 2 and d == f > 1,
-        conditions=lambda g: _odd_prime(g.q.f) and omega(g.q.q - 1) <= 2,
+        matcher=lambda d, f, p: p == 2 and d == f and _odd_prime(f),
+        conditions=lambda q: omega(q - 1) <= 2,
         expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (f, -1), (f, 1)}),
     ),
     TableRow(
         "s_phi_quarter",
         "PSL(2,2^f).<phi^(f/4)>",
         kind=OuterKind.UNTWISTED,
-        matcher=lambda d, f, p: p == 2 and d == 4,
-        conditions=lambda g: is_fermat_prime(g.q.q + 1),
+        matcher=lambda d, f, p: p == 2 and d == 4 and f & (f - 1) == 0,  # a prime 2^f + 1 needs f a power of 2
+        conditions=lambda q: is_prime(q + 1),
         expected_degrees=lambda d, f, p: (0, {(1, 0), (4, -1), (1, 1), (2, 1), (4, 1)}),
     ),
     TableRow(
@@ -126,7 +125,7 @@ _ROWS = (
         "PSL(2,2^f).<phi^(f/2)>",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d == 2,
-        conditions=lambda g: omega(g.q.q + 1) <= 2,
+        conditions=lambda q: omega(q + 1) <= 2,
         expected_degrees=lambda d, f, p: (0, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
@@ -134,7 +133,7 @@ _ROWS = (
         "PSL(2,q).<phi^(f/2)>, q odd",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p != 2 and d == 2,
-        conditions=lambda g: omega(g.q.q + 1) <= 2,
+        conditions=lambda q: omega(q + 1) <= 2,
         expected_degrees=lambda d, f, p: None if p == 3 and f == 2 else (1, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
@@ -142,7 +141,7 @@ _ROWS = (
         "PSL(2,q).<delta*phi^(f/2)>",
         kind=OuterKind.TWISTED,
         matcher=lambda d, f, p: d == 2,
-        conditions=lambda g: omega(g.q.q + 1) <= 2,
+        conditions=lambda q: omega(q + 1) <= 2,
         expected_degrees=lambda d, f, p: None if p == 3 and f == 2 else (0, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
@@ -150,7 +149,7 @@ _ROWS = (
         "PGL(2,q).<phi^(f/2)>",
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda d, f, p: d == 2,  # with a diagonal part, so q is odd
-        conditions=lambda g: omega(g.q.q + 1) <= 2,
+        conditions=lambda q: omega(q + 1) <= 2,
         expected_degrees=lambda d, f, p: (0, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
@@ -158,7 +157,7 @@ _ROWS = (
         "PSL(2,2^f).<phi^(f/m)>, m an odd prime < f",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d < f and _odd_prime(d),
-        conditions=lambda g: omega(g.q.q - 1) <= 2 and omega(g.q.q + 1) <= 2,
+        conditions=lambda q: omega(q - 1) <= 2 and omega(q + 1) <= 2,
         expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (d, -1), (1, 1), (d, 1)}),
     ),
 )
@@ -203,8 +202,9 @@ class GroupVerdict(NamedTuple):
 
 def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
     """Exact degree set, the two-prime check of its pairs with a >= 8 and
-    gcd >= 8 (no other pair can fail), the shape's rows that H meets, and
-    those of them whose predicted degrees the shape has shown wrong."""
+    gcd >= 8 (no other pair can fail), the shape's rows whose conditions, if
+    any, q meets, and those of them whose predicted degrees the shape has
+    shown wrong."""
     if g.q.q < 7:
         raise ValueError(f"the classification covers q >= 7, got {g.q.q}")
     if g.is_trivial:
@@ -214,7 +214,7 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
     matched: list[str] = []
     mismatched: list[str] = []
     for row, differs in _shape_rows(*shape_key(g)):
-        if row.conditions(g):
+        if row.conditions is None or row.conditions(g.q.q):
             matched.append(row.row_id)
             if differs:
                 mismatched.append(row.row_id)

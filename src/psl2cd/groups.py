@@ -74,14 +74,14 @@ class PrimePower(NamedTuple("PrimePower", [("p", int), ("f", int), ("q", int)]))
         decomp = prime_power_decompose(q)
         if decomp is None:
             raise ValueError(f"{q} is not a prime power")
-        return cls(*decomp)
+        return cls(*decomp) if q < 4 else cls.from_sieve(q, *decomp)
 
     @classmethod
     def from_sieve(cls, q: int, p: int, f: int) -> "PrimePower":
-        """Trusted constructor for a (q, p, f) triple from
-        ``prime_powers_in_range``: the sieve or ``factor`` has proved p
-        prime and q == p**f, so it builds the tuple (p, f, q) directly and
-        none of ``__new__``'s checks run.  Its one other use is
+        """Trusted constructor for a (q, p, f) triple whose p is proved
+        prime and q == p**f < 2**63, by the sieve of ``prime_powers_in_range``
+        or by ``factor`` in ``from_value``: it builds the tuple (p, f, q)
+        directly and none of ``__new__``'s checks run.  Its one other use is
         ``cli._verdict_template``'s placeholder: q = p = ``_SLOT``."""
         return tuple.__new__(cls, (p, f, q))
 

@@ -263,7 +263,7 @@ class TestCofactorCache:
             assert self._factor_family(q, 1) == self._factor_family(q, -1), q
 
     def test_bounded(self):
-        assert arithmetic._factor_cached.cache_info().maxsize == 1 << 15
+        assert arithmetic._factor_cached.cache_info().maxsize == 1 << 10
 
 
 class TestIsPrime:
@@ -364,6 +364,14 @@ class TestOmega:
         n = 5**39 - 1
         assert n >= MAX_VALUE
         assert omega_at_least(n, 3)
+
+    def test_omega_at_least_errors(self):
+        with pytest.raises(ValueError):
+            omega_at_least(0, 3)
+        # two Mersenne primes: no table prime, and a cofactor past 2**63
+        # that only factoring could settle
+        with pytest.raises(OverflowError):
+            omega_at_least((2**61 - 1) * (2**89 - 1), 3)
 
     @settings(deadline=None, max_examples=300)
     @given(st.data())

@@ -64,13 +64,29 @@ class TestTableRows:
 
     def matched_ids(self, g):
         """The full scan: every row whose kind is H's, whose matcher holds on
-        the (d, f, p) of H's shape key and whose conditions hold on H."""
+        the (d, f, p) of H's shape key and whose conditions, if any, hold
+        on q."""
         _, d, f, p, _ = shape_key(g)
         return [
             r.row_id
             for r in table_rows()
-            if r.kind is g.outer.kind and r.matcher(d, f, p) and r.conditions(g)
+            if r.kind is g.outer.kind and r.matcher(d, f, p) and (r.conditions is None or r.conditions(g.q.q))
         ]
+
+    def test_conditions_run_only_where_the_shape_leaves_q_open(self, monkeypatch, fresh_shape_rows):
+        # The matchers decide every shape fact, so the three rows that hold
+        # on every q of their shapes have no conditions, and the others
+        # are called with q alone, 600 times in the sweep of 7..2^20.
+        assert [r.row_id for r in table_rows() if r.conditions is None] == ["sym6", "m10", "pgl"]
+        calls = []
+
+        def counted(row):
+            return row._replace(conditions=lambda q: calls.append(q) is None and row.conditions(q))
+
+        monkeypatch.setattr(classifier, "_ROWS", tuple(r if r.conditions is None else counted(r) for r in table_rows()))
+        summary = tally_verdicts(iter_verdicts(7, 2**20)).summary
+        assert len(calls) == 600 and all(type(q) is int for q in calls)
+        assert summary["groups"] == 82999 and summary["disagreements"] == 0
 
     def test_pgl_unconditional(self):
         for q in (7, 9, 49, 4093):
@@ -104,8 +120,9 @@ class TestTableRows:
 
     # Written from the paper's table, one entry per proper extension.
     # Behind the empty entries: 50 = 2 * 5^2, 242 = 2 * 11^2 and
-    # 513 = 3^3 * 19 have Omega > 2; f = 4, 8, 9 are not odd primes; no row
-    # has a twisted d = 4.
+    # 513 = 3^3 * 19 have Omega > 2; f = 4, 8, 9, 12, 16 are not odd
+    # primes; at 4096 the quarter row needs f = 12 to be a power of two; no
+    # row has a twisted d = 4.
     LATTICE_ROWS = {
         9: {
             (U, 2): ("sym6", "s_phi_half_odd"),
@@ -135,6 +152,8 @@ class TestTableRows:
         243: {(U, 5): ("s_phi_p3",), (WD, 1): ("pgl",), (WD, 5): ()},
         256: {(U, 2): ("s_phi_half_even",), (U, 4): ("s_phi_quarter",), (U, 8): ()},
         512: {(U, 3): (), (U, 9): ()},
+        4096: {(U, 2): ("s_phi_half_even",), (U, 3): (), (U, 4): (), (U, 6): (), (U, 12): ()},
+        65536: {(U, 2): ("s_phi_half_even",), (U, 4): ("s_phi_quarter",), (U, 8): (), (U, 16): ()},
     }
 
     @pytest.mark.parametrize("q", sorted(LATTICE_ROWS))

@@ -2,6 +2,7 @@ import pytest
 
 from psl2cd import facts
 from psl2cd.arithmetic import is_mersenne_prime, omega
+from psl2cd.cli import main
 from psl2cd.facts import FACTS, fact_report_to_dict, verify_all, verify_fact
 
 
@@ -38,6 +39,11 @@ class TestIndividualFacts:
         # the two shapes really occur: f = 9 = 3^2 and f = 11 prime
         assert omega(2**9 - 1) == 2
         assert omega(2**11 - 1) == 2
+
+    def test_f4_failing_values_are_listed(self, monkeypatch, capsys):
+        monkeypatch.setattr(facts, "_prime_or_prime_square", lambda f: False)
+        assert main(["facts", "--fact", "F4", "--limit", "20"]) == 1
+        assert "counterexamples: 2, 3, 4, 5, 7, 9, 11, 13, 17, 19\n" in capsys.readouterr().out
 
     def test_f4_converse_is_false(self):
         # only the stated direction holds: f = 29 is prime but

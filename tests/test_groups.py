@@ -48,6 +48,17 @@ class TestPrimePower:
             assert type(trusted) is PrimePower
             assert hash(trusted) == hash(PrimePower(p, f))
 
+    def test_from_value_does_not_reprove_p(self, monkeypatch):
+        # factor has proved p prime and q = p**f < 2**63; only __new__ tests p
+        def no_test(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(groups, "is_prime", no_test)
+        for q, p, f in ((9, 3, 2), (2**61 - 1, 2**61 - 1, 1), (3**39, 3, 39)):
+            assert PrimePower.from_value(q) == (p, f, q)
+        with pytest.raises(AssertionError, match="is_prime"):
+            PrimePower(4, 1)
+
 
 class TestOuterKind:
     def test_pickle_round_trip_is_the_same_member(self):
