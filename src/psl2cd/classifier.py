@@ -2,13 +2,14 @@
 condition.
 
 For each prime power q >= 7 and each group S < H <= Aut(S) the sweep
-computes cd(H) exactly, checks the two-prime condition on its pairs (those
-with a < 8 or gcd < 8 cannot fail and are skipped), and matches H against
-the twelve group families known to be the only possible survivors, picked
-once per shape, and their necessary arithmetic conditions on q.  The hard
-assertion runs in one direction only: a group that passes the pair check
-must match some family whose conditions hold.  The converse -- a matched
-family whose group nevertheless fails -- is reported, never assumed absent.
+computes cd(H) exactly, checks the two-prime condition on the pairs no
+q-free bound keeps below gcd 8 (no other pair can fail), and matches H
+against the twelve group families known to be the only possible survivors,
+and their necessary arithmetic conditions on q; pairs and families are
+picked once per shape, in its plan.  The hard assertion runs in one
+direction only: a group that passes the pair check must match some family
+whose conditions hold.  The converse -- a matched family whose group
+nevertheless fails -- is reported, never assumed absent.
 
 Each family also carries its predicted degree set, in the degree forms of
 ``groups._shape``; it is cross-checked against the computed one once per
@@ -22,20 +23,22 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .arithmetic import is_prime, omega, prime_powers_in_range
 from .groups import (
     GroupDescriptor,
     OuterKind,
+    OuterSubgroup,
     PrimePower,
+    _lattice,
     _shape,
-    character_degrees,
-    enumerate_outer_subgroups,
     group_name,
+    shape_degrees,
     shape_key,
 )
-from .twoprime import Violation, check_sorted_set, violation_to_dict
+from .twoprime import Violation, _gcd_omega, violation_to_dict
 
 Matcher = Callable[[int, int, int], bool]
 Expected = Callable[[int, int, int], tuple[int, set[tuple[int, int]]] | None]
@@ -164,19 +167,39 @@ _ROWS = (
 
 
 @functools.lru_cache(maxsize=None)
-def _shape_rows(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple[tuple[TableRow, bool], ...]:
-    """The rows of this kind whose matcher holds on the shape, in table
-    order, keyed like ``groups._shape``, each with whether its predicted
-    degrees differ from the shape's.  Two distinct forms with multipliers
-    up to f differ in value once q > 2f - 1, and 2f - 1 < 2^f <= q, so the
-    flag holds for every q of the shape."""
+def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
+    """What every group of a shape shares, keyed like ``groups.shape_key``:
+    ``_shape``'s (eps, forms), the rows whose kind and matcher fit, in table
+    order, each with whether its prediction differs from the shape's, and
+    the index pairs (i, j), i < j, of ``shape_degrees``' list whose gcd may
+    reach 8.  Distinct forms with multipliers up to f differ once
+    q > 2f - 1, and 2f - 1 < 2^f <= q, so each flag holds for every q of
+    the shape.  gcd(m1(q + s1), m2(q + s2)) divides lcm(m1, m2)|s1 - s2|,
+    and gcd((q+eps)/2, m(q + s)) divides m|eps - s|, so the half degree
+    counts as the form (1, eps).  A pair with 1, or with a nonzero bound
+    below 8, has Omega(gcd) <= 2 for every q and is dropped."""
     eps, forms = _shape(kind, d, f, p, q4)
     computed = (eps, set(forms))
-    return tuple(
+    rows = tuple(
         (row, (predicted := row.expected_degrees(d, f, p)) is not None and predicted != computed)
         for row in _ROWS
         if row.kind is kind and row.matcher(d, f, p)
     )
+    terms = ((1, eps), *forms) if eps else forms  # degrees 1, 2, ... of the list
+    pairs = tuple(
+        (i, j)
+        for i, (m1, s1) in enumerate(terms, 1)
+        for j, (m2, s2) in enumerate(terms[i:], i + 1)
+        if s1 == s2 or math.lcm(m1, m2) * abs(s1 - s2) >= 8
+    )
+    return eps, forms, rows, pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _q_plans(f: int, p: int, q4: int) -> tuple[tuple[OuterSubgroup, tuple], ...]:
+    """(outer, shape plan) for every proper extension of a q = p^f with this
+    f, min(p, 7) and q mod 4, in ``enumerate_outer_subgroups`` order."""
+    return tuple((outer, _shape_plan(outer.kind, outer.d, f, p, q4)) for outer in _lattice(f, p == 2, False))
 
 
 def table_rows() -> tuple[TableRow, ...]:
@@ -201,24 +224,37 @@ class GroupVerdict(NamedTuple):
 
 
 def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
-    """Exact degree set, the two-prime check of its pairs with a >= 8 and
-    gcd >= 8 (no other pair can fail), the shape's rows whose conditions, if
-    any, q meets, and those of them whose predicted degrees the shape has
-    shown wrong."""
+    """Exact degree set, the two-prime check of the pairs its shape plan
+    keeps, the shape's rows whose conditions, if any, q meets, and those
+    of them whose predicted degrees the shape has shown wrong."""
     if g.q.q < 7:
         raise ValueError(f"the classification covers q >= 7, got {g.q.q}")
     if g.is_trivial:
         raise ValueError("outer subgroup must be nontrivial: S < H is required")
-    degrees = tuple(character_degrees(g))
-    violations = check_sorted_set(degrees)  # sorted, distinct and positive
+    return _decide(g, _shape_plan(*shape_key(g)))
+
+
+def _decide(g: GroupDescriptor, plan: tuple) -> GroupVerdict:
+    """g's verdict from its shape plan, for q >= 7 and H != S.  The kept
+    pairs come in (i, j) order, so violations are sorted by (a, b), and no
+    gcd reaches 2**63 once ``shape_degrees`` has checked the degrees."""
+    q = g.q.q
+    eps, forms, rows, pairs = plan
+    degrees = shape_degrees(q, eps, forms)
+    violations = []
+    for i, j in pairs:
+        a, b = degrees[i], degrees[j]
+        gcd = math.gcd(a, b)
+        if gcd >= 8 and (om := _gcd_omega(gcd)) >= 3:  # Omega(gcd) >= 3 needs gcd >= 2**3
+            violations.append(Violation(a, b, gcd, om))
     matched: list[str] = []
     mismatched: list[str] = []
-    for row, differs in _shape_rows(*shape_key(g)):
-        if row.conditions is None or row.conditions(g.q.q):
+    for row, differs in rows:
+        if row.conditions is None or row.conditions(q):
             matched.append(row.row_id)
             if differs:
                 mismatched.append(row.row_id)
-    return GroupVerdict(g, degrees, violations, tuple(matched), tuple(mismatched))
+    return GroupVerdict(g, tuple(degrees), tuple(violations), tuple(matched), tuple(mismatched))
 
 
 class SweepTally(NamedTuple):
@@ -272,7 +308,11 @@ def iter_verdicts(q_min: int, q_max: int) -> Iterator[GroupVerdict]:
     The order needs no sort: q comes ascending from the sieve, and each
     q's subgroups come in ``OuterKind`` order with ascending d.
 
-    ``character_degrees`` cannot overflow here: every degree is at most
+    Per q one cached tuple, keyed on (f, min(p, 7), q mod 4), gives each
+    proper extension with its shape plan for ``_decide``; the range check
+    and the lattice stand in for ``brute_force_verdict``'s two checks.
+
+    ``shape_degrees`` cannot overflow here: every degree is at most
     (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a range past 2**57
     needs a sieve larger than any address space, so it raises MemoryError
     before the first verdict.
@@ -286,9 +326,10 @@ def iter_verdicts(q_min: int, q_max: int) -> Iterator[GroupVerdict]:
     if first is None:
         raise ValueError(f"no prime power in [{q_min}, {q_max}]: nothing to check")
     return (
-        brute_force_verdict(GroupDescriptor(pp, outer))
-        for pp in (PrimePower.from_sieve(q, p, f) for q, p, f in itertools.chain((first,), prime_powers))
-        for outer in enumerate_outer_subgroups(pp, include_trivial=False)
+        _decide(GroupDescriptor(pp, outer), plan)
+        for q, p, f in itertools.chain((first,), prime_powers)
+        for pp in (PrimePower.from_sieve(q, p, f),)
+        for outer, plan in _q_plans(f, min(p, 7), q % 4)
     )
 
 

@@ -188,8 +188,13 @@ def character_degrees(g: GroupDescriptor) -> list[int]:
     the half degree, the index split, the multipliers and the removals)
     taken from ``_shape`` as forms already in the order of their values.
     Raises OverflowError if any degree would reach 2**63."""
-    q = g.q.q
-    eps, forms = _shape(*shape_key(g))
+    return shape_degrees(g.q.q, *_shape(*shape_key(g)))
+
+
+def shape_degrees(q: int, eps: int, forms: tuple[tuple[int, int], ...]) -> list[int]:
+    """cd(H) from q and its shape's ``(eps, forms)``: 1, then (q+eps)/2 when
+    eps is not 0, then m*(q + s) for each form, ascending.  Raises
+    OverflowError if any degree would reach 2**63."""
     degrees = [1, (q + eps) // 2] if eps else [1]
     degrees += [m * (q + s) for m, s in forms]
     if degrees[-1] >= MAX_VALUE:

@@ -6,11 +6,12 @@ counted with multiplicity.  A set's verdict is its tuple of violating
 pairs: the set passes exactly when that tuple is empty.
 
 The groups of one q share most of their pair gcds, and callers decide
-them one after another, so the trusted pair loop asks a small LRU memo
-(256 entries) for Omega of each gcd: on 5,000 seeded q = p**f up to 2**62,
-at most 22 distinct gcds arise per q and 73.5 % of the loop's gcds repeat
-one of the previous 64.  The memo is private to that loop; `omega` and
-`check_pair` stay unmemoized, so `check_pair` remains a memo-free
+them one after another, so the trusted pair loops, `check_sorted_set` here
+and the shape plans' loop in `classifier`, ask a small LRU memo (256
+entries) for Omega of each gcd: on 5,000 seeded q = p**f up to 2**62, at
+most 22 distinct gcds arise per q and 73.5 % of `check_sorted_set`'s gcds
+repeat one of the previous 64.  The memo is private to those loops; `omega`
+and `check_pair` stay unmemoized, so `check_pair` remains a memo-free
 reference for it.
 """
 
@@ -77,6 +78,8 @@ def check_set(degrees: Iterable[int]) -> tuple[Violation, ...]:
 def check_sorted_set(values: Sequence[int]) -> tuple[Violation, ...]:
     """``check_set`` for values the caller has proved sorted, distinct and
     positive (as ``character_degrees`` returns them); nothing is checked.
+    Verdicts skip the pairs their shape plan drops; this loop tries every
+    pair with a >= 8 and is their reference in tests.
 
     Raises OverflowError naming the pair when a gcd reaches 2**63."""
     violations = []

@@ -46,7 +46,7 @@ class _Digest:
 
 def test_every_command_of_the_step_is_pinned():
     commands = [line for line in _step_lines() if "python -m psl2cd" in line]
-    assert len(commands) >= 42
+    assert len(commands) >= 44
     assert len(_PINNED) == len(commands)
 
 

@@ -1,11 +1,17 @@
+import itertools
 import json
+import math
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from psl2cd import classifier
-from psl2cd.arithmetic import prime_sieve
+from psl2cd.arithmetic import divisors, is_prime, prime_sieve
 from psl2cd.classifier import (
+    GroupVerdict,
     brute_force_verdict,
     iter_verdicts,
     sweep,
@@ -14,7 +20,7 @@ from psl2cd.classifier import (
     verdict_to_dict,
 )
 from psl2cd.cli import main, to_json
-from psl2cd.twoprime import Violation
+from psl2cd.twoprime import Violation, check_sorted_set
 from psl2cd.groups import (
     GroupDescriptor,
     OuterKind,
@@ -23,6 +29,7 @@ from psl2cd.groups import (
     character_degrees,
     enumerate_outer_subgroups,
     group_name,
+    shape_degrees,
     shape_key,
 )
 
@@ -33,11 +40,16 @@ def desc(q: int, kind: OuterKind, d: int) -> GroupDescriptor:
     return GroupDescriptor(PrimePower.from_value(q), OuterSubgroup(kind, d))
 
 
+def clear_plans():
+    classifier._shape_plan.cache_clear()
+    classifier._q_plans.cache_clear()
+
+
 @pytest.fixture
-def fresh_shape_rows():
-    classifier._shape_rows.cache_clear()
+def fresh_plans():
+    clear_plans()
     yield
-    classifier._shape_rows.cache_clear()  # drop the rows cached from a swapped table
+    clear_plans()  # drop the plans cached from a swapped table
 
 
 # Every real row predicts its degrees correctly, so tests swap in one of
@@ -73,7 +85,7 @@ class TestTableRows:
             if r.kind is g.outer.kind and r.matcher(d, f, p) and (r.conditions is None or r.conditions(g.q.q))
         ]
 
-    def test_conditions_run_only_where_the_shape_leaves_q_open(self, monkeypatch, fresh_shape_rows):
+    def test_conditions_run_only_where_the_shape_leaves_q_open(self, monkeypatch, fresh_plans):
         # The matchers decide every shape fact, so the three rows that hold
         # on every q of their shapes have no conditions, and the others
         # are called with q alone, 600 times in the sweep of 7..2^20.
@@ -195,7 +207,7 @@ class TestBruteForceVerdict:
         assert v.agree
         assert v.degree_mismatches == ()
 
-    def test_degree_mismatch_recorded(self, capsys, monkeypatch, fresh_shape_rows):
+    def test_degree_mismatch_recorded(self, capsys, monkeypatch, fresh_plans):
         swap_prediction(monkeypatch, "pgl")
         v = brute_force_verdict(desc(7, WD, 1))
         assert v.matched_rows == ("pgl",)
@@ -203,7 +215,7 @@ class TestBruteForceVerdict:
         assert main(["classify", "--q", "7", "--outer", "delta"]) == 1
         assert "rows matched: pgl" in capsys.readouterr().out
 
-    def test_wrong_half_degree_sign_recorded(self, capsys, monkeypatch, fresh_shape_rows):
+    def test_wrong_half_degree_sign_recorded(self, capsys, monkeypatch, fresh_plans):
         swap_prediction(monkeypatch, "s_phi_p3")  # PSL(2,27).<phi> has (q-1)/2 = 13
         v = brute_force_verdict(desc(27, U, 3))
         assert v.matched_rows == ("s_phi_p3",)
@@ -246,17 +258,17 @@ def _verdicts_to_check():
 
 
 class TestShapeFlag:
-    """``_shape_rows`` flags a row once per shape; the flag must agree with
+    """``_shape_plan`` flags a row once per shape; the flag must agree with
     the per-group check on every group, with the real table and with each
     of the wrong predictions."""
 
     @pytest.mark.parametrize("wrong_row", [None, *WRONG_PREDICTIONS])
-    def test_flag_is_the_per_group_check(self, monkeypatch, fresh_shape_rows, wrong_row):
+    def test_flag_is_the_per_group_check(self, monkeypatch, fresh_plans, wrong_row):
         if wrong_row:
             swap_prediction(monkeypatch, wrong_row)
         mismatches = 0
         for v in _verdicts_to_check():
-            shape_rows = classifier._shape_rows(*shape_key(v.descriptor))
+            _, _, shape_rows, _ = classifier._shape_plan(*shape_key(v.descriptor))
             for row, differs in shape_rows:
                 assert differs == _differs_at(row, v.descriptor), (group_name(v.descriptor), row.row_id)
             assert v.degree_mismatches == tuple(
@@ -264,6 +276,113 @@ class TestShapeFlag:
             )
             mismatches += len(v.degree_mismatches)
         assert (mismatches > 0) == bool(wrong_row)
+
+
+def _reference_verdict(g: GroupDescriptor) -> GroupVerdict:
+    """The verdict built without any plan: every pair of ``character_degrees``
+    through ``check_sorted_set``, every row of the table by kind, matcher and
+    conditions, and each matched row's prediction evaluated at q."""
+    degrees = tuple(character_degrees(g))
+    _, d, f, p, _ = shape_key(g)
+    matched = [
+        row
+        for row in table_rows()
+        if row.kind is g.outer.kind and row.matcher(d, f, p) and (row.conditions is None or row.conditions(g.q.q))
+    ]
+    return GroupVerdict(
+        g,
+        degrees,
+        check_sorted_set(degrees),
+        tuple(row.row_id for row in matched),
+        tuple(row.row_id for row in matched if _differs_at(row, g)),
+    )
+
+
+def _seeded_prime_powers(seed: int, count: int) -> list[PrimePower]:
+    """``count`` distinct q = p^f with f >= 2 and 7 <= q < 2^62, p the first
+    prime at or above a random start."""
+    rng = random.Random(seed)
+    found: dict[int, PrimePower] = {}
+    while len(found) < count:
+        f = rng.randint(2, 61)
+        p = rng.randint(2, max(2, int(2 ** (62 / f))))
+        while not is_prime(p):
+            p += 1
+        if 7 <= p**f < 2**62:
+            found[p**f] = PrimePower(p, f)
+    return list(found.values())
+
+
+class TestPlanVerdicts:
+    """The shape plans decide every group as the pair-by-pair reference does."""
+
+    def test_sweep_matches_the_reference(self):
+        verdicts = list(iter_verdicts(7, 2**16))
+        assert verdicts == [_reference_verdict(v.descriptor) for v in verdicts]
+        assert sum(bool(v.violations) for v in verdicts) > 100
+
+    def test_seeded_deep_powers_match_the_reference(self):
+        decided = failing = 0
+        for pp in _seeded_prime_powers(seed=24, count=1000):
+            for outer in enumerate_outer_subgroups(pp, include_trivial=False):
+                g = GroupDescriptor(pp, outer)
+                try:
+                    expected = _reference_verdict(g)
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        brute_force_verdict(g)
+                    continue
+                v = brute_force_verdict(g)
+                assert v == expected, group_name(g)
+                decided += 1
+                failing += bool(v.violations)
+        assert decided > 4000 and failing > 1000
+
+
+_SIGNS = st.sampled_from((-1, 0, 1))
+_MULTIPLIERS = st.integers(min_value=1, max_value=62)
+
+
+class TestPairBound:
+    """The q-free bounds behind the pairs a plan drops."""
+
+    @given(st.integers(min_value=7), _MULTIPLIERS, _MULTIPLIERS, _SIGNS, _SIGNS)
+    def test_gcd_of_two_forms_divides_the_bound(self, q, m1, m2, s1, s2):
+        assume(s1 != s2)
+        assert math.lcm(m1, m2) * abs(s1 - s2) % math.gcd(m1 * (q + s1), m2 * (q + s2)) == 0
+
+    @given(st.integers(min_value=3).map(lambda k: 2 * k + 1), st.sampled_from((-1, 1)), _MULTIPLIERS, _SIGNS)
+    def test_gcd_with_the_half_degree_divides_the_bound(self, q, eps, m, s):
+        assume(s != eps)
+        assert m * abs(eps - s) % math.gcd((q + eps) // 2, m * (q + s)) == 0
+
+    @given(st.data())
+    def test_dropped_pairs_keep_gcd_below_8(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5, 7)))
+        f = data.draw(st.integers(min_value=1, max_value=62))
+        kind = data.draw(st.sampled_from([U] if p == 2 else [U, WD, T] if f % 2 == 0 else [U, WD]))
+        d = data.draw(st.sampled_from([d for d in divisors(f) if kind is not T or d % 2 == 0]))
+        assume((kind, d) != (U, 1))
+        q = data.draw(st.integers(min_value=4, max_value=2**40)) * 2 + (p != 2)
+        eps, forms, _, pairs = classifier._shape_plan(kind, d, f, p, q % 4)
+        degrees = shape_degrees(q, eps, forms)
+        for i, j in itertools.combinations(range(len(degrees)), 2):
+            if (i, j) not in pairs:
+                assert math.gcd(degrees[i], degrees[j]) < 8, (i, j)
+
+    def test_plan_of_psl_343_phi(self):
+        # Degrees 1, (q-1)/2, q-1, q, q+1, 3(q-1), 3(q+1).  Every pair of
+        # different signs drops: (q-1)/2 with 3(q+1) has the bound 3*2 and
+        # 3(q-1) with 3(q+1) the bound lcm(3, 3)*2, both 6.
+        eps, forms, _, pairs = classifier._shape_plan(U, 3, 3, 7, 3)
+        degrees = shape_degrees(343, eps, forms)
+        assert [(degrees[i], degrees[j]) for i, j in pairs] == [(171, 342), (171, 1026), (342, 1026), (344, 1032)]
+
+    def test_pgl_keeps_no_pair(self):
+        for f in range(1, 63):
+            for p in (3, 5, 7):
+                for q4 in (1, 3):
+                    assert classifier._shape_plan(WD, 1, f, p, q4)[3] == ()
 
 
 class TestSweep:
