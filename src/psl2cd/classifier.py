@@ -36,9 +36,8 @@ from .groups import (
     _shape,
     group_name,
     shape_degrees,
-    shape_key,
 )
-from .twoprime import Violation, _gcd_omega, violation_to_dict
+from .twoprime import Violation, violation_to_dict
 
 Matcher = Callable[[int, int, int], bool]
 Expected = Callable[[int, int, int], tuple[int, set[tuple[int, int]]] | None]
@@ -166,7 +165,6 @@ _ROWS = (
 )
 
 
-@functools.lru_cache(maxsize=None)
 def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
     """What every group of a shape shares, keyed like ``groups.shape_key``:
     ``_shape``'s (eps, forms), the rows whose kind and matcher fit, in table
@@ -196,10 +194,11 @@ def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _q_plans(f: int, p: int, q4: int) -> tuple[tuple[OuterSubgroup, tuple], ...]:
-    """(outer, shape plan) for every proper extension of a q = p^f with this
-    f, min(p, 7) and q mod 4, in ``enumerate_outer_subgroups`` order."""
-    return tuple((outer, _shape_plan(outer.kind, outer.d, f, p, q4)) for outer in _lattice(f, p == 2, False))
+def _q_plans(f: int, p: int, q4: int) -> dict[OuterSubgroup, tuple]:
+    """{outer: shape plan} for every proper extension of a q = p^f with this
+    f, min(p, 7) and q mod 4, in ``enumerate_outer_subgroups`` order.  Each
+    shape key is (kind, d) plus this key, so each plan is built once."""
+    return {outer: _shape_plan(outer.kind, outer.d, f, p, q4) for outer in _lattice(f, p == 2, False)}
 
 
 def table_rows() -> tuple[TableRow, ...]:
@@ -231,7 +230,12 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
         raise ValueError(f"the classification covers q >= 7, got {g.q.q}")
     if g.is_trivial:
         raise ValueError("outer subgroup must be nontrivial: S < H is required")
-    return _decide(g, _shape_plan(*shape_key(g)))
+    pp = g.q
+    return _decide(g, _q_plans(pp.f, min(pp.p, 7), pp.q % 4)[g.outer])
+
+
+# A q's groups, decided in turn, share most pair gcds (at most 22 distinct per q below 2**62).
+_gcd_omega = functools.lru_cache(maxsize=256)(omega)
 
 
 def _decide(g: GroupDescriptor, plan: tuple) -> GroupVerdict:
@@ -308,7 +312,7 @@ def iter_verdicts(q_min: int, q_max: int) -> Iterator[GroupVerdict]:
     The order needs no sort: q comes ascending from the sieve, and each
     q's subgroups come in ``OuterKind`` order with ascending d.
 
-    Per q one cached tuple, keyed on (f, min(p, 7), q mod 4), gives each
+    Per q one cached dict, keyed on (f, min(p, 7), q mod 4), gives each
     proper extension with its shape plan for ``_decide``; the range check
     and the lattice stand in for ``brute_force_verdict``'s two checks.
 
@@ -329,7 +333,7 @@ def iter_verdicts(q_min: int, q_max: int) -> Iterator[GroupVerdict]:
         _decide(GroupDescriptor(pp, outer), plan)
         for q, p, f in itertools.chain((first,), prime_powers)
         for pp in (PrimePower.from_sieve(q, p, f),)
-        for outer, plan in _q_plans(f, min(p, 7), q % 4)
+        for outer, plan in _q_plans(f, min(p, 7), q % 4).items()
     )
 
 

@@ -129,7 +129,7 @@ def enumerate_outer_subgroups(q: PrimePower, include_trivial: bool) -> list[Oute
 # The lattice depends only on f and on whether p = 2, and the degree-formula
 # shape only on ``shape_key``, so both are computed once per key.  q < 2**63
 # forces f <= 62, which bounds the caches at 248 lattice keys and 2,380 shape
-# keys.
+# keys, and ``classifier._q_plans`` at 279 keys (f, min(p, 7), q mod 4).
 @functools.lru_cache(maxsize=None)
 def _lattice(f: int, char_two: bool, include_trivial: bool) -> tuple[OuterSubgroup, ...]:
     divs = divisors(f)

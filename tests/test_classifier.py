@@ -20,7 +20,7 @@ from psl2cd.classifier import (
     verdict_to_dict,
 )
 from psl2cd.cli import main, to_json
-from psl2cd.twoprime import Violation, check_sorted_set
+from psl2cd.twoprime import Violation, check_set
 from psl2cd.groups import (
     GroupDescriptor,
     OuterKind,
@@ -40,16 +40,11 @@ def desc(q: int, kind: OuterKind, d: int) -> GroupDescriptor:
     return GroupDescriptor(PrimePower.from_value(q), OuterSubgroup(kind, d))
 
 
-def clear_plans():
-    classifier._shape_plan.cache_clear()
-    classifier._q_plans.cache_clear()
-
-
 @pytest.fixture
 def fresh_plans():
-    clear_plans()
+    classifier._q_plans.cache_clear()
     yield
-    clear_plans()  # drop the plans cached from a swapped table
+    classifier._q_plans.cache_clear()  # drop the plans cached from a swapped table
 
 
 # Every real row predicts its degrees correctly, so tests swap in one of
@@ -244,6 +239,12 @@ def _differs_at(row, g: GroupDescriptor) -> bool:
     return sorted(values) != character_degrees(g)[1:]
 
 
+def _cached_plan(g: GroupDescriptor) -> tuple:
+    """The plan that ``brute_force_verdict`` reads for g from ``_q_plans``."""
+    pp = g.q
+    return classifier._q_plans(pp.f, min(pp.p, 7), pp.q % 4)[g.outer]
+
+
 def _verdicts_to_check():
     """Every group of the 7..2^16 sweep, then every proper extension of
     p^f < 2^63 for p <= 13 whose degrees stay below 2^63."""
@@ -258,7 +259,7 @@ def _verdicts_to_check():
 
 
 class TestShapeFlag:
-    """``_shape_plan`` flags a row once per shape; the flag must agree with
+    """A shape's plan flags a row once; the flag must agree with
     the per-group check on every group, with the real table and with each
     of the wrong predictions."""
 
@@ -268,7 +269,7 @@ class TestShapeFlag:
             swap_prediction(monkeypatch, wrong_row)
         mismatches = 0
         for v in _verdicts_to_check():
-            _, _, shape_rows, _ = classifier._shape_plan(*shape_key(v.descriptor))
+            _, _, shape_rows, _ = _cached_plan(v.descriptor)
             for row, differs in shape_rows:
                 assert differs == _differs_at(row, v.descriptor), (group_name(v.descriptor), row.row_id)
             assert v.degree_mismatches == tuple(
@@ -280,7 +281,7 @@ class TestShapeFlag:
 
 def _reference_verdict(g: GroupDescriptor) -> GroupVerdict:
     """The verdict built without any plan: every pair of ``character_degrees``
-    through ``check_sorted_set``, every row of the table by kind, matcher and
+    through ``check_set``, every row of the table by kind, matcher and
     conditions, and each matched row's prediction evaluated at q."""
     degrees = tuple(character_degrees(g))
     _, d, f, p, _ = shape_key(g)
@@ -292,7 +293,7 @@ def _reference_verdict(g: GroupDescriptor) -> GroupVerdict:
     return GroupVerdict(
         g,
         degrees,
-        check_sorted_set(degrees),
+        check_set(degrees),
         tuple(row.row_id for row in matched),
         tuple(row.row_id for row in matched if _differs_at(row, g)),
     )
@@ -337,6 +338,62 @@ class TestPlanVerdicts:
                 decided += 1
                 failing += bool(v.violations)
         assert decided > 4000 and failing > 1000
+
+    def test_f_at_least_2_slices_up_to_2_40_match_the_reference(self):
+        # Every q = p^f <= 2^40 with f >= 3, and q = p^2 for every prime p in
+        # [2^20 - 2^15, 2^20): 5,931 and 9,432 groups, none near 2^63.
+        sieve = prime_sieve(2**20)
+        powers = [PrimePower(p, f) for p in range(2, 2**14) if sieve[p] for f in range(3, 41) if p**f <= 2**40]
+        powers += [PrimePower(p, 2) for p in range(2**20 - 2**15, 2**20) if sieve[p]]
+        decided = failing = 0
+        for pp in powers:
+            for outer in enumerate_outer_subgroups(pp, include_trivial=False):
+                g = GroupDescriptor(pp, outer)
+                v = brute_force_verdict(g)
+                assert v == _reference_verdict(g), group_name(g)
+                decided += 1
+                failing += bool(v.violations)
+        assert decided == 5931 + 9432 and failing == 10666
+
+
+class TestGcdOmegaMemo:
+    """``_decide``'s Omega memo changes no verdict, cold or warm."""
+
+    def test_bounded(self):
+        assert classifier._gcd_omega.cache_info().maxsize == 256
+
+    def test_cold_and_warm_match_the_reference(self):
+        # Every proper extension of each q; all degrees stay below 2**63.
+        groups = [
+            GroupDescriptor(pp, outer)
+            for q in (3**30, 5**24, 7**18, 1000003**2, 2**40)
+            for pp in [PrimePower.from_value(q)]
+            for outer in enumerate_outer_subgroups(pp, include_trivial=False)
+        ]
+        expected = [_reference_verdict(g) for g in groups]
+        assert any(v.violations for v in expected)  # some groups fail
+        classifier._gcd_omega.cache_clear()
+        assert [brute_force_verdict(g) for g in groups] == expected
+        assert classifier._gcd_omega.cache_info().hits > 0
+        assert [brute_force_verdict(g) for g in groups] == expected
+
+
+def test_reference_shares_no_memo_with_the_plan_loop(monkeypatch):
+    # Each failing group of 7..2^16 reads Omega of a kept pair's gcd through
+    # the memo.  With the memo broken the plan path raises on it, and
+    # check_set and the reference still give the sweep's verdict.
+    failing = [v for v in iter_verdicts(7, 2**16) if v.violations]
+
+    def broken(n):
+        raise AssertionError(f"_gcd_omega({n}) called")
+
+    monkeypatch.setattr(classifier, "_gcd_omega", broken)
+    for v in failing:
+        assert check_set(v.degrees) == v.violations
+        assert _reference_verdict(v.descriptor) == v
+        with pytest.raises(AssertionError, match="_gcd_omega"):
+            brute_force_verdict(v.descriptor)
+    assert len(failing) > 100
 
 
 _SIGNS = st.sampled_from((-1, 0, 1))

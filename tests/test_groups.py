@@ -67,16 +67,16 @@ class TestOuterKind:
 
     def test_kind_keyed_lookups_hit(self):
         groups._shape.cache_clear()
-        classifier._shape_plan.cache_clear()
+        classifier._q_plans.cache_clear()
+        plans = classifier._q_plans(4, 3, 1)  # fills _shape for the 7 members of q = 81's lattice
         for kind in OuterKind:
             copy = pickle.loads(pickle.dumps(kind))
             assert hash(copy) == hash(kind)
             character_degrees(desc(81, kind, 2))
             character_degrees(GroupDescriptor(PrimePower(3, 4), OuterSubgroup(copy, 2)))
-            assert classifier._shape_plan(copy, 2, 4, 3, 1) is classifier._shape_plan(kind, 2, 4, 3, 1)
-        # Per kind, _shape hits on the copy's degrees and on the plan's forms.
-        assert groups._shape.cache_info().hits == 6
-        assert classifier._shape_plan.cache_info().hits == 3
+            assert plans[OuterSubgroup(copy, 2)] is plans[OuterSubgroup(kind, 2)]
+        # Per kind, _shape hits on the group's degrees and on the copy's.
+        assert groups._shape.cache_info()[:2] == (6, 7)
 
 
 class TestDescriptors:

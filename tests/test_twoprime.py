@@ -2,15 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2cd import twoprime
-from psl2cd.groups import (
-    GroupDescriptor,
-    PrimePower,
-    character_degrees,
-    enumerate_outer_subgroups,
-    pgl_descriptor,
-)
-from psl2cd.twoprime import Violation, check_pair, check_set, check_sorted_set
+from psl2cd.groups import PrimePower, character_degrees, pgl_descriptor
+from psl2cd.twoprime import Violation, check_pair, check_set
 
 
 def _pairwise_reference(values):
@@ -88,8 +81,6 @@ class TestCheckSet:
             values.remove(rng.choice(values))
             assert not check_set(values)
 
-
-class TestCheckSortedSet:
     @settings(deadline=None)
     @given(
         st.sets(
@@ -98,37 +89,14 @@ class TestCheckSortedSet:
             max_size=8,
         )
     )
-    def test_matches_check_set_and_pairwise_reference(self, degrees):
-        values = sorted(degrees)
-        violations = check_sorted_set(values)
-        assert violations == check_set(values)
-        assert violations == _pairwise_reference(values)
+    def test_matches_pairwise_reference(self, degrees):
+        assert check_set(degrees) == _pairwise_reference(sorted(degrees))
 
     def test_smallest_value_that_can_fail_is_checked(self):
-        assert check_sorted_set((1, 2, 4, 8, 24)) == (Violation(8, 24, 8, 3),)
+        assert check_set((1, 2, 4, 8, 24)) == (Violation(8, 24, 8, 3),)
 
     def test_values_below_8_pass(self):
-        assert check_sorted_set((1, 2, 3, 5, 7)) == ()
-
-
-class TestGcdOmegaMemo:
-    def test_bounded(self):
-        assert twoprime._gcd_omega.cache_info().maxsize == 256
-
-    def test_cold_and_warm_match_pairwise_reference(self):
-        # Every proper extension of each q; all degrees stay below 2**63.
-        sets = [
-            character_degrees(GroupDescriptor(pp, sub))
-            for q in (3**30, 5**24, 7**18, 1000003**2, 2**40)
-            for pp in [PrimePower.from_value(q)]
-            for sub in enumerate_outer_subgroups(pp, include_trivial=False)
-        ]
-        expected = [_pairwise_reference(values) for values in sets]
-        assert any(expected)  # some sets fail
-        twoprime._gcd_omega.cache_clear()
-        assert [check_sorted_set(values) for values in sets] == expected
-        assert twoprime._gcd_omega.cache_info().hits > 0
-        assert [check_sorted_set(values) for values in sets] == expected
+        assert check_set((1, 2, 3, 5, 7)) == ()
 
 
 class TestPglDegreeSets:
