@@ -2,95 +2,4 @@
 socle PSL(2,q), the two-prime divisibility condition on degree sets,
 maximal-subgroup catalogs, and exhaustive classification sweeps."""
 
-from .arithmetic import (
-    MAX_VALUE,
-    divisors,
-    factor,
-    is_fermat_prime,
-    is_mersenne_prime,
-    is_prime,
-    omega,
-    omega_at_least,
-    prime_power_decompose,
-    prime_powers_in_range,
-    zsigmondy_base2,
-)
-from .classifier import (
-    GroupVerdict,
-    TableRow,
-    brute_force_verdict,
-    iter_verdicts,
-    sweep,
-    table_rows,
-    tally_verdicts,
-    verdict_to_dict,
-)
-from .facts import FACTS, Fact, FactReport, fact_report_to_dict, verify_all, verify_fact
-from .groups import (
-    GroupDescriptor,
-    OuterExpressionError,
-    OuterKind,
-    OuterSubgroup,
-    PrimePower,
-    character_degrees,
-    enumerate_outer_subgroups,
-    group_name,
-    parse_outer,
-    pgl_descriptor,
-)
-from .maximals import (
-    MaximalSubgroup,
-    maximal_subgroups,
-    pgl2_order,
-    pgl_maximals_special,
-    psl2_order,
-)
-from .twoprime import Violation, check_pair, check_set
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "FACTS",
-    "Fact",
-    "FactReport",
-    "GroupDescriptor",
-    "GroupVerdict",
-    "MAX_VALUE",
-    "MaximalSubgroup",
-    "OuterExpressionError",
-    "OuterKind",
-    "OuterSubgroup",
-    "PrimePower",
-    "TableRow",
-    "Violation",
-    "brute_force_verdict",
-    "character_degrees",
-    "check_pair",
-    "check_set",
-    "divisors",
-    "enumerate_outer_subgroups",
-    "fact_report_to_dict",
-    "factor",
-    "group_name",
-    "is_fermat_prime",
-    "is_mersenne_prime",
-    "is_prime",
-    "iter_verdicts",
-    "maximal_subgroups",
-    "omega",
-    "omega_at_least",
-    "parse_outer",
-    "pgl2_order",
-    "pgl_descriptor",
-    "pgl_maximals_special",
-    "prime_power_decompose",
-    "prime_powers_in_range",
-    "psl2_order",
-    "sweep",
-    "table_rows",
-    "tally_verdicts",
-    "verdict_to_dict",
-    "verify_all",
-    "verify_fact",
-    "zsigmondy_base2",
-]
+from .arithmetic import prime_power_decompose  # perfbench/test_perfbench.py imports it from the package root

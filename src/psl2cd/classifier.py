@@ -201,11 +201,6 @@ def _q_plans(f: int, p: int, q4: int) -> dict[OuterSubgroup, tuple]:
     return {outer: _shape_plan(outer.kind, outer.d, f, p, q4) for outer in _lattice(f, p == 2, False)}
 
 
-def table_rows() -> tuple[TableRow, ...]:
-    """The twelve group families, in table order."""
-    return _ROWS
-
-
 class GroupVerdict(NamedTuple):
     descriptor: GroupDescriptor
     degrees: tuple[int, ...]

@@ -181,12 +181,9 @@ def _cmd_cd(args: argparse.Namespace) -> int:
 
 def _parse_degree_list(raw: str) -> list[int]:
     try:
-        values = [int(piece) for piece in raw.split(",") if piece.strip()]
+        return [int(piece) for piece in raw.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad degree list {raw!r}: {exc}") from None
-    if not values:
-        raise ValueError("empty degree list")
-    return values
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -222,16 +219,7 @@ def _cmd_maximals(args: argparse.Namespace) -> int:
         "q": args.q,
         "group": name,
         "group_order": order,
-        "entries": [
-            {
-                "structure": e.structure,
-                "family": e.family,
-                "order": e.order,
-                "index": e.index,
-                "omega_index": e.omega_index,
-            }
-            for e in entries
-        ],
+        "entries": [e._asdict() for e in entries],
     }
     text = [f"maximal subgroups of {name} (order {order}):"]
     text.extend(

@@ -202,12 +202,6 @@ def shape_degrees(q: int, eps: int, forms: tuple[tuple[int, int], ...]) -> list[
     return degrees
 
 
-def pgl_descriptor(q: PrimePower) -> GroupDescriptor:
-    """Descriptor for PGL(2,q); in characteristic 2 this is PSL(2,q) itself."""
-    kind = OuterKind.UNTWISTED if q.p == 2 else OuterKind.WITH_DIAGONAL
-    return GroupDescriptor(q, OuterSubgroup(kind, 1))
-
-
 def group_name(g: GroupDescriptor) -> str:
     """Structure name such as PGL(2,9) or PSL(2,9).<delta*phi^1>."""
     q, f, d = g.q.q, g.q.f, g.outer.d

@@ -18,7 +18,6 @@ from psl2cd.groups import (
     OuterSubgroup,
     PrimePower,
     character_degrees,
-    pgl_descriptor,
 )
 from psl2cd.maximals import maximal_subgroups, pgl_maximals_special, psl2_order
 from psl2cd.twoprime import check_set
@@ -77,7 +76,8 @@ def criterion_3_pgl_universality() -> None:
     for q, p, f in prime_powers_in_range(7, 1 << 20):
         pp = PrimePower(p, f)
         assert pp.q == q
-        degrees = character_degrees(pgl_descriptor(pp))
+        pgl = OuterSubgroup(U if p == 2 else WD, 1)
+        degrees = character_degrees(GroupDescriptor(pp, pgl))
         violations = check_set(degrees)
         assert not violations, (q, violations)
         count += 1

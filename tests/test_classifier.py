@@ -15,7 +15,6 @@ from psl2cd.classifier import (
     brute_force_verdict,
     iter_verdicts,
     sweep,
-    table_rows,
     tally_verdicts,
     verdict_to_dict,
 )
@@ -58,14 +57,14 @@ WRONG_PREDICTIONS = {
 
 def swap_prediction(monkeypatch, row_id):
     """Give one row its wrong prediction for the rest of the test."""
-    row = next(r for r in table_rows() if r.row_id == row_id)
+    row = next(r for r in classifier._ROWS if r.row_id == row_id)
     wrong = row._replace(expected_degrees=WRONG_PREDICTIONS[row_id])
-    monkeypatch.setattr(classifier, "_ROWS", tuple(wrong if r is row else r for r in table_rows()))
+    monkeypatch.setattr(classifier, "_ROWS", tuple(wrong if r is row else r for r in classifier._ROWS))
 
 
 class TestTableRows:
     def test_twelve_unique_rows(self):
-        rows = table_rows()
+        rows = classifier._ROWS
         assert len(rows) == 12
         assert len({r.row_id for r in rows}) == 12
 
@@ -76,7 +75,7 @@ class TestTableRows:
         _, d, f, p, _ = shape_key(g)
         return [
             r.row_id
-            for r in table_rows()
+            for r in classifier._ROWS
             if r.kind is g.outer.kind and r.matcher(d, f, p) and (r.conditions is None or r.conditions(g.q.q))
         ]
 
@@ -84,13 +83,13 @@ class TestTableRows:
         # The matchers decide every shape fact, so the three rows that hold
         # on every q of their shapes have no conditions, and the others
         # are called with q alone, 600 times in the sweep of 7..2^20.
-        assert [r.row_id for r in table_rows() if r.conditions is None] == ["sym6", "m10", "pgl"]
+        assert [r.row_id for r in classifier._ROWS if r.conditions is None] == ["sym6", "m10", "pgl"]
         calls = []
 
         def counted(row):
             return row._replace(conditions=lambda q: calls.append(q) is None and row.conditions(q))
 
-        monkeypatch.setattr(classifier, "_ROWS", tuple(r if r.conditions is None else counted(r) for r in table_rows()))
+        monkeypatch.setattr(classifier, "_ROWS", tuple(r if r.conditions is None else counted(r) for r in classifier._ROWS))
         summary = tally_verdicts(iter_verdicts(7, 2**20)).summary
         assert len(calls) == 600 and all(type(q) is int for q in calls)
         assert summary["groups"] == 82999 and summary["disagreements"] == 0
@@ -287,7 +286,7 @@ def _reference_verdict(g: GroupDescriptor) -> GroupVerdict:
     _, d, f, p, _ = shape_key(g)
     matched = [
         row
-        for row in table_rows()
+        for row in classifier._ROWS
         if row.kind is g.outer.kind and row.matcher(d, f, p) and (row.conditions is None or row.conditions(g.q.q))
     ]
     return GroupVerdict(

@@ -231,13 +231,18 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "degrees, message",
-        [("a,b", "error: bad degree list 'a,b'"), (",", "error: empty degree list\n")],
+        [
+            ("a,b", "error: bad degree list 'a,b'"),
+            (",", "error: bad degree list ','"),
+            ("1,,2", "error: bad degree list '1,,2'"),
+            ("1,2,", "error: bad degree list '1,2,'"),
+        ],
     )
     def test_check_unparsable_degrees(self, capsys, degrees, message):
         code, out, err = run(capsys, "check", "--degrees", degrees)
         assert code == 2
         assert out == ""
-        assert err.startswith(message)
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_sweep_bad_range(self, capsys):
         assert run(capsys, "sweep", "--qmin", "4", "--qmax", "11")[0] == 2

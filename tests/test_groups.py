@@ -17,7 +17,6 @@ from psl2cd.groups import (
     enumerate_outer_subgroups,
     group_name,
     parse_outer,
-    pgl_descriptor,
 )
 
 U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
@@ -170,11 +169,11 @@ class TestCharacterDegrees:
             eps = 1 if q % 4 == 1 else -1
             psl = character_degrees(GroupDescriptor(pp, OuterSubgroup(U, 1)))
             assert psl == sorted({1, (q + eps) // 2, q - 1, q, q + 1})
-            pgl = character_degrees(pgl_descriptor(pp))
+            pgl = character_degrees(GroupDescriptor(pp, OuterSubgroup(WD, 1)))
             assert pgl == sorted({1, q - 1, q, q + 1})
         for q in (8, 16, 32, 64):
             pp = PrimePower.from_value(q)
-            assert character_degrees(pgl_descriptor(pp)) == [1, q - 1, q, q + 1]
+            assert character_degrees(GroupDescriptor(pp, OuterSubgroup(U, 1))) == [1, q - 1, q, q + 1]
 
     def test_invariants_across_descriptors(self):
         for q in (7, 8, 9, 16, 25, 27, 64, 81, 128, 729):

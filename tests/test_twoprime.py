@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2cd.groups import PrimePower, character_degrees, pgl_descriptor
+from psl2cd.groups import GroupDescriptor, OuterKind, OuterSubgroup, PrimePower, character_degrees
 from psl2cd.twoprime import Violation, check_pair, check_set
 
 
@@ -103,4 +103,5 @@ class TestPglDegreeSets:
     def test_sample_prime_powers_pass(self):
         for q in (7, 8, 9, 27, 128, 1024, 3125, 2**20):
             pp = PrimePower.from_value(q)
-            assert check_set(character_degrees(pgl_descriptor(pp))) == ()
+            pgl = OuterSubgroup(OuterKind.UNTWISTED if pp.p == 2 else OuterKind.WITH_DIAGONAL, 1)
+            assert check_set(character_degrees(GroupDescriptor(pp, pgl))) == ()
