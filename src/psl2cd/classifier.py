@@ -1,12 +1,15 @@
 """Classification of proper extensions of PSL(2,q) under the two-prime
 condition.
 
-For each prime power q >= 7 and each group S < H <= Aut(S) the sweep
+For each prime power q >= 7 and each group S < H <= Aut(S), ``_decide``
 computes cd(H) exactly, checks the two-prime condition on the pairs no
 q-free bound keeps below gcd 8 (no other pair can fail), and matches H
 against the twelve group families known to be the only possible survivors,
 and their necessary arithmetic conditions on q; pairs and families are
-picked once per shape, in its plan.  The hard assertion runs in one
+picked once per shape, in its plan.  ``tally_sweep`` is the sweep: one
+loop over q and its plans that decides each group in plain values,
+counts it, and hands it to an optional sink; it makes a ``GroupVerdict``
+only for a group that breaks a claim.  The hard assertion runs in one
 direction only: a group that passes the pair check must match some family
 whose conditions hold.  The converse -- a matched family whose group
 nevertheless fails -- is reported, never assumed absent.
@@ -22,9 +25,8 @@ are authoritative (the j = 2 removal trims their printed sets).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .arithmetic import is_prime, omega, prime_powers_in_range
 from .groups import (
@@ -226,18 +228,20 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
     if g.is_trivial:
         raise ValueError("outer subgroup must be nontrivial: S < H is required")
     pp = g.q
-    return _decide(g, _q_plans(pp.f, min(pp.p, 7), pp.q % 4)[g.outer])
+    return GroupVerdict(g, *_decide(pp.q, _q_plans(pp.f, min(pp.p, 7), pp.q % 4)[g.outer]))
 
 
 # A q's groups, decided in turn, share most pair gcds (at most 22 distinct per q below 2**62).
 _gcd_omega = functools.lru_cache(maxsize=256)(omega)
 
 
-def _decide(g: GroupDescriptor, plan: tuple) -> GroupVerdict:
-    """g's verdict from its shape plan, for q >= 7 and H != S.  The kept
-    pairs come in (i, j) order, so violations are sorted by (a, b), and no
-    gcd reaches 2**63 once ``shape_degrees`` has checked the degrees."""
-    q = g.q.q
+def _decide(q: int, plan: tuple) -> tuple:
+    """The verdict at q >= 7 of a proper extension with this shape plan,
+    as the plain values (degrees, violations, matched rows, degree
+    mismatches), each a tuple: a ``GroupVerdict`` without its group.  The
+    kept pairs come in (i, j) order, so violations are sorted by (a, b),
+    and no gcd reaches 2**63 once ``shape_degrees`` has checked the
+    degrees."""
     eps, forms, rows, pairs = plan
     degrees = shape_degrees(q, eps, forms)
     violations = []
@@ -246,14 +250,18 @@ def _decide(g: GroupDescriptor, plan: tuple) -> GroupVerdict:
         gcd = math.gcd(a, b)
         if gcd >= 8 and (om := _gcd_omega(gcd)) >= 3:  # Omega(gcd) >= 3 needs gcd >= 2**3
             violations.append(Violation(a, b, gcd, om))
-    matched: list[str] = []
-    mismatched: list[str] = []
+    matched = mismatched = ()
     for row, differs in rows:
         if row.conditions is None or row.conditions(q):
-            matched.append(row.row_id)
+            matched += (row.row_id,)
             if differs:
-                mismatched.append(row.row_id)
-    return GroupVerdict(g, tuple(degrees), tuple(violations), tuple(matched), tuple(mismatched))
+                mismatched += (row.row_id,)
+    return tuple(degrees), tuple(violations), matched, mismatched
+
+
+def _verdict(q: int, p: int, f: int, outer: OuterSubgroup, decided: tuple) -> GroupVerdict:
+    """The ``GroupVerdict`` of a group that ``tally_sweep`` decided."""
+    return GroupVerdict(GroupDescriptor(PrimePower.from_sieve(q, p, f), outer), *decided)
 
 
 class SweepTally(NamedTuple):
@@ -265,24 +273,60 @@ class SweepTally(NamedTuple):
     degree_mismatched: tuple[GroupVerdict, ...]
 
 
-def tally_verdicts(verdicts: Iterable[GroupVerdict]) -> SweepTally:
-    """Counts of groups, passing groups, disagreements, converse anomalies
-    (matched groups with violations) and degree mismatches, in one pass
-    that keeps only the disagreeing and degree-mismatched verdicts.  No
-    other code defines these counts."""
+def tally_sweep(
+    q_min: int, q_max: int, sink: Callable[[int, int, int, OuterSubgroup, tuple], object] | None = None
+) -> SweepTally:
+    """Decide every proper extension of every prime power in [q_min, q_max]
+    and tally the verdicts: counts of groups, passing groups,
+    disagreements, converse anomalies (matched groups with violations) and
+    degree mismatches.  No other code defines these counts.
+
+    Each group is handed, in (q, kind, d) order, to ``sink(q, p, f, outer,
+    decided)``, with ``decided`` the plain values of ``_decide``.  That
+    order needs no sort: q comes ascending from the sieve, and each q's
+    one cached dict ``_q_plans(f, min(p, 7), q mod 4)`` lists its proper
+    extensions in ``OuterKind`` order with ascending d, each with its
+    shape plan.  The range check and that lattice stand in for
+    ``brute_force_verdict``'s two checks.  The loop builds no group object
+    and no ``GroupVerdict``, except for the disagreeing and
+    degree-mismatched verdicts it keeps.
+
+    A range that holds no prime power raises ValueError, as an inverted
+    one does, so that no sweep passes with nothing checked.  The prime
+    powers are streamed: the sweep holds the sieve, not a list of them.
+
+    ``shape_degrees`` cannot overflow here: every degree is at most
+    (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a range past 2**57
+    needs a sieve larger than any address space, so it raises MemoryError
+    before the first group.
+    """
+    if q_min < 7:
+        raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
+    if q_max < q_min:
+        raise ValueError(f"empty range: q_min = {q_min} > q_max = {q_max}")
     groups = passing = converse = 0
     disagreements: list[GroupVerdict] = []
     mismatched: list[GroupVerdict] = []
-    for v in verdicts:
-        groups += 1
-        if not v.violations:
-            passing += 1
-        elif v.matched_rows:
-            converse += 1
-        if not v.agree:
-            disagreements.append(v)
-        if v.degree_mismatches:
-            mismatched.append(v)
+    for q, p, f in prime_powers_in_range(q_min, q_max):
+        for outer, plan in _q_plans(f, min(p, 7), q % 4).items():
+            decided = _decide(q, plan)
+            _, violations, matched, mismatches = decided
+            groups += 1
+            if violations:
+                if matched:
+                    converse += 1
+            else:
+                passing += 1
+            if not (violations or matched) or mismatches:
+                verdict = _verdict(q, p, f, outer, decided)
+                if not verdict.agree:
+                    disagreements.append(verdict)
+                if mismatches:
+                    mismatched.append(verdict)
+            if sink is not None:
+                sink(q, p, f, outer, decided)
+    if not groups:
+        raise ValueError(f"no prime power in [{q_min}, {q_max}]: nothing to check")
     summary = {
         "groups": groups,
         "passing": passing,
@@ -293,49 +337,12 @@ def tally_verdicts(verdicts: Iterable[GroupVerdict]) -> SweepTally:
     return SweepTally(summary, tuple(disagreements), tuple(mismatched))
 
 
-def iter_verdicts(q_min: int, q_max: int) -> Iterator[GroupVerdict]:
-    """Verdicts for every prime power in [q_min, q_max] and every proper
-    extension, deterministically ordered by (q, kind, d), each yielded as
-    soon as it is decided.
-
-    The range is checked, the prime powers sieved and the first of them
-    read when this is called, not at the first verdict.  A range that
-    holds no prime power raises ValueError, as an inverted one does, so
-    that no sweep passes with nothing checked.  After that the prime
-    powers are streamed: the sweep holds the sieve, not a list of them.
-
-    The order needs no sort: q comes ascending from the sieve, and each
-    q's subgroups come in ``OuterKind`` order with ascending d.
-
-    Per q one cached dict, keyed on (f, min(p, 7), q mod 4), gives each
-    proper extension with its shape plan for ``_decide``; the range check
-    and the lattice stand in for ``brute_force_verdict``'s two checks.
-
-    ``shape_degrees`` cannot overflow here: every degree is at most
-    (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a range past 2**57
-    needs a sieve larger than any address space, so it raises MemoryError
-    before the first verdict.
-    """
-    if q_min < 7:
-        raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
-    if q_max < q_min:
-        raise ValueError(f"empty range: q_min = {q_min} > q_max = {q_max}")
-    prime_powers = iter(prime_powers_in_range(q_min, q_max))
-    first = next(prime_powers, None)
-    if first is None:
-        raise ValueError(f"no prime power in [{q_min}, {q_max}]: nothing to check")
-    return (
-        _decide(GroupDescriptor(pp, outer), plan)
-        for q, p, f in itertools.chain((first,), prime_powers)
-        for pp in (PrimePower.from_sieve(q, p, f),)
-        for outer, plan in _q_plans(f, min(p, 7), q % 4).items()
-    )
-
-
 def sweep(q_min: int, q_max: int) -> tuple[GroupVerdict, ...]:
-    """Every verdict of ``iter_verdicts(q_min, q_max)``; ``tally_verdicts``
-    gives their counts, disagreements and degree mismatches."""
-    return tuple(iter_verdicts(q_min, q_max))
+    """The ``GroupVerdict`` of every group ``tally_sweep(q_min, q_max)``
+    decides, in its order."""
+    verdicts: list[GroupVerdict] = []
+    tally_sweep(q_min, q_max, lambda *group: verdicts.append(_verdict(*group)))
+    return tuple(verdicts)
 
 
 def verdict_to_dict(v: GroupVerdict) -> dict:

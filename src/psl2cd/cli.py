@@ -13,16 +13,15 @@ import functools
 import json
 import os
 import sys
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .arithmetic import factor, omega
 from .classifier import (
     GroupVerdict,
     SweepTally,
     brute_force_verdict,
-    iter_verdicts,
     sweep,  # not called here; perfbench/measure.py wraps cli.sweep by name
-    tally_verdicts,
+    tally_sweep,
     verdict_to_dict,
 )
 from .facts import FACTS, fact_report_to_dict, verify_all, verify_fact
@@ -71,44 +70,39 @@ def _verdict_template(
     return text.replace("\n", "\n    ").replace(str(_SLOT), "%s")
 
 
-def _rendered(
-    verdicts: Iterable[GroupVerdict], batches: list[tuple[list[str], str]]
-) -> Iterator[GroupVerdict]:
-    """Pass the verdicts through, keeping for each one the cached template
-    of its shape and its slot integers ``(*degrees, q, q, *a_b_gcd_omega)``.
-    Each batch of ``_VERDICT_BATCH`` verdicts, and the last, shorter one,
-    becomes one item ``(templates, numbers)`` of ``batches``: the templates
-    in order, and every slot of the batch in decimal, joined by commas."""
+def _sweep_json(q_min: int, q_max: int, out: TextIO) -> SweepTally:
+    """Run ``tally_sweep`` and write ``to_json`` of its report, plus a
+    newline, to ``out``; return the tally.
+
+    The sweep's sink keeps, for each group, the cached template of its
+    verdict's shape and its slot integers ``(*degrees, q, q,
+    *a_b_gcd_omega)``.  Each batch of ``_VERDICT_BATCH`` verdicts, and the
+    last, shorter one, is kept as its templates in order and every slot
+    of the batch in decimal, joined by commas.  The head and tail are
+    ``to_json`` of the report with ``_SLOT`` as its one verdict, split at
+    the last ``_SLOT``.  The verdicts, nearly all of the text, are written
+    between them, each batch with one ``%`` fill of its templates joined,
+    so the report never exists as one string or as dicts.
+    """
+    batches: list[tuple[list[str], str]] = []
     templates: list[str] = []
     slots: list[int] = []
-    for v in verdicts:
-        g = v.descriptor
-        templates.append(
-            _verdict_template(g.outer.kind, g.outer.d, g.q.f, len(v.degrees), v.matched_rows, len(v.violations))
-        )
-        slots += v.degrees
-        slots += (g.q.q, g.q.q)
-        for w in v.violations:
-            slots += (w.a, w.b, w.gcd, w.omega)
+
+    def sink(q: int, p: int, f: int, outer: OuterSubgroup, decided: tuple) -> None:
+        nonlocal templates, slots
+        degrees, violations, matched_rows, _ = decided
+        templates.append(_verdict_template(outer.kind, outer.d, f, len(degrees), matched_rows, len(violations)))
+        slots += degrees
+        slots += (q, q)
+        for w in violations:
+            slots += w
         if len(templates) == _VERDICT_BATCH:
             batches.append((templates, ",".join(map(str, slots))))
             templates, slots = [], []
-        yield v
-    if templates:
+
+    tally = tally_sweep(q_min, q_max, sink)
+    if templates:  # a sweep has at least one group, so batches is never empty
         batches.append((templates, ",".join(map(str, slots))))
-
-
-def _write_sweep_json(
-    q_min: int, q_max: int, tally: SweepTally, batches: list[tuple[list[str], str]], out: TextIO
-) -> None:
-    """Write ``to_json`` of the sweep report, plus a newline, to ``out``.
-
-    The head and tail are ``to_json`` of the report with ``_SLOT`` as its
-    one verdict, split at the last ``_SLOT``.  The verdicts, nearly all of
-    the text, are written between them, each batch of ``_rendered`` with
-    one ``%`` fill of its templates joined, so the report never exists as
-    one string or as dicts.  ``batches`` is never empty.
-    """
     head, _, tail = to_json(
         {
             "q_min": q_min,
@@ -117,17 +111,18 @@ def _write_sweep_json(
                 {"q": v.descriptor.q.q, "group": group_name(v.descriptor), "rows": list(v.degree_mismatches)}
                 for v in tally.degree_mismatched
             ],
-            "overflowed": [],  # kept for the format; see classifier.iter_verdicts
+            "overflowed": [],  # kept for the format; see classifier.tally_sweep
             "summary": tally.summary,
             "verdicts": [_SLOT],
         }
     ).rpartition(str(_SLOT))
     out.write(head)
-    for i, (templates, numbers) in enumerate(batches):
+    for i, (batch, numbers) in enumerate(batches):
         if i:
             out.write(",\n    ")
-        out.write(",\n    ".join(templates) % tuple(numbers.split(",")))
+        out.write(",\n    ".join(batch) % tuple(numbers.split(",")))
     out.write(tail + "\n")
+    return tally
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -252,19 +247,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         print("note: sweeps run serially; --jobs is ignored", file=sys.stderr)
-    # Verdicts are tallied as they are decided and then dropped; nothing is
-    # printed until the last one, so a sweep that fails part way prints
-    # nothing to stdout.  For JSON each verdict leaves behind a reference
-    # to its shape's template and its slot integers as decimal text, about
+    # tally_sweep decides each group and counts it, and keeps a verdict only
+    # when it breaks a claim; nothing is printed until the last group, so a
+    # sweep that fails part way prints nothing to stdout.  Text mode passes
+    # no sink.  For JSON, _sweep_json's sink keeps per group a reference to
+    # its verdict's template and its slot integers as decimal text, about
     # 45 bytes against the 330 of its rendered text; the text is made only
     # while writing, one batch of _VERDICT_BATCH verdicts at a time.
-    verdicts = iter_verdicts(args.qmin, args.qmax)
     if args.format == "json":
-        batches: list[tuple[list[str], str]] = []
-        tally = tally_verdicts(_rendered(verdicts, batches))
-        _write_sweep_json(args.qmin, args.qmax, tally, batches, sys.stdout)
+        tally = _sweep_json(args.qmin, args.qmax, sys.stdout)
     else:
-        tally = tally_verdicts(verdicts)
+        tally = tally_sweep(args.qmin, args.qmax)
         print(f"sweep q in [{args.qmin}, {args.qmax}]: {tally.summary['groups']} groups")
         print(
             "passing: {passing}   disagreements: {disagreements}   "
@@ -290,6 +283,16 @@ def _cmd_facts(args: argparse.Namespace) -> int:
             text.append(f"  counterexamples: {', '.join(map(str, r.counterexamples))}")
     _emit(args, payload, text)
     return 0 if all(r.holds for r in reports) else 1
+
+
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -330,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("sweep", _cmd_sweep, "classification sweep over a range of prime powers")
     p.add_argument("--qmin", type=int, required=True)
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None, help="accepted and ignored: sweeps run serially")
+    p.add_argument("--jobs", type=_job_count, default=None, help="N >= 1, accepted and ignored: sweeps run serially")
 
     p = add("facts", _cmd_facts, "verify the registered number-theoretic facts")
     p.add_argument("--fact", choices=sorted(FACTS), default=None)

@@ -11,7 +11,7 @@ import sys
 import time
 
 from psl2cd.arithmetic import factor, is_prime, prime_powers_in_range, zsigmondy_base2
-from psl2cd.classifier import sweep, tally_verdicts
+from psl2cd.classifier import sweep, tally_sweep
 from psl2cd.groups import (
     GroupDescriptor,
     OuterKind,
@@ -55,7 +55,7 @@ def criterion_2_classification_sweep() -> None:
     started = time.perf_counter()
     verdicts = sweep(7, 4096)
     assert verdicts, "sweep produced no verdicts"
-    tally = tally_verdicts(verdicts)
+    tally = tally_sweep(7, 4096)
     assert tally.disagreements == (), [
         (v.descriptor.q.q, v.descriptor.outer) for v in tally.disagreements
     ]

@@ -13,13 +13,12 @@ from psl2cd.arithmetic import divisors, is_prime, prime_sieve
 from psl2cd.classifier import (
     GroupVerdict,
     brute_force_verdict,
-    iter_verdicts,
     sweep,
-    tally_verdicts,
+    tally_sweep,
     verdict_to_dict,
 )
 from psl2cd.cli import main, to_json
-from psl2cd.twoprime import Violation, check_set
+from psl2cd.twoprime import check_set
 from psl2cd.groups import (
     GroupDescriptor,
     OuterKind,
@@ -37,13 +36,6 @@ U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
 
 def desc(q: int, kind: OuterKind, d: int) -> GroupDescriptor:
     return GroupDescriptor(PrimePower.from_value(q), OuterSubgroup(kind, d))
-
-
-@pytest.fixture
-def fresh_plans():
-    classifier._q_plans.cache_clear()
-    yield
-    classifier._q_plans.cache_clear()  # drop the plans cached from a swapped table
 
 
 # Every real row predicts its degrees correctly, so tests swap in one of
@@ -90,7 +82,7 @@ class TestTableRows:
             return row._replace(conditions=lambda q: calls.append(q) is None and row.conditions(q))
 
         monkeypatch.setattr(classifier, "_ROWS", tuple(r if r.conditions is None else counted(r) for r in classifier._ROWS))
-        summary = tally_verdicts(iter_verdicts(7, 2**20)).summary
+        summary = tally_sweep(7, 2**20).summary
         assert len(calls) == 600 and all(type(q) is int for q in calls)
         assert summary["groups"] == 82999 and summary["disagreements"] == 0
 
@@ -247,7 +239,7 @@ def _cached_plan(g: GroupDescriptor) -> tuple:
 def _verdicts_to_check():
     """Every group of the 7..2^16 sweep, then every proper extension of
     p^f < 2^63 for p <= 13 whose degrees stay below 2^63."""
-    yield from iter_verdicts(7, 2**16)
+    yield from sweep(7, 2**16)
     for p in (2, 3, 5, 7, 11, 13):
         for pp in (PrimePower(p, f) for f in range(1, 63) if 7 <= p**f < 2**63):
             for outer in enumerate_outer_subgroups(pp, include_trivial=False):
@@ -317,7 +309,7 @@ class TestPlanVerdicts:
     """The shape plans decide every group as the pair-by-pair reference does."""
 
     def test_sweep_matches_the_reference(self):
-        verdicts = list(iter_verdicts(7, 2**16))
+        verdicts = list(sweep(7, 2**16))
         assert verdicts == [_reference_verdict(v.descriptor) for v in verdicts]
         assert sum(bool(v.violations) for v in verdicts) > 100
 
@@ -381,7 +373,7 @@ def test_reference_shares_no_memo_with_the_plan_loop(monkeypatch):
     # Each failing group of 7..2^16 reads Omega of a kept pair's gcd through
     # the memo.  With the memo broken the plan path raises on it, and
     # check_set and the reference still give the sweep's verdict.
-    failing = [v for v in iter_verdicts(7, 2**16) if v.violations]
+    failing = [v for v in sweep(7, 2**16) if v.violations]
 
     def broken(n):
         raise AssertionError(f"_gcd_omega({n}) called")
@@ -459,7 +451,7 @@ class TestSweep:
         ]
         assert all(v.brute_pass for v in verdicts)
         assert all(v.agree for v in verdicts)
-        tally = tally_verdicts(verdicts)
+        tally = tally_sweep(7, 11)
         assert tally.disagreements == ()
         assert tally.degree_mismatched == ()
 
@@ -479,7 +471,7 @@ class TestSweep:
         # empirical finding over the sweep range, reported rather than assumed
         verdicts = sweep(7, 512)
         assert not [v for v in verdicts if v.matched_rows and not v.brute_pass]
-        assert tally_verdicts(verdicts).summary["converse_anomalies"] == 0
+        assert tally_sweep(7, 512).summary["converse_anomalies"] == 0
 
     def test_pgl_always_passes(self):
         pgl_verdicts = [
@@ -499,26 +491,32 @@ class TestSweep:
         assert {"m10", "s_delta_phi_half"} <= set(by_outer[(T, 2)].matched_rows)
         assert all(v.brute_pass and v.agree for v in verdicts)
 
-    def test_tally_counts_each_claim(self):
-        # No real range breaks a claim, so edit real verdicts into a
-        # disagreement, a converse anomaly and a degree mismatch.
-        pgl7, field8, sym6, pgl9 = sweep(7, 9)[:4]
-        disagreement = pgl7._replace(matched_rows=())
-        converse = field8._replace(violations=(Violation(8, 24, 8, 3),))
-        mismatch = sym6._replace(degree_mismatches=("sym6",))
-        both = pgl9._replace(matched_rows=(), degree_mismatches=("pgl",))
-        unmatched_failure = converse._replace(matched_rows=())  # agrees: no claim broken
-        verdicts = (disagreement, converse, mismatch, pgl9, both, unmatched_failure)
-        tally = tally_verdicts(verdicts)
+    def test_tally_counts_each_claim(self, monkeypatch, fresh_plans):
+        # No real row breaks a claim, so swap three: pgl no longer holds at
+        # q = 7 (a disagreement), sym6 predicts 9, 16 without 5 and 10 (a
+        # degree mismatch), and s_phi_half_odd holds for every q, so the
+        # failing PSL(2,49).<phi^1> matches it (a converse anomaly).
+        # PGL(2,49).<phi^1> and PSL(2,49).<delta*phi^1> fail and match no
+        # row, which breaks no claim.
+        rows = {r.row_id: r for r in classifier._ROWS}
+        rows["pgl"] = rows["pgl"]._replace(conditions=lambda q: q != 7)
+        rows["sym6"] = rows["sym6"]._replace(expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1)}))
+        rows["s_phi_half_odd"] = rows["s_phi_half_odd"]._replace(conditions=None)
+        monkeypatch.setattr(classifier, "_ROWS", tuple(rows.values()))
+        tally = tally_sweep(7, 49)
         assert tally.summary == {
-            "groups": 6,
-            "passing": 4,
-            "disagreements": 2,
+            "groups": 31,
+            "passing": 28,
+            "disagreements": 1,
             "converse_anomalies": 1,
-            "degree_mismatches": 2,
+            "degree_mismatches": 1,
         }
-        assert tally.disagreements == (disagreement, both)
-        assert tally.degree_mismatched == (mismatch, both)
+        assert tally.disagreements == (brute_force_verdict(desc(7, WD, 1)),)
+        (mismatch,) = tally.degree_mismatched
+        assert mismatch == brute_force_verdict(desc(9, U, 2))
+        assert mismatch.degree_mismatches == ("sym6",)
+        converse = brute_force_verdict(desc(49, U, 2))
+        assert converse.violations and converse.matched_rows == ("s_phi_half_odd",)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -530,18 +528,21 @@ class TestSweep:
                 sweep(q_min, q_max)
 
     def test_errors_come_from_the_call(self, monkeypatch):
-        # The range is checked, the sieve built and the first prime power
-        # read when iter_verdicts is called, so no error waits for next().
-        for q_min, q_max in ((24, 24), (11, 7)):
+        # The range is checked and the sieve built before any group is
+        # decided, so a failing sweep hands its sink nothing.
+        def sink(*group):
+            raise AssertionError(f"{group} reached the sink")
+
+        for q_min, q_max in ((24, 24), (11, 7), (4, 11)):
             with pytest.raises(ValueError):
-                iter_verdicts(q_min, q_max)
+                tally_sweep(q_min, q_max, sink)
 
         def out_of_memory(limit):
             raise MemoryError
 
         monkeypatch.setattr("psl2cd.arithmetic.prime_sieve", out_of_memory)
         with pytest.raises(MemoryError):
-            iter_verdicts(7, 11)
+            tally_sweep(7, 11, sink)
 
     def test_memory_is_set_by_the_sieve(self):
         # The prime powers are streamed out of the sieve, so the traced peak
@@ -550,10 +551,10 @@ class TestSweep:
         # built through a copy of itself took twice its bytes.
         hi = 2**16
         bound = 2 * len(prime_sieve(hi))
-        tally_verdicts(iter_verdicts(7, hi))  # fill the factor and shape caches
+        tally_sweep(7, hi)  # fill the factor and shape caches
         tracemalloc.start()
         try:
-            tally_verdicts(iter_verdicts(7, hi))
+            tally_sweep(7, hi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

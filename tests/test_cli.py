@@ -15,13 +15,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import psl2cd
-from psl2cd import cli
+from psl2cd import classifier, cli
 from psl2cd.arithmetic import MAX_VALUE, is_prime
-from psl2cd.classifier import brute_force_verdict, sweep, tally_verdicts, verdict_to_dict
+from psl2cd.classifier import SweepTally, brute_force_verdict, sweep, verdict_to_dict
 from psl2cd.cli import main, to_json
 from psl2cd.facts import FACTS
-from psl2cd.groups import GroupDescriptor, PrimePower, enumerate_outer_subgroups
+from psl2cd.groups import GroupDescriptor, PrimePower, enumerate_outer_subgroups, group_name
 from psl2cd.twoprime import Violation
+
+from _oracles import sieve_factorizer
 
 
 def run(capsys, *argv):
@@ -120,6 +122,14 @@ class TestBasicCommands:
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
         assert run(capsys, *argv, "--jobs", "64")[0] == 0
+
+    @pytest.mark.parametrize("jobs", ["-5", "0"])
+    def test_sweep_jobs_below_1_exits_2(self, capsys, jobs):
+        code, out, err = run(capsys, "sweep", "--qmin", "7", "--qmax", "11", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert errors == [f"psl2cd sweep: error: argument --jobs: must be at least 1, got {jobs}"]
+        assert err.endswith(errors[0] + "\n")  # after argparse's usage lines
 
     def test_facts_single(self, capsys):
         code, out, _ = run(capsys, "facts", "--fact", "F3", "--limit", "20")
@@ -385,37 +395,57 @@ class TestErrorPaths:
         assert err == "error: the index of A5 in PSL(2,4294967291) is out of range: must be below 2**63\n"
 
     def test_memory_error_exits_2(self, capsys, monkeypatch):
-        def out_of_memory(q_min, q_max):
+        # The sweep's one large allocation is the prime sieve.
+        def out_of_memory(limit):
             raise MemoryError
 
-        monkeypatch.setattr("psl2cd.cli.iter_verdicts", out_of_memory)
+        monkeypatch.setattr("psl2cd.arithmetic.prime_sieve", out_of_memory)
         code, out, err = run(capsys, "sweep", "--qmin", "7", "--qmax", "11")
         assert code == 2
         assert out == ""
         assert err.startswith("error: out of memory")
 
 
+def _swap_row(monkeypatch, row_id, **fields):
+    """Give one row of the table other fields for the rest of the test."""
+    rows = classifier._ROWS
+    monkeypatch.setattr(classifier, "_ROWS", tuple(r._replace(**fields) if r.row_id == row_id else r for r in rows))
+
+
 class TestSweepReportWriter:
-    """The streamed `sweep --format json` report against the library's
-    verdicts, re-serialized through the dict path."""
+    """The streamed `sweep --format json` report against verdicts built one
+    group at a time, with no sweep: ``brute_force_verdict`` of every proper
+    extension of every prime power in the range, found by a sieve of the
+    test oracles."""
 
     def check(self, capsys, q_min, q_max):
+        factor = sieve_factorizer(q_max)
+        powers = [PrimePower(*fs[0]) for q in range(q_min, q_max + 1) if len(fs := factor(q)) == 1]
+        verdicts = [
+            brute_force_verdict(GroupDescriptor(pp, outer))
+            for pp in powers
+            for outer in enumerate_outer_subgroups(pp, include_trivial=False)
+        ]
+        broken = any(not v.agree or v.degree_mismatches for v in verdicts)
         code, out, _ = run(capsys, "sweep", "--qmin", str(q_min), "--qmax", str(q_max), "--format", "json")
-        assert code == 0
+        assert code == (1 if broken else 0)
         payload = json.loads(out)
         assert to_json(payload) + "\n" == out
-        verdicts = sweep(q_min, q_max)
         assert payload["verdicts"] == [verdict_to_dict(v) for v in verdicts]
-        tally = tally_verdicts(verdicts)
         assert payload["summary"] == {
             "groups": len(verdicts),
             "passing": sum(v.brute_pass for v in verdicts),
-            "disagreements": len(tally.disagreements),
+            "disagreements": sum(not v.agree for v in verdicts),
             "converse_anomalies": sum(bool(v.matched_rows) and not v.brute_pass for v in verdicts),
-            "degree_mismatches": len(tally.degree_mismatched),
+            "degree_mismatches": sum(bool(v.degree_mismatches) for v in verdicts),
         }
+        assert payload["degree_mismatches"] == [
+            {"q": v.descriptor.q.q, "group": group_name(v.descriptor), "rows": list(v.degree_mismatches)}
+            for v in verdicts
+            if v.degree_mismatches
+        ]
         assert payload["overflowed"] == []
-        assert (payload["q_min"], payload["q_max"], payload["degree_mismatches"]) == (q_min, q_max, [])
+        assert (payload["q_min"], payload["q_max"]) == (q_min, q_max)
         return payload
 
     def test_failing_groups_with_violations(self, capsys):
@@ -433,32 +463,50 @@ class TestSweepReportWriter:
         payload = self.check(capsys, 7, 11)
         assert all(v["pass"] and v["violations"] == [] for v in payload["verdicts"])
 
-    def test_failed_claims_counted_and_exit_1(self, capsys, monkeypatch):
-        # No real range has a disagreement or a degree mismatch, so edit
-        # three real verdicts into one of each kind of failure.
-        pgl7, field8, sym6 = sweep(7, 9)[:3]
-        verdicts = (
-            pgl7._replace(matched_rows=()),
-            field8._replace(violations=(Violation(8, 24, 8, 3),)),
-            sym6._replace(degree_mismatches=("sym6",)),
-        )
-        monkeypatch.setattr("psl2cd.cli.iter_verdicts", lambda q_min, q_max: iter(verdicts))
-        code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "9", "--format", "json")
-        assert code == 1
-        payload = json.loads(out)
-        assert to_json(payload) + "\n" == out
-        assert payload["verdicts"] == [verdict_to_dict(v) for v in verdicts]
-        assert payload["summary"] == {
-            "groups": 3,
-            "passing": 2,
+    def test_one_q_with_many_violations(self, capsys):
+        payload = self.check(capsys, 3**12, 3**12)
+        assert payload["summary"]["groups"] == 15
+        assert sum(len(v["violations"]) for v in payload["verdicts"]) == 106
+
+    def test_failed_claims_counted_and_exit_1(self, capsys, monkeypatch, fresh_plans):
+        # No real row breaks a claim, so swap three rows: pgl no longer holds
+        # at q = 7 (a disagreement), sym6 predicts 9, 16 without 5 and 10 (a
+        # degree mismatch), and s_phi_half_odd holds for every q, so the
+        # failing PSL(2,49).<phi^1> matches it (a converse anomaly).
+        _swap_row(monkeypatch, "pgl", conditions=lambda q: q != 7)
+        _swap_row(monkeypatch, "sym6", expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1)}))
+        _swap_row(monkeypatch, "s_phi_half_odd", conditions=None)
+        payload = self.check(capsys, 7, 49)
+        assert {k: payload["summary"][k] for k in ("disagreements", "converse_anomalies", "degree_mismatches")} == {
             "disagreements": 1,
             "converse_anomalies": 1,
             "degree_mismatches": 1,
         }
         assert payload["degree_mismatches"] == [{"q": 9, "group": "PSL(2,9).<phi^1>", "rows": ["sym6"]}]
-        code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "9")
+        code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "49")
         assert code == 1
-        assert "DISAGREEMENT: PGL(2,7)" in out and "DEGREE MISMATCH: PSL(2,9).<phi^1> rows sym6" in out
+        assert out.splitlines()[2:] == [
+            "  DISAGREEMENT: PGL(2,7) passes but matches no row",
+            "  DEGREE MISMATCH: PSL(2,9).<phi^1> rows sym6",
+        ]
+
+    def test_verdicts_are_built_only_for_kept_groups(self, monkeypatch, fresh_plans):
+        # The sweep loop hands plain values to the JSON writer and builds a
+        # GroupVerdict only for a disagreement or a degree mismatch: none
+        # with the real table, and one for PSL(2,9).<phi^1> when the sym6
+        # prediction is wrong.
+        built = []
+        real = classifier.GroupVerdict
+        monkeypatch.setattr(classifier, "GroupVerdict", lambda *fields: built.append(fields[0]) or real(*fields))
+        argv = ["sweep", "--qmin", "7", "--qmax", str(2**16), "--format", "json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert built == []
+        _swap_row(monkeypatch, "sym6", expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1)}))
+        classifier._q_plans.cache_clear()  # plans of the real table
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 1
+        assert [group_name(g) for g in built] == ["PSL(2,9).<phi^1>"]
 
 
 @st.composite
@@ -497,21 +545,23 @@ def _variants(v):
 
 
 def _assert_batches_are_canonical(verdicts):
-    """Render the verdicts through ``_rendered`` and the batch writer and
-    check that each batch it writes is the canonical JSON of its verdicts,
-    four spaces deep.  Return the size of the template cache as each
-    verdict reaches ``_rendered``."""
+    """Write the JSON report with a sweep loop that hands the verdicts'
+    values to the report's sink, and check that each batch written is the
+    canonical JSON of its verdicts, four spaces deep.  Return the size of
+    the template cache as each verdict reaches the sink."""
     sizes = []
 
-    def passed_in():
+    def tally_sweep(q_min, q_max, sink):
         for v in verdicts:
             sizes.append(cli._verdict_template.cache_info().currsize)
-            yield v
+            pp = v.descriptor.q
+            sink(pp.q, pp.p, pp.f, v.descriptor.outer, v[1:])
+        return SweepTally({}, (), ())
 
-    batches = []
-    tally = tally_verdicts(cli._rendered(passed_in(), batches))
     writes = []
-    cli._write_sweep_json(7, 7, tally, batches, types.SimpleNamespace(write=writes.append))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "tally_sweep", tally_sweep)
+        cli._sweep_json(7, 7, types.SimpleNamespace(write=writes.append))
     # head, batch, separator, batch, ..., tail
     n = cli._VERDICT_BATCH
     assert writes[1:-1:2] == [
