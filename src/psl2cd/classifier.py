@@ -38,6 +38,7 @@ from .groups import (
     _shape,
     group_name,
     shape_degrees,
+    shape_key,
 )
 from .twoprime import Violation, violation_to_dict
 
@@ -168,11 +169,11 @@ _ROWS = (
 
 
 def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
-    """What every group of a shape shares, keyed like ``groups.shape_key``:
-    ``_shape``'s (eps, forms), the rows whose kind and matcher fit, in table
-    order, each with whether its prediction differs from the shape's, and
-    the index pairs (i, j), i < j, of ``shape_degrees``' list whose gcd may
-    reach 8.  Distinct forms with multipliers up to f differ once
+    """What every group of a shape, (kind, d) plus a ``groups.shape_key``,
+    shares: ``_shape``'s (eps, forms), the rows whose kind and matcher fit,
+    in table order, each with whether its prediction differs from the
+    shape's, and the index pairs (i, j), i < j, of ``shape_degrees``' list
+    whose gcd may reach 8.  Distinct forms with multipliers up to f differ once
     q > 2f - 1, and 2f - 1 < 2^f <= q, so each flag holds for every q of
     the shape.  gcd(m1(q + s1), m2(q + s2)) divides lcm(m1, m2)|s1 - s2|,
     and gcd((q+eps)/2, m(q + s)) divides m|eps - s|, so the half degree
@@ -197,10 +198,11 @@ def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _q_plans(f: int, p: int, q4: int) -> dict[OuterSubgroup, tuple]:
-    """{outer: shape plan} for every proper extension of a q = p^f with this
-    f, min(p, 7) and q mod 4, in ``enumerate_outer_subgroups`` order.  Each
-    shape key is (kind, d) plus this key, so each plan is built once."""
-    return {outer: _shape_plan(outer.kind, outer.d, f, p, q4) for outer in _lattice(f, p == 2, False)}
+    """{outer: shape plan} for every proper extension of a q = p^f whose
+    ``groups.shape_key`` is (f, p, q4), in ``enumerate_outer_subgroups``
+    order.  A shape is (kind, d) plus this key, so each plan is built once,
+    and this is the one cache of plans and shapes."""
+    return {outer: _shape_plan(*outer, f, p, q4) for outer in _lattice(f, p == 2)[1:]}
 
 
 class GroupVerdict(NamedTuple):
@@ -220,15 +222,14 @@ class GroupVerdict(NamedTuple):
 
 
 def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
-    """Exact degree set, the two-prime check of the pairs its shape plan
-    keeps, the shape's rows whose conditions, if any, q meets, and those
-    of them whose predicted degrees the shape has shown wrong."""
+    """Exact degree set, the two-prime check of the pairs its plan
+    ``_q_plans(*shape_key(*g.q))[g.outer]`` keeps, the shape's rows whose
+    conditions, if any, q meets, and those whose predictions it shows wrong."""
     if g.q.q < 7:
         raise ValueError(f"the classification covers q >= 7, got {g.q.q}")
     if g.is_trivial:
         raise ValueError("outer subgroup must be nontrivial: S < H is required")
-    pp = g.q
-    return GroupVerdict(g, *_decide(pp.q, _q_plans(pp.f, min(pp.p, 7), pp.q % 4)[g.outer]))
+    return GroupVerdict(g, *_decide(g.q.q, _q_plans(*shape_key(*g.q))[g.outer]))
 
 
 # A q's groups, decided in turn, share most pair gcds (at most 22 distinct per q below 2**62).
@@ -284,7 +285,7 @@ def tally_sweep(
     Each group is handed, in (q, kind, d) order, to ``sink(q, p, f, outer,
     decided)``, with ``decided`` the plain values of ``_decide``.  That
     order needs no sort: q comes ascending from the sieve, and each q's
-    one cached dict ``_q_plans(f, min(p, 7), q mod 4)`` lists its proper
+    one cached dict ``_q_plans(*shape_key(p, f, q))`` lists its proper
     extensions in ``OuterKind`` order with ascending d, each with its
     shape plan.  The range check and that lattice stand in for
     ``brute_force_verdict``'s two checks.  The loop builds no group object
@@ -308,7 +309,7 @@ def tally_sweep(
     disagreements: list[GroupVerdict] = []
     mismatched: list[GroupVerdict] = []
     for q, p, f in prime_powers_in_range(q_min, q_max):
-        for outer, plan in _q_plans(f, min(p, 7), q % 4).items():
+        for outer, plan in _q_plans(*shape_key(p, f, q)).items():
             decided = _decide(q, plan)
             _, violations, matched, mismatches = decided
             groups += 1

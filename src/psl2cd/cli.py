@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence, TextIO
+from typing import NoReturn, Sequence, TextIO
 
 from .arithmetic import factor, omega
 from .classifier import (
@@ -82,7 +82,9 @@ def _sweep_json(q_min: int, q_max: int, out: TextIO) -> SweepTally:
     ``to_json`` of the report with ``_SLOT`` as its one verdict, split at
     the last ``_SLOT``.  The verdicts, nearly all of the text, are written
     between them, each batch with one ``%`` fill of its templates joined,
-    so the report never exists as one string or as dicts.
+    so the report never exists as one string or as dicts.  Nothing is
+    written before the last group is decided, so a failed sweep writes
+    nothing.
     """
     batches: list[tuple[list[str], str]] = []
     templates: list[str] = []
@@ -245,15 +247,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        print("note: sweeps run serially; --jobs is ignored", file=sys.stderr)
-    # tally_sweep decides each group and counts it, and keeps a verdict only
-    # when it breaks a claim; nothing is printed until the last group, so a
-    # sweep that fails part way prints nothing to stdout.  Text mode passes
-    # no sink.  For JSON, _sweep_json's sink keeps per group a reference to
-    # its verdict's template and its slot integers as decimal text, about
-    # 45 bytes against the 330 of its rendered text; the text is made only
-    # while writing, one batch of _VERDICT_BATCH verdicts at a time.
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"argument --jobs: must be at least 1, got {args.jobs}")
     if args.format == "json":
         tally = _sweep_json(args.qmin, args.qmax, sys.stdout)
     else:
@@ -267,6 +262,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  DISAGREEMENT: {group_name(verdict.descriptor)} passes but matches no row")
         for verdict in tally.degree_mismatched:
             print(f"  DEGREE MISMATCH: {group_name(verdict.descriptor)} rows {', '.join(verdict.degree_mismatches)}")
+    if args.jobs is not None:
+        print("note: sweeps run serially; --jobs is ignored", file=sys.stderr)
     return 1 if tally.disagreements or tally.degree_mismatched else 0
 
 
@@ -285,18 +282,16 @@ def _cmd_facts(args: argparse.Namespace) -> int:
     return 0 if all(r.holds for r in reports) else 1
 
 
-def _job_count(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as ValueError, for ``main`` to print as one
+    line; subparsers are made of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message.replace("\n", r"\n"))  # unrecognized arguments are quoted raw
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="psl2cd",
         description="Degree sets of almost simple groups with socle PSL(2,q) "
         "and the two-prime condition.",
@@ -333,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("sweep", _cmd_sweep, "classification sweep over a range of prime powers")
     p.add_argument("--qmin", type=int, required=True)
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--jobs", type=_job_count, default=None, help="N >= 1, accepted and ignored: sweeps run serially")
+    p.add_argument("--jobs", type=int, default=None, help="N >= 1, accepted and ignored: sweeps run serially")
 
     p = add("facts", _cmd_facts, "verify the registered number-theoretic facts")
     p.add_argument("--fact", choices=sorted(FACTS), default=None)
@@ -343,12 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         code = args.handler(args)
         if sys.stdout is sys.__stdout__:
             sys.stdout.flush()  # so that a closed pipe raises here, not at exit
@@ -368,6 +359,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; try a smaller range", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # -h prints its help to stdout
+        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

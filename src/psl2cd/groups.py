@@ -20,8 +20,9 @@ cases), and eps = +1 or -1 as q = 1 or 3 (mod 4),
 
 where (q+eps)/2 occurs only for odd q and H <= S<phi>, subject to six
 exceptional removals at small characteristic.  All of it but q itself is
-fixed by the shape ``shape_key`` names, so ``_shape`` states it once per
-shape, the sign eps included, as degree forms.  Note the
+fixed by H's shape: its (kind, d) and q's ``shape_key``, (f, min(p, 7),
+q mod 4).  ``_shape`` states that part, the sign eps included, as degree
+forms, and ``classifier._q_plans`` keeps it once per shape.  Note the
 membership convention: a TWISTED subgroup never contains delta itself (an
 even power of delta*phi^(f/d) is a pure field automorphism, an odd power
 keeps the delta component tied to a nontrivial field part), so it gets
@@ -123,39 +124,43 @@ def enumerate_outer_subgroups(q: PrimePower, include_trivial: bool) -> list[Oute
 
     Order: untwisted by ascending d, then with-diagonal, then twisted.
     """
-    return list(_lattice(q.f, q.p == 2, include_trivial))
+    return list(_lattice(q.f, q.p == 2)[0 if include_trivial else 1 :])
 
 
-# The lattice depends only on f and on whether p = 2, and the degree-formula
-# shape only on ``shape_key``, so both are computed once per key.  q < 2**63
-# forces f <= 62, which bounds the caches at 248 lattice keys and 2,380 shape
-# keys, and ``classifier._q_plans`` at 279 keys (f, min(p, 7), q mod 4).
+# The lattice depends only on f and on whether p = 2, so it is computed once
+# per key.  q < 2**63 forces f <= 62, which bounds this cache at 124 keys and
+# ``classifier._q_plans``'s at 279 ``shape_key`` keys.
 @functools.lru_cache(maxsize=None)
-def _lattice(f: int, char_two: bool, include_trivial: bool) -> tuple[OuterSubgroup, ...]:
+def _lattice(f: int, char_two: bool) -> tuple[OuterSubgroup, ...]:
+    """Every subgroup of Out(S), in ``enumerate_outer_subgroups`` order: the
+    trivial subgroup, UNTWISTED with d = 1, comes first."""
     divs = divisors(f)
-    subs = [OuterSubgroup(OuterKind.UNTWISTED, d) for d in divs if include_trivial or d > 1]
+    subs = [OuterSubgroup(OuterKind.UNTWISTED, d) for d in divs]
     if not char_two:
         subs.extend(OuterSubgroup(OuterKind.WITH_DIAGONAL, d) for d in divs)
         subs.extend(OuterSubgroup(OuterKind.TWISTED, d) for d in divs if d % 2 == 0)
     return tuple(subs)
 
 
-def shape_key(g: GroupDescriptor) -> tuple[OuterKind, int, int, int, int]:
-    """(kind, d, f, min(p, 7), q mod 4): all that cd(H) reads of H but q
-    itself.  The removals test p only against 2, 3 and 5, so larger primes
-    share a key, and q mod 4 fixes the sign of (q+eps)/2."""
-    q = g.q
-    return g.outer.kind, g.outer.d, q.f, min(q.p, 7), q.q % 4
+def shape_key(p: int, f: int, q: int) -> tuple[int, int, int]:
+    """(f, min(p, 7), q mod 4): all that cd(H) reads of q = p^f but q itself,
+    so that with H's (kind, d) it names H's shape.  The removals test p only
+    against 2, 3 and 5, so larger primes share a key, and q mod 4 fixes the
+    sign of (q+eps)/2.  The arguments are in ``PrimePower``'s field order,
+    so ``shape_key(*pp)`` works.  This is the one statement of the key."""
+    return f, min(p, 7), q % 4
 
 
-@functools.lru_cache(maxsize=None)
 def _shape(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The q-independent part of ``character_degrees``, keyed by
-    ``shape_key``: the sign eps of the degree (q+eps)/2, or 0 when H has no
-    such degree, and the sorted forms (m, s) of the degrees above it and 1,
-    each the degree m*(q + s).  For q >= 4 this is the order of the values,
-    which are distinct: with equal m it is by s, and for M > J, both dividing
-    d, M(q-1) > J(q+1) exactly when q > (M+J)/(M-J) <= 2d - 1 < 2^d <= q.
+    """The q-independent part of ``character_degrees`` for H's (kind, d)
+    and q's ``shape_key``: the sign eps of the degree (q+eps)/2, or 0 when
+    H has no such degree, and the sorted forms (m, s) of the degrees above
+    it and 1, each the degree m*(q + s).  For q >= 4 this is the order of
+    the values, which are distinct: with equal m it is by s, and for M > J,
+    both dividing d, M(q-1) > J(q+1) exactly when q > (M+J)/(M-J) <=
+    2d - 1 < 2^d <= q.  It is not cached: its callers are
+    ``classifier._q_plans``, which keeps each shape's plan, and one ``cd``
+    command.
     """
     a = (d & -d).bit_length() - 1  # d = 2^a * m with m odd
     # (q+eps)/2 is removed for every H outside S<phi>, and p = 2 has none.
@@ -188,7 +193,7 @@ def character_degrees(g: GroupDescriptor) -> list[int]:
     the half degree, the index split, the multipliers and the removals)
     taken from ``_shape`` as forms already in the order of their values.
     Raises OverflowError if any degree would reach 2**63."""
-    return shape_degrees(g.q.q, *_shape(*shape_key(g)))
+    return shape_degrees(g.q.q, *_shape(*g.outer, *shape_key(*g.q)))
 
 
 def shape_degrees(q: int, eps: int, forms: tuple[tuple[int, int], ...]) -> list[int]:

@@ -62,9 +62,8 @@ class TestTableRows:
 
     def matched_ids(self, g):
         """The full scan: every row whose kind is H's, whose matcher holds on
-        the (d, f, p) of H's shape key and whose conditions, if any, hold
-        on q."""
-        _, d, f, p, _ = shape_key(g)
+        (d, f, min(p, 7)) and whose conditions, if any, hold on q."""
+        d, (f, p, _) = g.outer.d, shape_key(*g.q)
         return [
             r.row_id
             for r in classifier._ROWS
@@ -219,7 +218,7 @@ class TestBruteForceVerdict:
 def _differs_at(row, g: GroupDescriptor) -> bool:
     """The per-group check the shape's flag stands for: the row's predicted
     forms evaluated at q, sorted and compared with cd(H) \\ {1}."""
-    _, d, f, p, _ = shape_key(g)
+    d, (f, p, _) = g.outer.d, shape_key(*g.q)
     predicted = row.expected_degrees(d, f, p)
     if predicted is None:
         return False
@@ -232,8 +231,7 @@ def _differs_at(row, g: GroupDescriptor) -> bool:
 
 def _cached_plan(g: GroupDescriptor) -> tuple:
     """The plan that ``brute_force_verdict`` reads for g from ``_q_plans``."""
-    pp = g.q
-    return classifier._q_plans(pp.f, min(pp.p, 7), pp.q % 4)[g.outer]
+    return classifier._q_plans(*shape_key(*g.q))[g.outer]
 
 
 def _verdicts_to_check():
@@ -275,7 +273,7 @@ def _reference_verdict(g: GroupDescriptor) -> GroupVerdict:
     through ``check_set``, every row of the table by kind, matcher and
     conditions, and each matched row's prediction evaluated at q."""
     degrees = tuple(character_degrees(g))
-    _, d, f, p, _ = shape_key(g)
+    d, (f, p, _) = g.outer.d, shape_key(*g.q)
     matched = [
         row
         for row in classifier._ROWS

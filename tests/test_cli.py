@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing.process
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -126,10 +127,7 @@ class TestBasicCommands:
     @pytest.mark.parametrize("jobs", ["-5", "0"])
     def test_sweep_jobs_below_1_exits_2(self, capsys, jobs):
         code, out, err = run(capsys, "sweep", "--qmin", "7", "--qmax", "11", "--jobs", jobs)
-        assert (code, out) == (2, "")
-        errors = [line for line in err.splitlines() if "error" in line]
-        assert errors == [f"psl2cd sweep: error: argument --jobs: must be at least 1, got {jobs}"]
-        assert err.endswith(errors[0] + "\n")  # after argparse's usage lines
+        assert (code, out, err) == (2, "", f"error: argument --jobs: must be at least 1, got {jobs}\n")
 
     def test_facts_single(self, capsys):
         code, out, _ = run(capsys, "facts", "--fact", "F3", "--limit", "20")
@@ -221,6 +219,35 @@ class TestErrorPaths:
     def test_bad_flags(self, capsys):
         assert run(capsys, "factor")[0] == 2
         assert run(capsys, "unknowncmd")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("sweep --qmin 7 --qmax 11 --jobs x", "argument --jobs: invalid int value: 'x'"),
+            ("sweep --qmin x --qmax 11", "argument --qmin: invalid int value: 'x'"),
+            ("sweep --qmin 7", "the following arguments are required: --qmax"),
+            ("", "the following arguments are required: command"),
+            ("unknowncmd", "argument command: invalid choice: 'unknowncmd' (choose from 'factor', 'omega', "
+             "'cd', 'check', 'maximals', 'classify', 'sweep', 'facts')"),
+            ("factor --n 3 extra", "unrecognized arguments: extra"),
+            ("factor --n 3 'a\nb'", "unrecognized arguments: a\\nb"),
+            ("sweep --qmin 24 --qmax 24 --jobs 2", "no prime power in [24, 24]: nothing to check"),
+        ],
+        ids=[
+            "jobs-x", "qmin-x", "no-qmax", "no-command", "unknown-command",
+            "extra-argument", "extra-argument-with-newline", "jobs-note-after-failure",
+        ],
+    )
+    def test_usage_errors_print_one_line(self, capsys, argv, message):
+        # argparse's own errors go through main's handler, without usage
+        # lines, and the --jobs note is printed only after a sweep succeeds.
+        assert run(capsys, *shlex.split(argv)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["sweep", "-h"]])
+    def test_help_goes_to_stdout(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: psl2cd")
 
     def test_limit_requires_fact(self, capsys):
         code, _, err = run(capsys, "facts", "--limit", "10")
@@ -733,4 +760,4 @@ class TestArgvProperty:
             code = main(argv)
         assert code in (0, 1, 2), (argv, code)
         if code == 2:
-            assert err.getvalue(), argv
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv

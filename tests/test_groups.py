@@ -17,6 +17,7 @@ from psl2cd.groups import (
     enumerate_outer_subgroups,
     group_name,
     parse_outer,
+    shape_key,
 )
 
 U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
@@ -65,17 +66,12 @@ class TestOuterKind:
             assert pickle.loads(pickle.dumps(kind)) is kind
 
     def test_kind_keyed_lookups_hit(self):
-        groups._shape.cache_clear()
         classifier._q_plans.cache_clear()
-        plans = classifier._q_plans(4, 3, 1)  # fills _shape for the 7 members of q = 81's lattice
+        plans = classifier._q_plans(*shape_key(3, 4, 81))
         for kind in OuterKind:
             copy = pickle.loads(pickle.dumps(kind))
             assert hash(copy) == hash(kind)
-            character_degrees(desc(81, kind, 2))
-            character_degrees(GroupDescriptor(PrimePower(3, 4), OuterSubgroup(copy, 2)))
             assert plans[OuterSubgroup(copy, 2)] is plans[OuterSubgroup(kind, 2)]
-        # Per kind, _shape hits on the group's degrees and on the copy's.
-        assert groups._shape.cache_info()[:2] == (6, 7)
 
 
 class TestDescriptors:
@@ -126,6 +122,15 @@ class TestEnumerate:
         assert len(subs) == expected
         assert len(set(subs)) == len(subs)
         assert len(enumerate_outer_subgroups(pp, False)) == expected - 1
+
+    def test_plans_follow_the_lattice_order(self):
+        # The JSON digests rely on this order: the sweep reads each q's groups
+        # from its plans, and classify and the benchmark from this list.
+        for p in (2, 3, 5, 7, 11):
+            for pp in (PrimePower(p, f) for f in range(1, 63) if 4 <= p**f < 2**63):
+                proper = enumerate_outer_subgroups(pp, include_trivial=False)
+                assert list(classifier._q_plans(*shape_key(*pp))) == proper, pp
+                assert enumerate_outer_subgroups(pp, True) == [OuterSubgroup(U, 1), *proper], pp
 
     def test_returned_list_is_a_fresh_copy(self):
         pp = PrimePower.from_value(81)
@@ -282,13 +287,13 @@ def _reference_degrees(p: int, f: int, kind: OuterKind, d: int) -> list[int]:
 
 
 class TestCachedShape:
-    """The per-(kind, d, f, p-class) cache behind ``character_degrees``
-    against the formula written out independently, on every lattice member
-    of every q = p^f in [4, 2**63) for these p.  Because the reference
-    sorts and de-duplicates, this checks that ``_shape``'s forms come out
-    in the order of their values over the whole working range."""
+    """``_shape``, behind ``character_degrees``, against the formula written
+    out independently, on every lattice member of every q = p^f in
+    [4, 2**63) for these p.  Because the reference sorts and de-duplicates,
+    this checks that ``_shape``'s forms come out in the order of their
+    values over the whole working range."""
 
-    def compare_all(self):
+    def test_cold_cache(self):
         for p in (2, 3, 5, 7, 11, 13):
             for f in range(1, 63):
                 if p**f < 4 or p**f >= 2**63:
@@ -303,20 +308,9 @@ class TestCachedShape:
                     else:
                         assert character_degrees(g) == expected, (p, f, outer)
 
-    def test_cold_cache(self):
-        groups._shape.cache_clear()
-        self.compare_all()
-
-    def test_cache_warmed_by_sweep(self):
-        groups._shape.cache_clear()
-        sweep(7, 4096)
-        self.compare_all()
-
     def test_caches_stay_bounded(self):
-        groups._shape.cache_clear()
         groups._lattice.cache_clear()
         sweep(7, 65536)  # 6,631 prime powers
-        assert groups._shape.cache_info().currsize < 200
         assert groups._lattice.cache_info().currsize < 200
 
 
