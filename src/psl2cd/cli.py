@@ -361,7 +361,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except SystemExit as exc:  # -h prints its help to stdout
         return int(exc.code or 0)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,7 +6,7 @@ counted with multiplicity.  A set's verdict is its tuple of violating
 pairs: the set passes exactly when that tuple is empty.
 
 Nothing here is memoized: the sweep decides its groups in
-``classifier._decide``, and these functions are its reference.
+``classifier._decide``, and ``check_set`` is its reference.
 """
 
 from __future__ import annotations
@@ -32,36 +32,27 @@ def violation_to_dict(w: Violation) -> dict:
     return {"a": w.a, "b": w.b, "gcd": w.gcd, "omega": w.omega}
 
 
-def check_pair(a: int, b: int) -> Violation | None:
-    """Violation for the pair, or None when Omega(gcd(a, b)) <= 2.
-    Raises OverflowError naming the pair when its gcd reaches 2**63."""
-    if a == b:
-        raise ValueError(f"pair members must be distinct, got {a} twice")
-    if a < 1 or b < 1:
-        raise ValueError("degrees are positive integers")
-    if a > b:
-        a, b = b, a
-    g = math.gcd(a, b)
-    try:
-        om = omega(g)
-    except OverflowError:
-        raise OverflowError(f"gcd({a}, {b}) = {g} is out of range: must be below 2**63") from None
-    if om >= 3:
-        return Violation(a, b, g, om)
-    return None
-
-
 def check_set(degrees: Iterable[int]) -> tuple[Violation, ...]:
     """Every violating pair, sorted by (a, b); empty when the set passes.
 
     The degree 1 is harmless (its gcd with anything is 1) and may stay in
-    the set.  Duplicates and values below 1 are rejected.
+    the set.  Duplicates and values below 1 are rejected.  Raises
+    OverflowError naming the pair when a gcd reaches 2**63.
     """
     values = sorted(degrees)
     if any(x == y for x, y in zip(values, values[1:])):
         raise ValueError("degree sets must not contain duplicates")
     if values and values[0] < 1:
         raise ValueError("degrees are positive integers")
-    pairs = itertools.combinations(values, 2)  # a < b, in (a, b) order
-    # Omega(gcd) >= 3 needs gcd >= 2**3
-    return tuple(w for a, b in pairs if math.gcd(a, b) >= 8 and (w := check_pair(a, b)))
+    violations = []
+    for a, b in itertools.combinations(values, 2):  # a < b, in (a, b) order
+        g = math.gcd(a, b)
+        if g < 8:  # Omega(g) >= 3 needs g >= 2**3
+            continue
+        try:
+            om = omega(g)
+        except OverflowError:
+            raise OverflowError(f"gcd({a}, {b}) = {g} is out of range: must be below 2**63") from None
+        if om >= 3:
+            violations.append(Violation(a, b, g, om))
+    return tuple(violations)
