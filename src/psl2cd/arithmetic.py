@@ -308,15 +308,17 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
     return None
 
 
-def prime_powers(table: bytes | bytearray, lo: int, hi: int) -> Iterator[int]:
-    """The prime powers q with lo <= q <= hi, yielded ascending.
+def prime_runs(table: bytes | bytearray, lo: int, hi: int) -> Iterator[tuple[int, int, int | None]]:
+    """The prime powers q with lo <= q <= hi as runs (first, stop, higher),
+    ascending: the odd primes n in range(first, stop, 2), those with
+    table[n] == 1, then higher, the prime power that ends the run: 2 or
+    p**k with k >= 2, or None after the last run.  A run may hold no prime.
 
     table is any byte table longer than hi whose entries equal to 1 are
     exactly the primes: a `prime_sieve` or an `omega_table`.  Only 2 and
     the powers p**k (k >= 2) of the primes up to sqrt(hi) are listed and
-    sorted, 243 values below 2**20.  The odd primes between each two
-    of them are read from one stepped slice of the table, so no list of
-    the whole range is ever held.
+    sorted, 243 values below 2**20, so no list of the whole range is ever
+    held.
     """
     higher = [2] if lo <= 2 <= hi else []
     root = math.isqrt(max(hi, 0))
@@ -329,26 +331,42 @@ def prime_powers(table: bytes | bytearray, lo: int, hi: int) -> Iterator[int]:
     higher.sort()
     first = max(lo, 3) | 1
     for q in higher:
-        yield from itertools.compress(range(first, q, 2), table[first:q:2].translate(_IS_ONE))
-        yield q
+        yield first, q, q
         first = (q + 1) | 1
-    yield from itertools.compress(range(first, hi + 1, 2), table[first : hi + 1 : 2].translate(_IS_ONE))
+    yield first, hi + 1, None
+
+
+def prime_powers(table: bytes | bytearray, lo: int, hi: int) -> Iterator[int]:
+    """The prime powers q with lo <= q <= hi, yielded ascending: the runs of
+    ``prime_runs(table, lo, hi)`` flattened, the primes of each read from
+    one stepped slice of the table."""
+    for first, stop, higher in prime_runs(table, lo, hi):
+        yield from itertools.compress(range(first, stop, 2), table[first:stop:2].translate(_IS_ONE))
+        if higher is not None:
+            yield higher
+
+
+def prime_runs_in_range(lo: int, hi: int) -> tuple[bytearray, Iterator[tuple[int, int, int | None]]]:
+    """``prime_sieve(hi)`` and the runs ``prime_runs`` reads off it for
+    [lo, hi].  The range is checked and the sieve built when this is
+    called, so OverflowError for hi >= 2**63 and the sieve's MemoryError
+    come from the call, not from the first run."""
+    if hi >= MAX_VALUE:
+        raise OverflowError(f"range end {hi} is out of range: must be below 2**63")
+    sieve = prime_sieve(hi)
+    return sieve, prime_runs(sieve, lo, hi)
 
 
 def prime_powers_in_range(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
     """The prime powers q = p**f with lo <= q <= hi, as a lazy iterator of
     (q, p, f) ascending in q; ``list(...)`` of it gives them as a list.
 
-    The range is checked and ``prime_sieve(hi)`` built when this is
-    called, so OverflowError for hi >= 2**63 and the sieve's MemoryError
-    come from the call, not from the first item.  Only the few q that are
-    not prime are factored, to give their (p, f).
+    Checked and sieved on call, as ``prime_runs_in_range``.  Only the few
+    q that are not prime are factored, to give their (p, f).
     """
-    if hi >= MAX_VALUE:
-        raise OverflowError(f"range end {hi} is out of range: must be below 2**63")
     if hi < lo or hi < 2:
         return iter(())
-    sieve = prime_sieve(hi)
+    sieve, _ = prime_runs_in_range(lo, hi)
     return ((q, q, 1) if sieve[q] else (q, *prime_power_decompose(q)) for q in prime_powers(sieve, lo, hi))
 
 

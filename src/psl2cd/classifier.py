@@ -25,10 +25,11 @@ are authoritative (the j = 2 removal trims their printed sets).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .arithmetic import is_prime, omega, prime_powers_in_range
+from .arithmetic import is_prime, omega, prime_power_decompose, prime_runs_in_range
 from .groups import (
     GroupDescriptor,
     OuterKind,
@@ -275,26 +276,38 @@ class SweepTally(NamedTuple):
 
 
 def tally_sweep(
-    q_min: int, q_max: int, sink: Callable[[int, int, int, OuterSubgroup, tuple], object] | None = None
+    q_min: int,
+    q_max: int,
+    sink: Callable[[int | Iterator[int], int | None, int, OuterSubgroup, tuple], object] | None = None,
 ) -> SweepTally:
     """Decide every proper extension of every prime power in [q_min, q_max]
     and tally the verdicts: counts of groups, passing groups,
     disagreements, converse anomalies (matched groups with violations) and
     degree mismatches.  No other code defines these counts.
 
-    Each group is handed, in (q, kind, d) order, to ``sink(q, p, f, outer,
-    decided)``, with ``decided`` the plain values of ``_decide``.  That
-    order needs no sort: q comes ascending from the sieve, and each q's
-    one cached dict ``_q_plans(*shape_key(p, f, q))`` lists its proper
-    extensions in ``OuterKind`` order with ascending d, each with its
-    shape plan.  The range check and that lattice stand in for
-    ``brute_force_verdict``'s two checks.  The loop builds no group object
-    and no ``GroupVerdict``, except for the disagreeing and
-    degree-mismatched verdicts it keeps.
+    The prime powers come from the sieve as runs of primes, each ended by
+    a higher prime power (``arithmetic.prime_runs``).  A prime q >= 7 has
+    one proper extension, PGL(2,q), and its plan reads no q: it keeps no
+    pair, and its rows are unconditional and predict right.  So each run
+    is counted at once, with ``sieve[first:stop:2].count(1)``, and handed
+    to the sink whole, as ``sink(primes, None, 1, outer, (shape, (),
+    rows, ()))``: primes iterates the run lazily over the sieve, and
+    ``groups.shape_degrees(q, *shape)`` gives each prime's degrees.  If
+    the plan does read q, as when a test swaps in a conditional row, each
+    prime is decided as a higher prime power is.
+
+    Each group of a higher prime power q = p^f goes to ``sink(q, p, f,
+    outer, decided)``, with ``decided`` the plain values of ``_decide``.
+    Groups come in (q, kind, d) order with no sort: each q's one cached
+    dict ``_q_plans(*shape_key(p, f, q))`` lists its proper extensions in
+    ``OuterKind`` order with ascending d, each with its shape plan.  The
+    range check and that lattice stand in for ``brute_force_verdict``'s
+    two checks.  The loop builds no group object and no ``GroupVerdict``,
+    except for the disagreeing and degree-mismatched verdicts it keeps.
 
     A range that holds no prime power raises ValueError, as an inverted
-    one does, so that no sweep passes with nothing checked.  The prime
-    powers are streamed: the sweep holds the sieve, not a list of them.
+    one does, so that no sweep passes with nothing checked.  The sweep
+    holds the sieve, not a list of the prime powers.
 
     ``shape_degrees`` cannot overflow here: every degree is at most
     (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a range past 2**57
@@ -305,27 +318,47 @@ def tally_sweep(
         raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
     if q_max < q_min:
         raise ValueError(f"empty range: q_min = {q_min} > q_max = {q_max}")
+    sieve, runs = prime_runs_in_range(q_min, q_max)
+    view = memoryview(sieve)
+    plans = _q_plans(1, 7, 1)
+    ((pgl, (eps, forms, rows, pairs)),) = plans.items()
+    run_verdict = ((eps, forms), (), tuple(row.row_id for row, _ in rows), ())
+    reads_q = pairs or any(row.conditions or differs for row, differs in rows)
+    at_once = rows and not reads_q and plans == _q_plans(1, 7, 3)
     groups = passing = converse = 0
     disagreements: list[GroupVerdict] = []
     mismatched: list[GroupVerdict] = []
-    for q, p, f in prime_powers_in_range(q_min, q_max):
-        for outer, plan in _q_plans(*shape_key(p, f, q)).items():
-            decided = _decide(q, plan)
-            _, violations, matched, mismatches = decided
-            groups += 1
-            if violations:
-                if matched:
-                    converse += 1
-            else:
-                passing += 1
-            if not (violations or matched) or mismatches:
-                verdict = _verdict(q, p, f, outer, decided)
-                if not verdict.agree:
-                    disagreements.append(verdict)
-                if mismatches:
-                    mismatched.append(verdict)
-            if sink is not None:
-                sink(q, p, f, outer, decided)
+    for first, stop, higher in runs:
+        primes = itertools.compress(range(first, stop, 2), view[first:stop:2])
+        if at_once:
+            if n := sieve[first:stop:2].count(1):
+                groups += n
+                passing += n
+                if sink is not None:
+                    sink(primes, None, 1, pgl, run_verdict)
+            powers = []
+        else:
+            powers = [(q, q, 1) for q in primes]
+        if higher is not None:
+            powers.append((higher, *prime_power_decompose(higher)))
+        for q, p, f in powers:
+            for outer, plan in _q_plans(*shape_key(p, f, q)).items():
+                decided = _decide(q, plan)
+                _, violations, matched, mismatches = decided
+                groups += 1
+                if violations:
+                    if matched:
+                        converse += 1
+                else:
+                    passing += 1
+                if not (violations or matched) or mismatches:
+                    verdict = _verdict(q, p, f, outer, decided)
+                    if not verdict.agree:
+                        disagreements.append(verdict)
+                    if mismatches:
+                        mismatched.append(verdict)
+                if sink is not None:
+                    sink(q, p, f, outer, decided)
     if not groups:
         raise ValueError(f"no prime power in [{q_min}, {q_max}]: nothing to check")
     summary = {
@@ -340,9 +373,17 @@ def tally_sweep(
 
 def sweep(q_min: int, q_max: int) -> tuple[GroupVerdict, ...]:
     """The ``GroupVerdict`` of every group ``tally_sweep(q_min, q_max)``
-    decides, in its order."""
+    decides, in its order, each run of primes expanded."""
     verdicts: list[GroupVerdict] = []
-    tally_sweep(q_min, q_max, lambda *group: verdicts.append(_verdict(*group)))
+
+    def sink(q: int | Iterator[int], p: int | None, f: int, outer: OuterSubgroup, decided: tuple) -> None:
+        if p is not None:
+            verdicts.append(_verdict(q, p, f, outer, decided))
+            return
+        shape, *verdict = decided
+        verdicts.extend(_verdict(r, r, 1, outer, (tuple(shape_degrees(r, *shape)), *verdict)) for r in q)
+
+    tally_sweep(q_min, q_max, sink)
     return tuple(verdicts)
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
-from typing import NoReturn, Sequence, TextIO
+from typing import Iterator, NoReturn, Sequence, TextIO
 
 from .arithmetic import factor, omega
 from .classifier import (
@@ -33,6 +34,7 @@ from .groups import (
     character_degrees,
     group_name,
     parse_outer,
+    shape_degrees,
 )
 from .maximals import maximal_subgroups, pgl_maximals_special, pgl2_order, psl2_order
 from .twoprime import Violation, check_set, violation_to_dict
@@ -70,41 +72,68 @@ def _verdict_template(
     return text.replace("\n", "\n    ").replace(str(_SLOT), "%s")
 
 
+def _rendered(parts: list[tuple]) -> Iterator[str]:
+    """The verdict text of ``_sweep_json``'s parts, four spaces deep and
+    joined by commas: a batch with one ``%`` fill of its templates joined,
+    a run in slices of ``_VERDICT_BATCH`` primes, each prime's slots its
+    ``shape_degrees`` and q twice."""
+    for part in parts:
+        if len(part) == 2:
+            batch, numbers = part
+            yield ",\n    ".join(batch) % tuple(numbers.split(","))
+            continue
+        template, shape, primes = part
+        while chunk := list(itertools.islice(primes, _VERDICT_BATCH)):
+            numbers = itertools.chain.from_iterable((*shape_degrees(q, *shape), q, q) for q in chunk)
+            yield ",\n    ".join([template] * len(chunk)) % tuple(numbers)
+
+
 def _sweep_json(q_min: int, q_max: int, out: TextIO) -> SweepTally:
     """Run ``tally_sweep`` and write ``to_json`` of its report, plus a
     newline, to ``out``; return the tally.
 
-    The sweep's sink keeps, for each group, the cached template of its
-    verdict's shape and its slot integers ``(*degrees, q, q,
-    *a_b_gcd_omega)``.  Each batch of ``_VERDICT_BATCH`` verdicts, and the
-    last, shorter one, is kept as its templates in order and every slot
-    of the batch in decimal, joined by commas.  The head and tail are
-    ``to_json`` of the report with ``_SLOT`` as its one verdict, split at
-    the last ``_SLOT``.  The verdicts, nearly all of the text, are written
-    between them, each batch with one ``%`` fill of its templates joined,
-    so the report never exists as one string or as dicts.  Nothing is
-    written before the last group is decided, so a failed sweep writes
-    nothing.
+    The sweep's sink keeps its parts in order.  A run of primes is kept
+    as its bounds over the sieve: the one cached template of its
+    verdicts, its (eps, forms) and the lazy iterator of its primes.  The
+    groups between runs are kept in batches of at most ``_VERDICT_BATCH``
+    verdicts, each as the cached templates of its verdicts' shapes and
+    their slot integers ``(*degrees, q, q, *a_b_gcd_omega)`` in decimal,
+    joined by commas.  The head and tail are ``to_json`` of the report
+    with ``_SLOT`` as its one verdict, split at the last ``_SLOT``.  The
+    verdicts, nearly all of the text, are written between them by
+    ``_rendered``, so the report never exists as one string or as dicts.
+    Nothing is written before the last group is decided, so a failed
+    sweep writes nothing.
     """
-    batches: list[tuple[list[str], str]] = []
+    parts: list[tuple] = []  # (templates, slot text) of a batch, or (template, shape, primes) of a run
     templates: list[str] = []
     slots: list[int] = []
 
-    def sink(q: int, p: int, f: int, outer: OuterSubgroup, decided: tuple) -> None:
+    def close_batch() -> None:
         nonlocal templates, slots
+        if templates:
+            parts.append((templates, ",".join(map(str, slots))))
+            templates, slots = [], []
+
+    def sink(q: int | Iterator[int], p: int | None, f: int, outer: OuterSubgroup, decided: tuple) -> None:
+        nonlocal slots
         degrees, violations, matched_rows, _ = decided
+        if p is None:  # a run of primes, and degrees is the shape (eps, forms) they share
+            eps, forms = degrees
+            close_batch()
+            n_degrees = len(forms) + (2 if eps else 1)  # 1, (q+eps)/2 if eps is not 0, a degree per form
+            parts.append((_verdict_template(outer.kind, outer.d, f, n_degrees, matched_rows, 0), degrees, q))
+            return
         templates.append(_verdict_template(outer.kind, outer.d, f, len(degrees), matched_rows, len(violations)))
         slots += degrees
         slots += (q, q)
         for w in violations:
             slots += w
         if len(templates) == _VERDICT_BATCH:
-            batches.append((templates, ",".join(map(str, slots))))
-            templates, slots = [], []
+            close_batch()
 
     tally = tally_sweep(q_min, q_max, sink)
-    if templates:  # a sweep has at least one group, so batches is never empty
-        batches.append((templates, ",".join(map(str, slots))))
+    close_batch()
     head, _, tail = to_json(
         {
             "q_min": q_min,
@@ -119,10 +148,10 @@ def _sweep_json(q_min: int, q_max: int, out: TextIO) -> SweepTally:
         }
     ).rpartition(str(_SLOT))
     out.write(head)
-    for i, (batch, numbers) in enumerate(batches):
+    for i, text in enumerate(_rendered(parts)):
         if i:
             out.write(",\n    ")
-        out.write(",\n    ".join(batch) % tuple(numbers.split(",")))
+        out.write(text)
     out.write(tail + "\n")
     return tally
 

@@ -22,6 +22,7 @@ from psl2cd.arithmetic import (
     prime_power_decompose,
     prime_powers,
     prime_powers_in_range,
+    prime_runs,
     prime_sieve,
     zsigmondy_base2,
 )
@@ -440,6 +441,23 @@ class TestPrimePowers:
                 expected = [n for n in every if lo <= n <= hi]
                 for table in tables:
                     assert list(prime_powers(table, lo, hi)) == expected, (lo, hi, len(table))
+
+    def test_runs_flatten_to_every_small_range(self):
+        # Each run's primes, then the prime power that ends it, give the
+        # prime powers of the range; every run but the last stops at the
+        # power that ends it.
+        every = self.oracle(sieve_factorizer(300), 0, 300)
+        for hi in range(301):
+            tables = (prime_sieve(hi), omega_table(hi + 1))
+            for lo in range(hi + 1):
+                expected = [n for n in every if lo <= n <= hi]
+                for table in tables:
+                    flat = []
+                    for first, stop, higher in prime_runs(table, lo, hi):
+                        assert stop == (hi + 1 if higher is None else higher), (lo, hi)
+                        flat += [n for n in range(first, stop, 2) if table[n] == 1]
+                        flat += [] if higher is None else [higher]
+                    assert flat == expected, (lo, hi, len(table))
 
     def test_a_wide_range(self):
         hi = 2 * 10**5

@@ -24,12 +24,15 @@ from psl2cd.groups import (
     OuterKind,
     OuterSubgroup,
     PrimePower,
+    _lattice,
     character_degrees,
     enumerate_outer_subgroups,
     group_name,
     shape_degrees,
     shape_key,
 )
+
+from _oracles import trial_division
 
 U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
 
@@ -431,6 +434,43 @@ class TestPairBound:
                     assert classifier._shape_plan(WD, 1, f, p, q4)[3] == ()
 
 
+def _prime_plan_reads_no_q() -> bool:
+    """Whether ``tally_sweep`` may decide a run of primes once: PGL(2,q) is
+    the one proper extension of a prime q >= 7, and its plan is the same
+    for q = 1 and 3 mod 4, keeps no pair and has rows, each unconditional
+    and predicting right."""
+    plans = classifier._q_plans(1, 7, 1)
+    if list(plans) != [OuterSubgroup(WD, 1)] or plans != classifier._q_plans(1, 7, 3):
+        return False
+    ((_, _, rows, pairs),) = plans.values()
+    return bool(rows) and pairs == () and all(row.conditions is None and not differs for row, differs in rows)
+
+
+class TestPrimeRuns:
+    def test_every_prime_shares_one_plan_that_reads_no_q(self, monkeypatch):
+        assert _lattice(1, False)[1:] == (OuterSubgroup(WD, 1),)
+        assert _prime_plan_reads_no_q()
+        # So no prime is decided by itself.
+        decided = []
+        real = classifier._decide
+        monkeypatch.setattr(classifier, "_decide", lambda q, plan: decided.append(q) or real(q, plan))
+        sieve = prime_sieve(2**12)
+        assert tally_sweep(7, 2**12).summary["groups"] == sum(sieve[7:]) + len(decided)
+        assert decided and not any(sieve[q] for q in decided)
+
+    def test_a_conditional_pgl_row_breaks_the_premise(self, monkeypatch, fresh_plans):
+        # Such a row fails the test above, and each prime is then decided
+        # by itself: PGL(2,q) matches no row at each q = 3 mod 4, 27 too.
+        rows = classifier._ROWS
+        conditional = tuple(r._replace(conditions=lambda q: q % 4 == 1) if r.row_id == "pgl" else r for r in rows)
+        monkeypatch.setattr(classifier, "_ROWS", conditional)
+        assert not _prime_plan_reads_no_q()
+        tally = tally_sweep(7, 100)
+        failing = [q for q in range(7, 101, 4) if len(trial_division(q)) == 1]
+        assert [v.descriptor.q.q for v in tally.disagreements] == failing
+        assert 27 in failing
+
+
 class TestSweep:
     def test_range_7_to_11(self):
         verdicts = sweep(7, 11)
@@ -560,10 +600,10 @@ class TestSweep:
 
     def test_degree_overflow_raises(self, monkeypatch):
         # (2^59 + 1) * 59 exceeds the 63-bit degree bound; no sieve reaches
-        # 2^59, so hand the sweep that single prime power.  The sweep records
-        # nothing and lets the error through.
+        # 2^59, so hand the sweep one empty run ended by that prime power.
+        # The sweep records nothing and lets the error through.
         monkeypatch.setattr(
-            "psl2cd.classifier.prime_powers_in_range", lambda lo, hi: [(2**59, 2, 59)]
+            "psl2cd.classifier.prime_runs_in_range", lambda lo, hi: (bytearray(), [(3, 3, 2**59)])
         )
         message = f"degree {(2**59 + 1) * 59} is out of range for q = {2**59}"
         with pytest.raises(OverflowError, match=message):

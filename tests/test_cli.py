@@ -12,12 +12,12 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import psl2cd
 from psl2cd import classifier, cli
-from psl2cd.arithmetic import MAX_VALUE, is_prime
+from psl2cd.arithmetic import MAX_VALUE, is_prime, prime_sieve
 from psl2cd.classifier import SweepTally, brute_force_verdict, sweep, verdict_to_dict
 from psl2cd.cli import main, to_json
 from psl2cd.facts import FACTS
@@ -399,10 +399,10 @@ class TestErrorPaths:
 
     def test_degree_overflow_exits_2(self, capsys, monkeypatch):
         # (2^59 + 1) * 59 exceeds the 63-bit degree bound; no sieve reaches
-        # 2^59, so hand the sweep that single prime power.  Neither format
-        # writes a partial report.
+        # 2^59, so hand the sweep one empty run ended by that prime power.
+        # Neither format writes a partial report.
         monkeypatch.setattr(
-            "psl2cd.classifier.prime_powers_in_range", lambda lo, hi: [(2**59, 2, 59)]
+            "psl2cd.classifier.prime_runs_in_range", lambda lo, hi: (bytearray(), [(3, 3, 2**59)])
         )
         message = f"degree {(2**59 + 1) * 59} is out of range for q = {2**59}"
         for fmt in ("text", "json"):
@@ -439,13 +439,17 @@ def _swap_row(monkeypatch, row_id, **fields):
     monkeypatch.setattr(classifier, "_ROWS", tuple(r._replace(**fields) if r.row_id == row_id else r for r in rows))
 
 
+_FACTOR_5000 = sieve_factorizer(5000)
+
+
 class TestSweepReportWriter:
     """The streamed `sweep --format json` report against verdicts built one
     group at a time, with no sweep: ``brute_force_verdict`` of every proper
     extension of every prime power in the range, found by a sieve of the
     test oracles."""
 
-    def check(self, capsys, q_min, q_max):
+    @staticmethod
+    def check(q_min, q_max):
         factor = sieve_factorizer(q_max)
         powers = [PrimePower(*fs[0]) for q in range(q_min, q_max + 1) if len(fs := factor(q)) == 1]
         verdicts = [
@@ -454,7 +458,9 @@ class TestSweepReportWriter:
             for outer in enumerate_outer_subgroups(pp, include_trivial=False)
         ]
         broken = any(not v.agree or v.degree_mismatches for v in verdicts)
-        code, out, _ = run(capsys, "sweep", "--qmin", str(q_min), "--qmax", str(q_max), "--format", "json")
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = main(["sweep", "--qmin", str(q_min), "--qmax", str(q_max), "--format", "json"])
+        out = stdout.getvalue()
         assert code == (1 if broken else 0)
         payload = json.loads(out)
         assert to_json(payload) + "\n" == out
@@ -475,25 +481,46 @@ class TestSweepReportWriter:
         assert (payload["q_min"], payload["q_max"]) == (q_min, q_max)
         return payload
 
-    def test_failing_groups_with_violations(self, capsys):
-        payload = self.check(capsys, 7, 4096)
+    def test_failing_groups_with_violations(self):
+        payload = self.check(7, 4096)
         q64 = [v for v in payload["verdicts"] if v["group"]["name"] == "PSL(2,64).<phi^1>"]
         assert q64 and q64[0]["violations"] and q64[0]["rows"] == []
         assert payload["summary"]["passing"] < payload["summary"]["groups"]
 
-    def test_several_write_batches(self, capsys):
+    def test_several_write_batches(self):
         # More verdicts than one batch, so the join between batches is written.
-        payload = self.check(capsys, 7, 65536)
+        payload = self.check(7, 65536)
         assert len(payload["verdicts"]) > cli._VERDICT_BATCH
 
-    def test_error_free_range(self, capsys):
-        payload = self.check(capsys, 7, 11)
+    def test_error_free_range(self):
+        payload = self.check(7, 11)
         assert all(v["pass"] and v["violations"] == [] for v in payload["verdicts"])
 
-    def test_one_q_with_many_violations(self, capsys):
-        payload = self.check(capsys, 3**12, 3**12)
+    def test_one_q_with_many_violations(self):
+        payload = self.check(3**12, 3**12)
         assert payload["summary"]["groups"] == 15
         assert sum(len(v["violations"]) for v in payload["verdicts"]) == 106
+
+    @seed(30)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(7, 5000), st.one_of(st.integers(0, 40), st.integers(0, 5000)))
+    @example(7, 0)
+    @example(1000, 20)
+    @example(1014, 16)
+    def test_ranges_across_runs_of_primes(self, q_min, width):
+        # Ranges that start, end or lie inside a run of primes, or span
+        # many: every verdict, run or not, is the group's own, and the
+        # text report's summary is the JSON one.
+        q_max = min(q_min + width, 5000)
+        assume(any(len(_FACTOR_5000(q)) == 1 for q in range(q_min, q_max + 1)))
+        summary = self.check(q_min, q_max)["summary"]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            main(["sweep", "--qmin", str(q_min), "--qmax", str(q_max)])
+        assert stdout.getvalue().splitlines()[:2] == [
+            f"sweep q in [{q_min}, {q_max}]: {summary['groups']} groups",
+            "passing: {passing}   disagreements: {disagreements}   "
+            "converse anomalies: {converse_anomalies}   degree mismatches: {degree_mismatches}".format(**summary),
+        ]
 
     def test_failed_claims_counted_and_exit_1(self, capsys, monkeypatch, fresh_plans):
         # No real row breaks a claim, so swap three rows: pgl no longer holds
@@ -503,7 +530,7 @@ class TestSweepReportWriter:
         _swap_row(monkeypatch, "pgl", conditions=lambda q: q != 7)
         _swap_row(monkeypatch, "sym6", expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1)}))
         _swap_row(monkeypatch, "s_phi_half_odd", conditions=None)
-        payload = self.check(capsys, 7, 49)
+        payload = self.check(7, 49)
         assert {k: payload["summary"][k] for k in ("disagreements", "converse_anomalies", "degree_mismatches")} == {
             "disagreements": 1,
             "converse_anomalies": 1,
@@ -657,6 +684,24 @@ class TestVerdictTemplates:
         finally:
             tracemalloc.stop()
         assert peak < sink.written, (peak, sink.written)
+
+    def test_runs_of_primes_are_held_as_bounds(self):
+        # A run of primes is held as its bounds over the sieve until the
+        # report is written, and rendered a slice of the run at a time, so
+        # the traced peak of the 7..2^16 JSON sweep stays within 10 bytes
+        # per byte of its sieve.  Holding every verdict's slot numbers as
+        # text took about 950,000 bytes.  The first run fills the caches.
+        argv = ["sweep", "--qmin", "7", "--qmax", str(2**16), "--format", "json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(types.SimpleNamespace(write=len)):
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * len(prime_sieve(2**16)), peak
 
 
 class TestOutputContracts:
