@@ -357,19 +357,6 @@ def prime_runs_in_range(lo: int, hi: int) -> tuple[bytearray, Iterator[tuple[int
     return sieve, prime_runs(sieve, lo, hi)
 
 
-def prime_powers_in_range(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """The prime powers q = p**f with lo <= q <= hi, as a lazy iterator of
-    (q, p, f) ascending in q; ``list(...)`` of it gives them as a list.
-
-    Checked and sieved on call, as ``prime_runs_in_range``.  Only the few
-    q that are not prime are factored, to give their (p, f).
-    """
-    if hi < lo or hi < 2:
-        return iter(())
-    sieve, _ = prime_runs_in_range(lo, hi)
-    return ((q, q, 1) if sieve[q] else (q, *prime_power_decompose(q)) for q in prime_powers(sieve, lo, hi))
-
-
 def zsigmondy_base2(n: int) -> int | None:
     """Smallest prime dividing 2**n - 1 but no 2**k - 1 with 1 <= k < n.
 

@@ -266,6 +266,13 @@ def _verdict(q: int, p: int, f: int, outer: OuterSubgroup, decided: tuple) -> Gr
     return GroupVerdict(GroupDescriptor(PrimePower.from_sieve(q, p, f), outer), *decided)
 
 
+def _run_verdicts(primes: Iterator[int], outer: OuterSubgroup, decided: tuple) -> Iterator[GroupVerdict]:
+    """The ``GroupVerdict`` of each prime of a run that ``tally_sweep``
+    decided at once, ``decided`` holding the shape in place of degrees."""
+    shape, *verdict = decided
+    return (_verdict(q, q, 1, outer, (tuple(shape_degrees(q, *shape)), *verdict)) for q in primes)
+
+
 class SweepTally(NamedTuple):
     """What a sweep's verdicts add up to: the summary counts and the
     verdicts that break a claim."""
@@ -287,14 +294,14 @@ def tally_sweep(
 
     The prime powers come from the sieve as runs of primes, each ended by
     a higher prime power (``arithmetic.prime_runs``).  A prime q >= 7 has
-    one proper extension, PGL(2,q), and its plan reads no q: it keeps no
-    pair, and its rows are unconditional and predict right.  So each run
-    is counted at once, with ``sieve[first:stop:2].count(1)``, and handed
-    to the sink whole, as ``sink(primes, None, 1, outer, (shape, (),
-    rows, ()))``: primes iterates the run lazily over the sieve, and
-    ``groups.shape_degrees(q, *shape)`` gives each prime's degrees.  If
-    the plan does read q, as when a test swaps in a conditional row, each
-    prime is decided as a higher prime power is.
+    one proper extension, PGL(2,q), and the sweep's premise is that its
+    plan reads no q: it has rows, none conditional, keeps no pair, and is
+    the same for q = 1 and 3 mod 4.  A table that breaks it raises
+    RuntimeError before the sieve is built.  So each run is counted at
+    once, with ``sieve[first:stop:2].count(1)``, and handed to the sink
+    whole, as ``sink(primes, None, 1, outer, (shape, (), rows,
+    mismatches))``: primes iterates the run lazily over the sieve, and
+    ``groups.shape_degrees(q, *shape)`` gives each prime's degrees.
 
     Each group of a higher prime power q = p^f goes to ``sink(q, p, f,
     outer, decided)``, with ``decided`` the plain values of ``_decide``.
@@ -318,47 +325,49 @@ def tally_sweep(
         raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
     if q_max < q_min:
         raise ValueError(f"empty range: q_min = {q_min} > q_max = {q_max}")
-    sieve, runs = prime_runs_in_range(q_min, q_max)
-    view = memoryview(sieve)
     plans = _q_plans(1, 7, 1)
     ((pgl, (eps, forms, rows, pairs)),) = plans.items()
-    run_verdict = ((eps, forms), (), tuple(row.row_id for row, _ in rows), ())
-    reads_q = pairs or any(row.conditions or differs for row, differs in rows)
-    at_once = rows and not reads_q and plans == _q_plans(1, 7, 3)
+    if not rows or pairs or any(row.conditions for row, _ in rows) or plans != _q_plans(1, 7, 3):
+        raise RuntimeError(
+            "the row table breaks the sweep's premise that PGL(2,q) of a prime q >= 7 matches a row, "
+            "keeps no pair, has no conditional row and has one plan for q = 1 and 3 mod 4"
+        )
+    mispredicted = tuple(row.row_id for row, differs in rows if differs)
+    run_verdict = ((eps, forms), (), tuple(row.row_id for row, _ in rows), mispredicted)
+    sieve, runs = prime_runs_in_range(q_min, q_max)
+    view = memoryview(sieve)
     groups = passing = converse = 0
     disagreements: list[GroupVerdict] = []
     mismatched: list[GroupVerdict] = []
     for first, stop, higher in runs:
-        primes = itertools.compress(range(first, stop, 2), view[first:stop:2])
-        if at_once:
-            if n := sieve[first:stop:2].count(1):
-                groups += n
-                passing += n
-                if sink is not None:
-                    sink(primes, None, 1, pgl, run_verdict)
-            powers = []
-        else:
-            powers = [(q, q, 1) for q in primes]
-        if higher is not None:
-            powers.append((higher, *prime_power_decompose(higher)))
-        for q, p, f in powers:
-            for outer, plan in _q_plans(*shape_key(p, f, q)).items():
-                decided = _decide(q, plan)
-                _, violations, matched, mismatches = decided
-                groups += 1
-                if violations:
-                    if matched:
-                        converse += 1
-                else:
-                    passing += 1
-                if not (violations or matched) or mismatches:
-                    verdict = _verdict(q, p, f, outer, decided)
-                    if not verdict.agree:
-                        disagreements.append(verdict)
-                    if mismatches:
-                        mismatched.append(verdict)
-                if sink is not None:
-                    sink(q, p, f, outer, decided)
+        if n := sieve[first:stop:2].count(1):
+            groups += n
+            passing += n
+            run = range(first, stop, 2), view[first:stop:2]  # each use compresses it afresh
+            if mispredicted:
+                mismatched += _run_verdicts(itertools.compress(*run), pgl, run_verdict)
+            if sink is not None:
+                sink(itertools.compress(*run), None, 1, pgl, run_verdict)
+        if higher is None:
+            continue
+        p, f = prime_power_decompose(higher)
+        for outer, plan in _q_plans(*shape_key(p, f, higher)).items():
+            decided = _decide(higher, plan)
+            _, violations, matched, mismatches = decided
+            groups += 1
+            if violations:
+                if matched:
+                    converse += 1
+            else:
+                passing += 1
+            if not (violations or matched) or mismatches:
+                verdict = _verdict(higher, p, f, outer, decided)
+                if not verdict.agree:
+                    disagreements.append(verdict)
+                if mismatches:
+                    mismatched.append(verdict)
+            if sink is not None:
+                sink(higher, p, f, outer, decided)
     if not groups:
         raise ValueError(f"no prime power in [{q_min}, {q_max}]: nothing to check")
     summary = {
@@ -377,11 +386,10 @@ def sweep(q_min: int, q_max: int) -> tuple[GroupVerdict, ...]:
     verdicts: list[GroupVerdict] = []
 
     def sink(q: int | Iterator[int], p: int | None, f: int, outer: OuterSubgroup, decided: tuple) -> None:
-        if p is not None:
+        if p is None:
+            verdicts.extend(_run_verdicts(q, outer, decided))
+        else:
             verdicts.append(_verdict(q, p, f, outer, decided))
-            return
-        shape, *verdict = decided
-        verdicts.extend(_verdict(r, r, 1, outer, (tuple(shape_degrees(r, *shape)), *verdict)) for r in q)
 
     tally_sweep(q_min, q_max, sink)
     return tuple(verdicts)

@@ -10,7 +10,7 @@ import random
 import sys
 import time
 
-from psl2cd.arithmetic import factor, is_prime, prime_powers_in_range, zsigmondy_base2
+from psl2cd.arithmetic import factor, is_prime, prime_power_decompose, prime_powers, prime_sieve, zsigmondy_base2
 from psl2cd.classifier import sweep, tally_sweep
 from psl2cd.groups import (
     GroupDescriptor,
@@ -73,7 +73,8 @@ def criterion_2_classification_sweep() -> None:
 def criterion_3_pgl_universality() -> None:
     started = time.perf_counter()
     count = 0
-    for q, p, f in prime_powers_in_range(7, 1 << 20):
+    for q in prime_powers(prime_sieve(1 << 20), 7, 1 << 20):
+        p, f = prime_power_decompose(q)
         pp = PrimePower(p, f)
         assert pp.q == q
         pgl = OuterSubgroup(U if p == 2 else WD, 1)
@@ -124,7 +125,8 @@ def criterion_6_primitive_divisors() -> None:
 def criterion_7_maximal_subgroup_consistency() -> None:
     started = time.perf_counter()
     count = 0
-    for q, p, f in prime_powers_in_range(7, 4096):
+    for q in prime_powers(prime_sieve(4096), 7, 4096):
+        p, f = prime_power_decompose(q)
         pp = PrimePower(p, f)
         assert pp.q == q
         order = psl2_order(pp)

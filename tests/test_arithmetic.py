@@ -21,7 +21,6 @@ from psl2cd.arithmetic import (
     omega_table,
     prime_power_decompose,
     prime_powers,
-    prime_powers_in_range,
     prime_runs,
     prime_sieve,
     zsigmondy_base2,
@@ -495,7 +494,8 @@ class TestPrimePowerDecompose:
         for hi in range(-2, 301):
             for lo in range(max(hi, 0) + 2):
                 expected = [t for t in triples if lo <= t[0] <= hi]
-                assert list(prime_powers_in_range(lo, hi)) == expected, (lo, hi)
+                found = [(q, *prime_power_decompose(q)) for q in prime_powers(prime_sieve(hi), lo, hi)]
+                assert found == expected, (lo, hi)
 
 
 class TestZsigmondy:

@@ -458,17 +458,49 @@ class TestPrimeRuns:
         assert tally_sweep(7, 2**12).summary["groups"] == sum(sieve[7:]) + len(decided)
         assert decided and not any(sieve[q] for q in decided)
 
-    def test_a_conditional_pgl_row_breaks_the_premise(self, monkeypatch, fresh_plans):
-        # Such a row fails the test above, and each prime is then decided
-        # by itself: PGL(2,q) matches no row at each q = 3 mod 4, 27 too.
-        rows = classifier._ROWS
-        conditional = tuple(r._replace(conditions=lambda q: q % 4 == 1) if r.row_id == "pgl" else r for r in rows)
-        monkeypatch.setattr(classifier, "_ROWS", conditional)
+    @pytest.mark.parametrize("way", ["conditional_row", "no_row", "kept_pair", "plans_differ_mod_4"])
+    def test_a_broken_premise_stops_the_sweep(self, monkeypatch, fresh_plans, way):
+        # Each way lets a prime's verdict read q, so the sweep may not
+        # decide a run at once: it raises before any group reaches the sink.
+        rows, shape = classifier._ROWS, classifier._shape
+
+        def one_more_form(kind, d, f, p, q4):  # 2(q - 1) with q - 1: a pair of one sign is kept
+            eps, forms = shape(kind, d, f, p, q4)
+            return (eps, (*forms, (2, -1))) if (kind, d) == (WD, 1) else (eps, forms)
+
+        def reordered_at_3_mod_4(kind, d, f, p, q4):  # the same degrees, listed in another order
+            eps, forms = shape(kind, d, f, p, q4)
+            return (eps, forms[::-1]) if (kind, d, q4) == (WD, 1, 3) else (eps, forms)
+
+        name, value = {
+            "conditional_row": (
+                "_ROWS",
+                tuple(r._replace(conditions=lambda q: q % 4 == 1) if r.row_id == "pgl" else r for r in rows),
+            ),
+            "no_row": ("_ROWS", tuple(r for r in rows if r.row_id != "pgl")),
+            "kept_pair": ("_shape", one_more_form),
+            "plans_differ_mod_4": ("_shape", reordered_at_3_mod_4),
+        }[way]
+        monkeypatch.setattr(classifier, name, value)
         assert not _prime_plan_reads_no_q()
+        got = []
+        with pytest.raises(RuntimeError, match="breaks the sweep's premise that PGL\\(2,q\\) of a prime"):
+            tally_sweep(7, 100, lambda *group: got.append(group))
+        assert got == []
+
+    def test_a_wrong_pgl_prediction_is_a_mismatch_at_each_prime(self, capsys, monkeypatch, fresh_plans):
+        # The row stays q-free, so each run is still decided at once, and
+        # each of its primes is kept as a degree mismatch.
+        swap_prediction(monkeypatch, "pgl")
+        qs = [q for q in range(7, 101, 2) if len(trial_division(q)) == 1]  # PGL(2,q) is (WD, 1) for odd q
+        assert len(qs) == 27 and [q for q in qs if trial_division(q)[0][1] > 1] == [9, 25, 27, 49, 81]
         tally = tally_sweep(7, 100)
-        failing = [q for q in range(7, 101, 4) if len(trial_division(q)) == 1]
-        assert [v.descriptor.q.q for v in tally.disagreements] == failing
-        assert 27 in failing
+        assert tally.summary["degree_mismatches"] == 27
+        assert tally.degree_mismatched == tuple(brute_force_verdict(desc(q, WD, 1)) for q in qs)
+        assert all(v.degree_mismatches == ("pgl",) for v in tally.degree_mismatched)
+        assert main(["sweep", "--qmin", "7", "--qmax", "100", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["degree_mismatches"] == [{"q": q, "group": f"PGL(2,{q})", "rows": ["pgl"]} for q in qs]
 
 
 class TestSweep:
@@ -530,14 +562,15 @@ class TestSweep:
         assert all(v.brute_pass and v.agree for v in verdicts)
 
     def test_tally_counts_each_claim(self, monkeypatch, fresh_plans):
-        # No real row breaks a claim, so swap three: pgl no longer holds at
-        # q = 7 (a disagreement), sym6 predicts 9, 16 without 5 and 10 (a
-        # degree mismatch), and s_phi_half_odd holds for every q, so the
-        # failing PSL(2,49).<phi^1> matches it (a converse anomaly).
-        # PGL(2,49).<phi^1> and PSL(2,49).<delta*phi^1> fail and match no
-        # row, which breaks no claim.
+        # No real row breaks a claim, so swap three: pgl_phi_half no longer
+        # holds at q = 25 (a disagreement; no prime reaches the row, so the
+        # swap keeps the premise of the runs), sym6 predicts 9, 16 without
+        # 5 and 10 (a degree mismatch), and s_phi_half_odd holds for every
+        # q, so the failing PSL(2,49).<phi^1> matches it (a converse
+        # anomaly).  PGL(2,49).<phi^1> and PSL(2,49).<delta*phi^1> fail and
+        # match no row, which breaks no claim.
         rows = {r.row_id: r for r in classifier._ROWS}
-        rows["pgl"] = rows["pgl"]._replace(conditions=lambda q: q != 7)
+        rows["pgl_phi_half"] = rows["pgl_phi_half"]._replace(conditions=lambda q: q < 25)
         rows["sym6"] = rows["sym6"]._replace(expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1)}))
         rows["s_phi_half_odd"] = rows["s_phi_half_odd"]._replace(conditions=None)
         monkeypatch.setattr(classifier, "_ROWS", tuple(rows.values()))
@@ -549,7 +582,7 @@ class TestSweep:
             "converse_anomalies": 1,
             "degree_mismatches": 1,
         }
-        assert tally.disagreements == (brute_force_verdict(desc(7, WD, 1)),)
+        assert tally.disagreements == (brute_force_verdict(desc(25, WD, 2)),)
         (mismatch,) = tally.degree_mismatched
         assert mismatch == brute_force_verdict(desc(9, U, 2))
         assert mismatch.degree_mismatches == ("sym6",)

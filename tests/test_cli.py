@@ -523,11 +523,12 @@ class TestSweepReportWriter:
         ]
 
     def test_failed_claims_counted_and_exit_1(self, capsys, monkeypatch, fresh_plans):
-        # No real row breaks a claim, so swap three rows: pgl no longer holds
-        # at q = 7 (a disagreement), sym6 predicts 9, 16 without 5 and 10 (a
-        # degree mismatch), and s_phi_half_odd holds for every q, so the
-        # failing PSL(2,49).<phi^1> matches it (a converse anomaly).
-        _swap_row(monkeypatch, "pgl", conditions=lambda q: q != 7)
+        # No real row breaks a claim, so swap three rows: pgl_phi_half no
+        # longer holds at q = 25 (a disagreement), sym6 predicts 9, 16
+        # without 5 and 10 (a degree mismatch), and s_phi_half_odd holds for
+        # every q, so the failing PSL(2,49).<phi^1> matches it (a converse
+        # anomaly).
+        _swap_row(monkeypatch, "pgl_phi_half", conditions=lambda q: q < 25)
         _swap_row(monkeypatch, "sym6", expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1)}))
         _swap_row(monkeypatch, "s_phi_half_odd", conditions=None)
         payload = self.check(7, 49)
@@ -540,7 +541,7 @@ class TestSweepReportWriter:
         code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "49")
         assert code == 1
         assert out.splitlines()[2:] == [
-            "  DISAGREEMENT: PGL(2,7) passes but matches no row",
+            "  DISAGREEMENT: PGL(2,25).<phi^1> passes but matches no row",
             "  DEGREE MISMATCH: PSL(2,9).<phi^1> rows sym6",
         ]
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psl2cd import classifier, groups
-from psl2cd.arithmetic import divisors, is_prime, prime_powers_in_range
+from psl2cd.arithmetic import divisors, is_prime, prime_power_decompose, prime_powers, prime_sieve
 from psl2cd.classifier import sweep
 from psl2cd.groups import (
     GroupDescriptor,
@@ -42,7 +42,7 @@ class TestPrimePower:
             PrimePower.from_value(12)
 
     def test_from_sieve_matches_validated_constructor(self):
-        for q, p, f in prime_powers_in_range(4, 5000):
+        for q, p, f in [(q, *prime_power_decompose(q)) for q in prime_powers(prime_sieve(5000), 4, 5000)]:
             trusted = PrimePower.from_sieve(q, p, f)
             assert trusted == PrimePower(p, f) == PrimePower.from_value(q)
             assert type(trusted) is PrimePower

@@ -1,6 +1,6 @@
 import pytest
 
-from psl2cd.arithmetic import prime_powers_in_range
+from psl2cd.arithmetic import prime_power_decompose, prime_powers, prime_sieve
 from psl2cd.groups import PrimePower
 from psl2cd.maximals import (
     maximal_subgroups,
@@ -115,7 +115,7 @@ class TestPglSpecials:
 
 
 class TestCatalogInvariants:
-    QS = [q for q, _, _ in prime_powers_in_range(7, 600)]
+    QS = list(prime_powers(prime_sieve(600), 7, 600))
 
     def test_order_index_product(self):
         for q in self.QS:
@@ -161,7 +161,8 @@ class TestCatalogInvariants:
 
     def test_odd_subfield_index_has_three_primes(self):
         found = 0
-        for q, p, f in prime_powers_in_range(7, 4096):
+        for q in prime_powers(prime_sieve(4096), 7, 4096):
+            p, f = prime_power_decompose(q)
             if p == 2:
                 continue
             pp = PrimePower(p, f)
