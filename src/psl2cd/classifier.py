@@ -6,10 +6,10 @@ computes cd(H) exactly, checks the two-prime condition on the pairs no
 q-free bound keeps below gcd 8 (no other pair can fail), and matches H
 against the twelve group families known to be the only possible survivors,
 and their necessary arithmetic conditions on q; pairs and families are
-picked once per shape, in its plan.  ``tally_sweep`` is the sweep: one
-loop over q and its plans that decides each group in plain values,
-counts it, and hands it to an optional sink; it makes a ``GroupVerdict``
-only for a group that breaks a claim.  The hard assertion runs in one
+picked once per shape, in its plan.  ``sweep_parts`` is the sweep: one
+stream of the groups over q and their plans, each decided in plain
+values, which ``tally_sweep`` counts, making a ``GroupVerdict`` only for
+a group that breaks a claim.  The hard assertion runs in one
 direction only: a group that passes the pair check must match some family
 whose conditions hold.  The converse -- a matched family whose group
 nevertheless fails -- is reported, never assumed absent.
@@ -262,64 +262,55 @@ def _decide(q: int, plan: tuple) -> tuple:
 
 
 def _verdict(q: int, p: int, f: int, outer: OuterSubgroup, decided: tuple) -> GroupVerdict:
-    """The ``GroupVerdict`` of a group that ``tally_sweep`` decided."""
+    """The ``GroupVerdict`` of a group part of ``sweep_parts``."""
     return GroupVerdict(GroupDescriptor(PrimePower.from_sieve(q, p, f), outer), *decided)
 
 
-def _run_verdicts(primes: Iterator[int], outer: OuterSubgroup, decided: tuple) -> Iterator[GroupVerdict]:
-    """The ``GroupVerdict`` of each prime of a run that ``tally_sweep``
-    decided at once, ``decided`` holding the shape in place of degrees."""
+def _run_verdicts(run: tuple[range, bytearray], outer: OuterSubgroup, decided: tuple) -> Iterator[GroupVerdict]:
+    """The ``GroupVerdict`` of each prime of a run part of ``sweep_parts``,
+    ``decided`` holding the shape in place of degrees."""
     shape, *verdict = decided
-    return (_verdict(q, q, 1, outer, (tuple(shape_degrees(q, *shape)), *verdict)) for q in primes)
+    return (_verdict(q, q, 1, outer, (tuple(shape_degrees(q, *shape)), *verdict)) for q in itertools.compress(*run))
 
 
-class SweepTally(NamedTuple):
-    """What a sweep's verdicts add up to: the summary counts and the
-    verdicts that break a claim."""
+def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
+    """The decided parts of every proper extension of every prime power in
+    [q_min, q_max], in (q, kind, d) order.  This is the one statement of
+    what a part is; ``tally_sweep``, ``sweep`` and the JSON report's writer
+    (``cli``) each fold over them.
 
-    summary: dict[str, int]
-    disagreements: tuple[GroupVerdict, ...]
-    degree_mismatched: tuple[GroupVerdict, ...]
-
-
-def tally_sweep(
-    q_min: int,
-    q_max: int,
-    sink: Callable[[int | Iterator[int], int | None, int, OuterSubgroup, tuple], object] | None = None,
-) -> SweepTally:
-    """Decide every proper extension of every prime power in [q_min, q_max]
-    and tally the verdicts: counts of groups, passing groups,
-    disagreements, converse anomalies (matched groups with violations) and
-    degree mismatches.  No other code defines these counts.
-
-    The prime powers come from the sieve as runs of primes, each ended by
-    a higher prime power (``arithmetic.prime_runs``).  A prime q >= 7 has
-    one proper extension, PGL(2,q), and the sweep's premise is that its
-    plan reads no q: it has rows, none conditional, keeps no pair, and is
-    the same for q = 1 and 3 mod 4.  A table that breaks it raises
-    RuntimeError before the sieve is built.  So each run is counted at
-    once, with ``sieve[first:stop:2].count(1)``, and handed to the sink
-    whole, as ``sink(primes, None, 1, outer, (shape, (), rows,
-    mismatches))``: primes iterates the run lazily over the sieve, and
-    ``groups.shape_degrees(q, *shape)`` gives each prime's degrees.
-
-    Each group of a higher prime power q = p^f goes to ``sink(q, p, f,
-    outer, decided)``, with ``decided`` the plain values of ``_decide``.
-    Groups come in (q, kind, d) order with no sort: each q's one cached
-    dict ``_q_plans(*shape_key(p, f, q))`` lists its proper extensions in
+    A part is (q, p, f, outer, decided).  Each group of a higher prime power
+    q = p^f, 2 or p^k with k >= 2, is one part, with ``decided`` the plain
+    values of ``_decide``: (degrees, violations, matched rows, degree
+    mismatches).  A q's groups come with no sort: its one cached dict
+    ``_q_plans(*shape_key(p, f, q))`` lists its proper extensions in
     ``OuterKind`` order with ascending d, each with its shape plan.  The
     range check and that lattice stand in for ``brute_force_verdict``'s
-    two checks.  The loop builds no group object and no ``GroupVerdict``,
-    except for the disagreeing and degree-mismatched verdicts it keeps.
+    two checks.
 
-    A range that holds no prime power raises ValueError, as an inverted
-    one does, so that no sweep passes with nothing checked.  The sweep
-    holds the sieve, not a list of the prime powers.
+    The primes between two higher prime powers (``arithmetic.prime_runs``)
+    are one part, a run: ``((odds, flags), None, 1, outer, (shape, (),
+    rows, mismatches))``.  Its primes are ``itertools.compress(odds,
+    flags)``, with odds a range of odd numbers and flags its slice of the
+    sieve, holding at least one prime, and ``groups.shape_degrees(q,
+    *shape)`` gives each prime's degrees.  A prime q >= 7 has one proper
+    extension, PGL(2,q), and the sweep's premise is that its plan reads no
+    q: it has rows, none conditional, keeps no pair, and is the same for
+    q = 1 and 3 mod 4.  So every prime of a run passes, with the run's
+    rows and mismatches.
+
+    The call checks the range and the premise, builds the sieve and takes
+    the first part, so these raise from the call, before the caller takes
+    a part: ValueError for q_min < 7 or an inverted range, RuntimeError for
+    a table that breaks the premise, the sieve's MemoryError, and
+    ValueError for a range that holds no prime power, so that no sweep
+    passes with nothing checked.  The other parts are read off the sieve
+    as they are taken; no list of the prime powers is held.
 
     ``shape_degrees`` cannot overflow here: every degree is at most
     (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a range past 2**57
     needs a sieve larger than any address space, so it raises MemoryError
-    before the first group.
+    at the call.
     """
     if q_min < 7:
         raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
@@ -335,41 +326,65 @@ def tally_sweep(
     mispredicted = tuple(row.row_id for row, differs in rows if differs)
     run_verdict = ((eps, forms), (), tuple(row.row_id for row, _ in rows), mispredicted)
     sieve, runs = prime_runs_in_range(q_min, q_max)
-    view = memoryview(sieve)
+
+    def parts() -> Iterator[tuple]:
+        for first, stop, higher in runs:
+            if 1 in (flags := sieve[first:stop:2]):
+                yield (range(first, stop, 2), flags), None, 1, pgl, run_verdict
+            if higher is not None:
+                p, f = prime_power_decompose(higher)
+                for outer, plan in _q_plans(*shape_key(p, f, higher)).items():
+                    yield higher, p, f, outer, _decide(higher, plan)
+
+    stream = parts()
+    for part in stream:  # the first part, taken here so that an empty range raises at the call
+        return itertools.chain((part,), stream)
+    raise ValueError(f"no prime power in [{q_min}, {q_max}]: nothing to check")
+
+
+class SweepTally(NamedTuple):
+    """What a sweep's verdicts add up to: the summary counts and the
+    verdicts that break a claim."""
+
+    summary: dict[str, int]
+    disagreements: tuple[GroupVerdict, ...]
+    degree_mismatched: tuple[GroupVerdict, ...]
+
+
+def tally_sweep(q_min: int, q_max: int) -> SweepTally:
+    """Tally the verdicts of ``sweep_parts(q_min, q_max)``, and raise what
+    it raises: counts of groups, passing groups, disagreements, converse
+    anomalies (matched groups with violations) and degree mismatches.  No
+    other code defines these counts.
+
+    A run of primes is counted at once, with ``flags.count(1)``.  The fold
+    builds no group object and no ``GroupVerdict``, except for the
+    disagreeing and degree-mismatched verdicts it keeps.
+    """
     groups = passing = converse = 0
     disagreements: list[GroupVerdict] = []
     mismatched: list[GroupVerdict] = []
-    for first, stop, higher in runs:
-        if n := sieve[first:stop:2].count(1):
+    for q, p, f, outer, decided in sweep_parts(q_min, q_max):
+        _, violations, matched, mismatches = decided
+        if p is None:  # a run of primes, each passing by the premise
+            n = q[1].count(1)
             groups += n
             passing += n
-            run = range(first, stop, 2), view[first:stop:2]  # each use compresses it afresh
-            if mispredicted:
-                mismatched += _run_verdicts(itertools.compress(*run), pgl, run_verdict)
-            if sink is not None:
-                sink(itertools.compress(*run), None, 1, pgl, run_verdict)
-        if higher is None:
+            if mismatches:
+                mismatched += _run_verdicts(q, outer, decided)
             continue
-        p, f = prime_power_decompose(higher)
-        for outer, plan in _q_plans(*shape_key(p, f, higher)).items():
-            decided = _decide(higher, plan)
-            _, violations, matched, mismatches = decided
-            groups += 1
-            if violations:
-                if matched:
-                    converse += 1
-            else:
-                passing += 1
-            if not (violations or matched) or mismatches:
-                verdict = _verdict(higher, p, f, outer, decided)
-                if not verdict.agree:
-                    disagreements.append(verdict)
-                if mismatches:
-                    mismatched.append(verdict)
-            if sink is not None:
-                sink(higher, p, f, outer, decided)
-    if not groups:
-        raise ValueError(f"no prime power in [{q_min}, {q_max}]: nothing to check")
+        groups += 1
+        if violations:
+            if matched:
+                converse += 1
+        else:
+            passing += 1
+        if not (violations or matched) or mismatches:
+            verdict = _verdict(q, p, f, outer, decided)
+            if not verdict.agree:
+                disagreements.append(verdict)
+            if mismatches:
+                mismatched.append(verdict)
     summary = {
         "groups": groups,
         "passing": passing,
@@ -381,17 +396,14 @@ def tally_sweep(
 
 
 def sweep(q_min: int, q_max: int) -> tuple[GroupVerdict, ...]:
-    """The ``GroupVerdict`` of every group ``tally_sweep(q_min, q_max)``
-    decides, in its order, each run of primes expanded."""
+    """The ``GroupVerdict`` of every part of ``sweep_parts(q_min, q_max)``,
+    in its order, each run of primes expanded."""
     verdicts: list[GroupVerdict] = []
-
-    def sink(q: int | Iterator[int], p: int | None, f: int, outer: OuterSubgroup, decided: tuple) -> None:
+    for q, p, f, outer, decided in sweep_parts(q_min, q_max):
         if p is None:
-            verdicts.extend(_run_verdicts(q, outer, decided))
+            verdicts += _run_verdicts(q, outer, decided)
         else:
             verdicts.append(_verdict(q, p, f, outer, decided))
-
-    tally_sweep(q_min, q_max, sink)
     return tuple(verdicts)
 
 

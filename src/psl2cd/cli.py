@@ -22,6 +22,7 @@ from .classifier import (
     SweepTally,
     brute_force_verdict,
     sweep,  # not called here; perfbench/measure.py wraps cli.sweep by name
+    sweep_parts,
     tally_sweep,
     verdict_to_dict,
 )
@@ -72,68 +73,41 @@ def _verdict_template(
     return text.replace("\n", "\n    ").replace(str(_SLOT), "%s")
 
 
-def _rendered(parts: list[tuple]) -> Iterator[str]:
-    """The verdict text of ``_sweep_json``'s parts, four spaces deep and
-    joined by commas: a batch with one ``%`` fill of its templates joined,
-    a run in slices of ``_VERDICT_BATCH`` primes, each prime's slots its
-    ``shape_degrees`` and q twice."""
-    for part in parts:
-        if len(part) == 2:
-            batch, numbers = part
-            yield ",\n    ".join(batch) % tuple(numbers.split(","))
+def _rendered(parts: Iterator[tuple]) -> Iterator[str]:
+    """The verdict text of ``classifier.sweep_parts``' parts, four spaces
+    deep: one ``%`` fill of its template per group of a higher prime power,
+    and a run in slices of ``_VERDICT_BATCH`` primes joined by commas, each
+    prime's slots its ``shape_degrees`` and q twice."""
+    for q, p, f, outer, (degrees, violations, rows, _) in parts:
+        if p is not None:
+            template = _verdict_template(outer.kind, outer.d, f, len(degrees), rows, len(violations))
+            yield template % (*degrees, q, q, *itertools.chain.from_iterable(violations))
             continue
-        template, shape, primes = part
+        odds, flags = q  # a run of primes, and degrees is the shape (eps, forms) they share
+        template = _verdict_template(outer.kind, outer.d, f, len(shape_degrees(odds.start, *degrees)), rows, 0)
+        primes = itertools.compress(odds, flags)
         while chunk := list(itertools.islice(primes, _VERDICT_BATCH)):
-            numbers = itertools.chain.from_iterable((*shape_degrees(q, *shape), q, q) for q in chunk)
+            numbers = itertools.chain.from_iterable((*shape_degrees(q, *degrees), q, q) for q in chunk)
             yield ",\n    ".join([template] * len(chunk)) % tuple(numbers)
 
 
 def _sweep_json(q_min: int, q_max: int, out: TextIO) -> SweepTally:
-    """Run ``tally_sweep`` and write ``to_json`` of its report, plus a
+    """Write ``to_json`` of the sweep report over [q_min, q_max], plus a
     newline, to ``out``; return the tally.
 
-    The sweep's sink keeps its parts in order.  A run of primes is kept
-    as its bounds over the sieve: the one cached template of its
-    verdicts, its (eps, forms) and the lazy iterator of its primes.  The
-    groups between runs are kept in batches of at most ``_VERDICT_BATCH``
-    verdicts, each as the cached templates of its verdicts' shapes and
-    their slot integers ``(*degrees, q, q, *a_b_gcd_omega)`` in decimal,
-    joined by commas.  The head and tail are ``to_json`` of the report
-    with ``_SLOT`` as its one verdict, split at the last ``_SLOT``.  The
-    verdicts, nearly all of the text, are written between them by
-    ``_rendered``, so the report never exists as one string or as dicts.
-    Nothing is written before the last group is decided, so a failed
-    sweep writes nothing.
+    The head of the report holds the tally, and the verdicts follow it, so
+    the sweep runs twice: ``tally_sweep`` for the head, then
+    ``sweep_parts`` once more for the verdicts, which sieves again and
+    decides the higher prime powers again.  The two sieves are built one
+    after the other, never at once, and nothing is held between the
+    passes.  ``sweep_parts`` is called before the first byte is written,
+    so a sweep that fails writes nothing.  The head and tail are
+    ``to_json`` of the report with ``_SLOT`` as its one verdict, split at
+    the last ``_SLOT``.  The verdicts, nearly all of the text, are written
+    between them by ``_rendered`` as the parts come, so the report never
+    exists as one string or as dicts.
     """
-    parts: list[tuple] = []  # (templates, slot text) of a batch, or (template, shape, primes) of a run
-    templates: list[str] = []
-    slots: list[int] = []
-
-    def close_batch() -> None:
-        nonlocal templates, slots
-        if templates:
-            parts.append((templates, ",".join(map(str, slots))))
-            templates, slots = [], []
-
-    def sink(q: int | Iterator[int], p: int | None, f: int, outer: OuterSubgroup, decided: tuple) -> None:
-        nonlocal slots
-        degrees, violations, matched_rows, _ = decided
-        if p is None:  # a run of primes, and degrees is the shape (eps, forms) they share
-            eps, forms = degrees
-            close_batch()
-            n_degrees = len(forms) + (2 if eps else 1)  # 1, (q+eps)/2 if eps is not 0, a degree per form
-            parts.append((_verdict_template(outer.kind, outer.d, f, n_degrees, matched_rows, 0), degrees, q))
-            return
-        templates.append(_verdict_template(outer.kind, outer.d, f, len(degrees), matched_rows, len(violations)))
-        slots += degrees
-        slots += (q, q)
-        for w in violations:
-            slots += w
-        if len(templates) == _VERDICT_BATCH:
-            close_batch()
-
-    tally = tally_sweep(q_min, q_max, sink)
-    close_batch()
+    tally = tally_sweep(q_min, q_max)
     head, _, tail = to_json(
         {
             "q_min": q_min,
@@ -142,11 +116,12 @@ def _sweep_json(q_min: int, q_max: int, out: TextIO) -> SweepTally:
                 {"q": v.descriptor.q.q, "group": group_name(v.descriptor), "rows": list(v.degree_mismatches)}
                 for v in tally.degree_mismatched
             ],
-            "overflowed": [],  # kept for the format; see classifier.tally_sweep
+            "overflowed": [],  # kept for the format; classifier.sweep_parts shows no degree reaches 2**63
             "summary": tally.summary,
             "verdicts": [_SLOT],
         }
     ).rpartition(str(_SLOT))
+    parts = sweep_parts(q_min, q_max)
     out.write(head)
     for i, text in enumerate(_rendered(parts)):
         if i:

@@ -14,6 +14,7 @@ from psl2cd.classifier import (
     GroupVerdict,
     brute_force_verdict,
     sweep,
+    sweep_parts,
     tally_sweep,
     verdict_to_dict,
 )
@@ -458,10 +459,20 @@ class TestPrimeRuns:
         assert tally_sweep(7, 2**12).summary["groups"] == sum(sieve[7:]) + len(decided)
         assert decided and not any(sieve[q] for q in decided)
 
+    def test_the_stream_runs_once_per_sweep(self, monkeypatch):
+        # sweep expands the parts as they come, with no second pass to tally them.
+        decided = []
+        real = classifier._decide
+        monkeypatch.setattr(classifier, "_decide", lambda q, plan: decided.append(q) or real(q, plan))
+        tally_sweep(7, 2**12)
+        tallied, decided[:] = decided[:], []
+        sweep(7, 2**12)
+        assert tallied and decided == tallied
+
     @pytest.mark.parametrize("way", ["conditional_row", "no_row", "kept_pair", "plans_differ_mod_4"])
     def test_a_broken_premise_stops_the_sweep(self, monkeypatch, fresh_plans, way):
         # Each way lets a prime's verdict read q, so the sweep may not
-        # decide a run at once: it raises before any group reaches the sink.
+        # decide a run at once: it raises at the call, before any part is taken.
         rows, shape = classifier._ROWS, classifier._shape
 
         def one_more_form(kind, d, f, p, q4):  # 2(q - 1) with q - 1: a pair of one sign is kept
@@ -483,10 +494,8 @@ class TestPrimeRuns:
         }[way]
         monkeypatch.setattr(classifier, name, value)
         assert not _prime_plan_reads_no_q()
-        got = []
         with pytest.raises(RuntimeError, match="breaks the sweep's premise that PGL\\(2,q\\) of a prime"):
-            tally_sweep(7, 100, lambda *group: got.append(group))
-        assert got == []
+            sweep_parts(7, 100)
 
     def test_a_wrong_pgl_prediction_is_a_mismatch_at_each_prime(self, capsys, monkeypatch, fresh_plans):
         # The row stays q-free, so each run is still decided at once, and
@@ -599,21 +608,18 @@ class TestSweep:
                 sweep(q_min, q_max)
 
     def test_errors_come_from_the_call(self, monkeypatch):
-        # The range is checked and the sieve built before any group is
-        # decided, so a failing sweep hands its sink nothing.
-        def sink(*group):
-            raise AssertionError(f"{group} reached the sink")
-
+        # The range is checked and the sieve built when the stream is
+        # asked for, so a failing sweep raises before any part is taken.
         for q_min, q_max in ((24, 24), (11, 7), (4, 11)):
             with pytest.raises(ValueError):
-                tally_sweep(q_min, q_max, sink)
+                sweep_parts(q_min, q_max)
 
         def out_of_memory(limit):
             raise MemoryError
 
         monkeypatch.setattr("psl2cd.arithmetic.prime_sieve", out_of_memory)
         with pytest.raises(MemoryError):
-            tally_sweep(7, 11, sink)
+            sweep_parts(7, 11)
 
     def test_memory_is_set_by_the_sieve(self):
         # The prime powers are streamed out of the sieve, so the traced peak

@@ -16,9 +16,9 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import psl2cd
-from psl2cd import classifier, cli
+from psl2cd import arithmetic, classifier, cli
 from psl2cd.arithmetic import MAX_VALUE, is_prime, prime_sieve
-from psl2cd.classifier import SweepTally, brute_force_verdict, sweep, verdict_to_dict
+from psl2cd.classifier import brute_force_verdict, sweep, verdict_to_dict
 from psl2cd.cli import main, to_json
 from psl2cd.facts import FACTS
 from psl2cd.groups import GroupDescriptor, PrimePower, enumerate_outer_subgroups, group_name
@@ -432,6 +432,22 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error: out of memory")
 
+    def test_json_sweep_writes_nothing_when_its_second_sieve_fails(self, capsys, monkeypatch):
+        # The JSON report sieves once for its tally and once for its
+        # verdicts, and asks for the second sieve before it writes the head.
+        real, calls = arithmetic.prime_sieve, []
+
+        def second_sieve_fails(limit):
+            calls.append(limit)
+            if len(calls) == 2:
+                raise MemoryError
+            return real(limit)
+
+        monkeypatch.setattr("psl2cd.arithmetic.prime_sieve", second_sieve_fails)
+        code, out, err = run(capsys, "sweep", "--qmin", "7", "--qmax", "100", "--format", "json")
+        assert (code, out, calls) == (2, "", [100, 100])
+        assert err == "error: out of memory; try a smaller range\n"
+
 
 def _swap_row(monkeypatch, row_id, **fields):
     """Give one row of the table other fields for the rest of the test."""
@@ -491,6 +507,12 @@ class TestSweepReportWriter:
         # More verdicts than one batch, so the join between batches is written.
         payload = self.check(7, 65536)
         assert len(payload["verdicts"]) > cli._VERDICT_BATCH
+
+    def test_runs_fill_in_slices(self, monkeypatch):
+        # No run of primes below 2^16 holds 512 of them, so fill 5 primes
+        # at a time to put most runs in several slices.
+        monkeypatch.setattr(cli, "_VERDICT_BATCH", 5)
+        self.check(7, 3000)
 
     def test_error_free_range(self):
         payload = self.check(7, 11)
@@ -600,30 +622,19 @@ def _variants(v):
 
 
 def _assert_batches_are_canonical(verdicts):
-    """Write the JSON report with a sweep loop that hands the verdicts'
-    values to the report's sink, and check that each batch written is the
-    canonical JSON of its verdicts, four spaces deep.  Return the size of
-    the template cache as each verdict reaches the sink."""
+    """Render the verdicts' values, each as a group part of the sweep
+    stream, with the report's ``_rendered``, and check that each text is
+    the canonical JSON of its verdict, four spaces deep.  Return the size
+    of the template cache as each part reaches the renderer."""
     sizes = []
 
-    def tally_sweep(q_min, q_max, sink):
+    def parts():
         for v in verdicts:
             sizes.append(cli._verdict_template.cache_info().currsize)
             pp = v.descriptor.q
-            sink(pp.q, pp.p, pp.f, v.descriptor.outer, v[1:])
-        return SweepTally({}, (), ())
+            yield pp.q, pp.p, pp.f, v.descriptor.outer, v[1:]
 
-    writes = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "tally_sweep", tally_sweep)
-        cli._sweep_json(7, 7, types.SimpleNamespace(write=writes.append))
-    # head, batch, separator, batch, ..., tail
-    n = cli._VERDICT_BATCH
-    assert writes[1:-1:2] == [
-        ",\n    ".join(to_json(verdict_to_dict(v)).replace("\n", "\n    ") for v in verdicts[i : i + n])
-        for i in range(0, len(verdicts), n)
-    ]
-    assert set(writes[2:-1:2]) <= {",\n    "}
+    assert list(cli._rendered(parts())) == [to_json(verdict_to_dict(v)).replace("\n", "\n    ") for v in verdicts]
     return sizes
 
 
@@ -635,7 +646,6 @@ class TestVerdictTemplates:
         # Rendering goes through the module's template cache, which keeps
         # the shapes of earlier examples, so a key that leaves out a part
         # of the shape renders some verdict from another verdict's template.
-        # Batches of 5 put the variants of one group in several batches.
         pp = PrimePower(*p_f)
         verdicts = []
         for outer in enumerate_outer_subgroups(pp, include_trivial=False):
@@ -644,15 +654,11 @@ class TestVerdictTemplates:
             except OverflowError:  # a degree reaches 2**63
                 continue
             verdicts.extend(_variants(verdict))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_VERDICT_BATCH", 5)
-            _assert_batches_are_canonical(verdicts)
         _assert_batches_are_canonical(verdicts)
 
     def test_cache_evicting_inside_a_batch_is_bounded(self, monkeypatch):
         # sweep(7, 64) has more than 3 shapes, so a cache of 3 evicts
-        # templates while the one batch is open; the batch keeps the
-        # templates it took.
+        # templates between the parts it renders.
         small = functools.lru_cache(maxsize=3)(cli._verdict_template.__wrapped__)
         monkeypatch.setattr(cli, "_verdict_template", small)
         verdicts = sweep(7, 64)
