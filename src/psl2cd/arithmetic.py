@@ -308,11 +308,12 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
     return None
 
 
-def prime_runs(table: bytes | bytearray, lo: int, hi: int) -> Iterator[tuple[int, int, int | None]]:
+def prime_runs(table: bytes | bytearray, lo: int, hi: int) -> Iterator[tuple[int, int, tuple[int, int, int] | None]]:
     """The prime powers q with lo <= q <= hi as runs (first, stop, higher),
     ascending: the odd primes n in range(first, stop, 2), those with
-    table[n] == 1, then higher, the prime power that ends the run: 2 or
-    p**k with k >= 2, or None after the last run.  A run may hold no prime.
+    table[n] == 1, then higher = (q, p, k), the prime power q = p**k that
+    ends the run: 2 = 2**1 or a p**k with k >= 2, or None after the last
+    run.  A run may hold no prime.
 
     table is any byte table longer than hi whose entries equal to 1 are
     exactly the primes: a `prime_sieve` or an `omega_table`.  Only 2 and
@@ -320,19 +321,19 @@ def prime_runs(table: bytes | bytearray, lo: int, hi: int) -> Iterator[tuple[int
     sorted, 243 values below 2**20, so no list of the whole range is ever
     held.
     """
-    higher = [2] if lo <= 2 <= hi else []
+    higher = [(2, 2, 1)] if lo <= 2 <= hi else []
     root = math.isqrt(max(hi, 0))
     for p in itertools.compress(range(2, root + 1), table[2 : root + 1].translate(_IS_ONE)):
-        q = p * p
+        q, k = p * p, 2
         while q <= hi:
             if q >= lo:
-                higher.append(q)
-            q *= p
+                higher.append((q, p, k))
+            q, k = q * p, k + 1
     higher.sort()
     first = max(lo, 3) | 1
-    for q in higher:
-        yield first, q, q
-        first = (q + 1) | 1
+    for power in higher:
+        yield first, power[0], power
+        first = (power[0] + 1) | 1
     yield first, hi + 1, None
 
 
@@ -343,10 +344,10 @@ def prime_powers(table: bytes | bytearray, lo: int, hi: int) -> Iterator[int]:
     for first, stop, higher in prime_runs(table, lo, hi):
         yield from itertools.compress(range(first, stop, 2), table[first:stop:2].translate(_IS_ONE))
         if higher is not None:
-            yield higher
+            yield higher[0]
 
 
-def prime_runs_in_range(lo: int, hi: int) -> tuple[bytearray, Iterator[tuple[int, int, int | None]]]:
+def prime_runs_in_range(lo: int, hi: int) -> tuple[bytearray, Iterator[tuple[int, int, tuple[int, int, int] | None]]]:
     """``prime_sieve(hi)`` and the runs ``prime_runs`` reads off it for
     [lo, hi].  The range is checked and the sieve built when this is
     called, so OverflowError for hi >= 2**63 and the sieve's MemoryError

@@ -7,9 +7,10 @@ q-free bound keeps below gcd 8 (no other pair can fail), and matches H
 against the twelve group families known to be the only possible survivors,
 and their necessary arithmetic conditions on q; pairs and families are
 picked once per shape, in its plan.  ``sweep_parts`` is the sweep: one
-stream of the groups over q and their plans, each decided in plain
-values, which ``tally_sweep`` counts, making a ``GroupVerdict`` only for
-a group that breaks a claim.  The hard assertion runs in one
+stream of parts of one layout, each a set of q whose groups of one outer
+kind and d share a verdict in plain values, which ``tally_sweep`` counts
+a part at a time, making a ``GroupVerdict`` only for a group that breaks
+a claim.  The hard assertion runs in one
 direction only: a group that passes the pair check must match some family
 whose conditions hold.  The converse -- a matched family whose group
 nevertheless fails -- is reported, never assumed absent.
@@ -29,7 +30,7 @@ import itertools
 import math
 from typing import Callable, Iterator, NamedTuple
 
-from .arithmetic import is_prime, omega, prime_power_decompose, prime_runs_in_range
+from .arithmetic import is_prime, omega, prime_runs_in_range
 from .groups import (
     GroupDescriptor,
     OuterKind,
@@ -261,16 +262,12 @@ def _decide(q: int, plan: tuple) -> tuple:
     return tuple(degrees), tuple(violations), matched, mismatched
 
 
-def _verdict(q: int, p: int, f: int, outer: OuterSubgroup, decided: tuple) -> GroupVerdict:
-    """The ``GroupVerdict`` of a group part of ``sweep_parts``."""
-    return GroupVerdict(GroupDescriptor(PrimePower.from_sieve(q, p, f), outer), *decided)
-
-
-def _run_verdicts(run: tuple[range, bytearray], outer: OuterSubgroup, decided: tuple) -> Iterator[GroupVerdict]:
-    """The ``GroupVerdict`` of each prime of a run part of ``sweep_parts``,
-    ``decided`` holding the shape in place of degrees."""
-    shape, *verdict = decided
-    return (_verdict(q, q, 1, outer, (tuple(shape_degrees(q, *shape)), *verdict)) for q in itertools.compress(*run))
+def _verdicts(part: tuple) -> Iterator[GroupVerdict]:
+    """The ``GroupVerdict`` of each q of a part of ``sweep_parts``, in order."""
+    qs, p, f, outer, shape, *verdict = part
+    for q in itertools.compress(*qs):
+        g = GroupDescriptor(PrimePower.from_sieve(q, p or q, f), outer)
+        yield GroupVerdict(g, tuple(shape_degrees(q, *shape)), *verdict)
 
 
 def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
@@ -279,25 +276,30 @@ def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
     what a part is; ``tally_sweep``, ``sweep`` and the JSON report's writer
     (``cli``) each fold over them.
 
-    A part is (q, p, f, outer, decided).  Each group of a higher prime power
-    q = p^f, 2 or p^k with k >= 2, is one part, with ``decided`` the plain
-    values of ``_decide``: (degrees, violations, matched rows, degree
-    mismatches).  A q's groups come with no sort: its one cached dict
-    ``_q_plans(*shape_key(p, f, q))`` lists its proper extensions in
-    ``OuterKind`` order with ascending d, each with its shape plan.  The
-    range check and that lattice stand in for ``brute_force_verdict``'s
-    two checks.
+    A part is ((odds, flags), p, f, outer, shape, violations, rows,
+    mismatches): one group H = PSL(2,q).outer for each q of
+    ``itertools.compress(odds, flags)``, at least one, with odds a range
+    and flags bytes of 0 and 1.  ``groups.shape_degrees(q, *shape)`` gives
+    each q's degrees, and the part's violations, matched rows and degree
+    mismatches (tuples, as in ``_decide``) are the verdict of every one of
+    its q.  A violation names q's degrees, so only a part of one q has
+    any; a run keeps no pair, by the premise below.
+
+    Each group of a higher prime power q = p^f, 2 or p^k with k >= 2, is a
+    part of one q, ``(range(q, q + 1), b"\x01")``, with its p and f, its
+    plan's shape and ``_decide``'s verdict.  A q's groups come with no
+    sort: its one cached dict ``_q_plans(*shape_key(p, f, q))`` lists its
+    proper extensions in ``OuterKind`` order with ascending d, each with
+    its shape plan.  The range check and that lattice stand in for
+    ``brute_force_verdict``'s two checks.
 
     The primes between two higher prime powers (``arithmetic.prime_runs``)
-    are one part, a run: ``((odds, flags), None, 1, outer, (shape, (),
-    rows, mismatches))``.  Its primes are ``itertools.compress(odds,
-    flags)``, with odds a range of odd numbers and flags its slice of the
-    sieve, holding at least one prime, and ``groups.shape_degrees(q,
-    *shape)`` gives each prime's degrees.  A prime q >= 7 has one proper
-    extension, PGL(2,q), and the sweep's premise is that its plan reads no
-    q: it has rows, none conditional, keeps no pair, and is the same for
-    q = 1 and 3 mod 4.  So every prime of a run passes, with the run's
-    rows and mismatches.
+    are one part, a run: odds the odd numbers between them, flags their
+    slice of the sieve, p None, since each prime is its own p, and f 1.  A
+    prime q >= 7 has one proper extension, PGL(2,q), and the sweep's
+    premise is that its plan reads no q: it has rows, none conditional,
+    keeps no pair, and is the same for q = 1 and 3 mod 4.  So every prime
+    of a run passes, with the run's rows and mismatches.
 
     The call checks the range and the premise, builds the sieve and takes
     the first part, so these raise from the call, before the caller takes
@@ -330,11 +332,11 @@ def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
     def parts() -> Iterator[tuple]:
         for first, stop, higher in runs:
             if 1 in (flags := sieve[first:stop:2]):
-                yield (range(first, stop, 2), flags), None, 1, pgl, run_verdict
+                yield (range(first, stop, 2), flags), None, 1, pgl, *run_verdict
             if higher is not None:
-                p, f = prime_power_decompose(higher)
-                for outer, plan in _q_plans(*shape_key(p, f, higher)).items():
-                    yield higher, p, f, outer, _decide(higher, plan)
+                q, p, f = higher
+                for outer, plan in _q_plans(*shape_key(p, f, q)).items():
+                    yield (range(q, q + 1), b"\x01"), p, f, outer, plan[:2], *_decide(q, plan)[1:]
 
     stream = parts()
     for part in stream:  # the first part, taken here so that an empty range raises at the call
@@ -357,34 +359,28 @@ def tally_sweep(q_min: int, q_max: int) -> SweepTally:
     anomalies (matched groups with violations) and degree mismatches.  No
     other code defines these counts.
 
-    A run of primes is counted at once, with ``flags.count(1)``.  The fold
-    builds no group object and no ``GroupVerdict``, except for the
-    disagreeing and degree-mismatched verdicts it keeps.
+    Each part is counted at once, its n groups ``flags.count(1)``, since
+    its verdict holds for all of them.  The fold lists no q and builds no
+    group object and no ``GroupVerdict``, except for the disagreeing and
+    degree-mismatched verdicts it keeps.
     """
     groups = passing = converse = 0
     disagreements: list[GroupVerdict] = []
     mismatched: list[GroupVerdict] = []
-    for q, p, f, outer, decided in sweep_parts(q_min, q_max):
-        _, violations, matched, mismatches = decided
-        if p is None:  # a run of primes, each passing by the premise
-            n = q[1].count(1)
-            groups += n
+    for part in sweep_parts(q_min, q_max):
+        (_, flags), *_, violations, matched, mismatches = part
+        n = flags.count(1)
+        groups += n
+        if not violations:
             passing += n
-            if mismatches:
-                mismatched += _run_verdicts(q, outer, decided)
-            continue
-        groups += 1
-        if violations:
-            if matched:
-                converse += 1
-        else:
-            passing += 1
+        elif matched:
+            converse += n
         if not (violations or matched) or mismatches:
-            verdict = _verdict(q, p, f, outer, decided)
-            if not verdict.agree:
-                disagreements.append(verdict)
-            if mismatches:
-                mismatched.append(verdict)
+            for verdict in _verdicts(part):
+                if not verdict.agree:
+                    disagreements.append(verdict)
+                if mismatches:
+                    mismatched.append(verdict)
     summary = {
         "groups": groups,
         "passing": passing,
@@ -396,15 +392,9 @@ def tally_sweep(q_min: int, q_max: int) -> SweepTally:
 
 
 def sweep(q_min: int, q_max: int) -> tuple[GroupVerdict, ...]:
-    """The ``GroupVerdict`` of every part of ``sweep_parts(q_min, q_max)``,
-    in its order, each run of primes expanded."""
-    verdicts: list[GroupVerdict] = []
-    for q, p, f, outer, decided in sweep_parts(q_min, q_max):
-        if p is None:
-            verdicts += _run_verdicts(q, outer, decided)
-        else:
-            verdicts.append(_verdict(q, p, f, outer, decided))
-    return tuple(verdicts)
+    """The ``GroupVerdict`` of every q of every part of
+    ``sweep_parts(q_min, q_max)``, in its order."""
+    return tuple(itertools.chain.from_iterable(map(_verdicts, sweep_parts(q_min, q_max))))
 
 
 def verdict_to_dict(v: GroupVerdict) -> dict:

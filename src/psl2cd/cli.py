@@ -75,20 +75,16 @@ def _verdict_template(
 
 def _rendered(parts: Iterator[tuple]) -> Iterator[str]:
     """The verdict text of ``classifier.sweep_parts``' parts, four spaces
-    deep: one ``%`` fill of its template per group of a higher prime power,
-    and a run in slices of ``_VERDICT_BATCH`` primes joined by commas, each
-    prime's slots its ``shape_degrees`` and q twice."""
-    for q, p, f, outer, (degrees, violations, rows, _) in parts:
-        if p is not None:
-            template = _verdict_template(outer.kind, outer.d, f, len(degrees), rows, len(violations))
-            yield template % (*degrees, q, q, *itertools.chain.from_iterable(violations))
-            continue
-        odds, flags = q  # a run of primes, and degrees is the shape (eps, forms) they share
-        template = _verdict_template(outer.kind, outer.d, f, len(shape_degrees(odds.start, *degrees)), rows, 0)
-        primes = itertools.compress(odds, flags)
-        while chunk := list(itertools.islice(primes, _VERDICT_BATCH)):
-            numbers = itertools.chain.from_iterable((*shape_degrees(q, *degrees), q, q) for q in chunk)
-            yield ",\n    ".join([template] * len(chunk)) % tuple(numbers)
+    deep: each part's template filled for a slice of ``_VERDICT_BATCH`` of
+    its q at a time, joined by commas, each q's slots its ``shape_degrees``
+    and q twice, then the violations' numbers once per slice (only a part
+    of one q has violations)."""
+    for (odds, flags), _, f, outer, shape, violations, rows, _ in parts:
+        template = _verdict_template(*outer, f, len(shape_degrees(odds.start, *shape)), rows, len(violations))
+        qs = itertools.compress(odds, flags)
+        while chunk := list(itertools.islice(qs, _VERDICT_BATCH)):
+            numbers = itertools.chain.from_iterable((*shape_degrees(q, *shape), q, q) for q in chunk)
+            yield ",\n    ".join([template] * len(chunk)) % (*numbers, *itertools.chain.from_iterable(violations))
 
 
 def _sweep_json(q_min: int, q_max: int, out: TextIO) -> SweepTally:

@@ -442,9 +442,9 @@ class TestPrimePowers:
                     assert list(prime_powers(table, lo, hi)) == expected, (lo, hi, len(table))
 
     def test_runs_flatten_to_every_small_range(self):
-        # Each run's primes, then the prime power that ends it, give the
-        # prime powers of the range; every run but the last stops at the
-        # power that ends it.
+        # Each run's primes, then the prime power q = p**f that ends it, as
+        # (q, p, f) with p prime, give the prime powers of the range; every
+        # run but the last stops at the power that ends it.
         every = self.oracle(sieve_factorizer(300), 0, 300)
         for hi in range(301):
             tables = (prime_sieve(hi), omega_table(hi + 1))
@@ -453,9 +453,13 @@ class TestPrimePowers:
                 for table in tables:
                     flat = []
                     for first, stop, higher in prime_runs(table, lo, hi):
-                        assert stop == (hi + 1 if higher is None else higher), (lo, hi)
                         flat += [n for n in range(first, stop, 2) if table[n] == 1]
-                        flat += [] if higher is None else [higher]
+                        if higher is None:
+                            assert stop == hi + 1, (lo, hi)
+                            continue
+                        q, p, f = higher
+                        assert stop == q and trial_is_prime(p) and p**f == q, (lo, hi, higher)
+                        flat.append(q)
                     assert flat == expected, (lo, hi, len(table))
 
     def test_a_wide_range(self):

@@ -50,7 +50,7 @@ class _Digest:
 
 def test_every_command_of_the_step_is_pinned():
     commands = [line for line in _step_lines() if "python -m psl2cd" in line]
-    assert len(commands) >= 52
+    assert len(commands) >= 57
     assert len(_PINNED) == len(commands)
 
 

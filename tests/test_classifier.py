@@ -534,6 +534,21 @@ class TestSweep:
         assert tally.disagreements == ()
         assert tally.degree_mismatched == ()
 
+    def test_every_part_has_one_layout(self):
+        # Runs of primes and groups of higher prime powers alike: a part
+        # names its q through (odds, flags), and its one verdict, expanded,
+        # is each q's own.  Only a part of one q has violations.
+        parts = [*sweep_parts(7, 2**16), *sweep_parts(3**12, 3**12)]
+        for part in parts:
+            assert len(part) == 8
+            (odds, flags), _, _, outer, _, violations, *_ = part
+            qs = list(itertools.compress(odds, flags))
+            assert flags.count(1) == len(qs) >= 1
+            assert len(qs) == 1 or not violations
+            expected = [brute_force_verdict(GroupDescriptor(PrimePower.from_value(q), outer)) for q in qs]
+            assert list(classifier._verdicts(part)) == expected, (qs[0], outer)
+        assert any(part[5] for part in parts) and any(part[0][1].count(1) > 1 for part in parts)
+
     def test_q9_all_four_extensions_pass(self):
         verdicts = sweep(9, 9)
         assert len(verdicts) == 4
@@ -642,7 +657,7 @@ class TestSweep:
         # 2^59, so hand the sweep one empty run ended by that prime power.
         # The sweep records nothing and lets the error through.
         monkeypatch.setattr(
-            "psl2cd.classifier.prime_runs_in_range", lambda lo, hi: (bytearray(), [(3, 3, 2**59)])
+            "psl2cd.classifier.prime_runs_in_range", lambda lo, hi: (bytearray(), [(3, 3, (2**59, 2, 59))])
         )
         message = f"degree {(2**59 + 1) * 59} is out of range for q = {2**59}"
         with pytest.raises(OverflowError, match=message):

@@ -402,7 +402,7 @@ class TestErrorPaths:
         # 2^59, so hand the sweep one empty run ended by that prime power.
         # Neither format writes a partial report.
         monkeypatch.setattr(
-            "psl2cd.classifier.prime_runs_in_range", lambda lo, hi: (bytearray(), [(3, 3, 2**59)])
+            "psl2cd.classifier.prime_runs_in_range", lambda lo, hi: (bytearray(), [(3, 3, (2**59, 2, 59))])
         )
         message = f"degree {(2**59 + 1) * 59} is out of range for q = {2**59}"
         for fmt in ("text", "json"):
@@ -504,7 +504,8 @@ class TestSweepReportWriter:
         assert payload["summary"]["passing"] < payload["summary"]["groups"]
 
     def test_several_write_batches(self):
-        # More verdicts than one batch, so the join between batches is written.
+        # More verdicts than one slice of a part can fill, so the report
+        # is written as many texts and the joins between them are written.
         payload = self.check(7, 65536)
         assert len(payload["verdicts"]) > cli._VERDICT_BATCH
 
@@ -622,17 +623,20 @@ def _variants(v):
 
 
 def _assert_batches_are_canonical(verdicts):
-    """Render the verdicts' values, each as a group part of the sweep
+    """Render the verdicts' values, each as a part of one q of the sweep
     stream, with the report's ``_rendered``, and check that each text is
     the canonical JSON of its verdict, four spaces deep.  Return the size
-    of the template cache as each part reaches the renderer."""
+    of the template cache as each part reaches the renderer.  Each part's
+    shape is (0, forms) with the form (1, d - q) for each degree d above 1,
+    so that ``shape_degrees`` gives back a variant's edited degrees."""
     sizes = []
 
     def parts():
         for v in verdicts:
             sizes.append(cli._verdict_template.cache_info().currsize)
-            pp = v.descriptor.q
-            yield pp.q, pp.p, pp.f, v.descriptor.outer, v[1:]
+            p, f, q = v.descriptor.q
+            shape = (0, tuple((1, d - q) for d in v.degrees[1:]))
+            yield (range(q, q + 1), b"\x01"), p, f, v.descriptor.outer, shape, *v[2:]
 
     assert list(cli._rendered(parts())) == [to_json(verdict_to_dict(v)).replace("\n", "\n    ") for v in verdicts]
     return sizes
@@ -658,7 +662,8 @@ class TestVerdictTemplates:
 
     def test_cache_evicting_inside_a_batch_is_bounded(self, monkeypatch):
         # sweep(7, 64) has more than 3 shapes, so a cache of 3 evicts
-        # templates between the parts it renders.
+        # templates within the one stream of parts it renders, each
+        # verdict a part of one q, all of them fewer than one slice holds.
         small = functools.lru_cache(maxsize=3)(cli._verdict_template.__wrapped__)
         monkeypatch.setattr(cli, "_verdict_template", small)
         verdicts = sweep(7, 64)
@@ -668,11 +673,11 @@ class TestVerdictTemplates:
         assert small.cache_info().misses > 3
 
     def test_report_memory_stays_below_its_size(self):
-        # A sweep holds each verdict's template and slot numbers, not its
-        # text, until the last verdict, and writes the text a batch at a
-        # time, so its peak is below the size of the report.  The first run
-        # fills the bounded caches (factor, lattice, templates), so the
-        # traced run measures only the sweep's own allocations.
+        # The JSON sweep writes each part's text as the part comes, a
+        # slice of its q at a time, and holds no text past its slice, so
+        # its peak is below the size of the report.  The first run fills
+        # the bounded caches (factor, lattice, templates), so the traced
+        # run measures only the sweep's own allocations.
         class Sink:
             written = 0
 
@@ -693,8 +698,8 @@ class TestVerdictTemplates:
         assert peak < sink.written, (peak, sink.written)
 
     def test_runs_of_primes_are_held_as_bounds(self):
-        # A run of primes is held as its bounds over the sieve until the
-        # report is written, and rendered a slice of the run at a time, so
+        # A part names its q by a range and its slice of the sieve, not a
+        # list, and is rendered a slice of its q at a time as it comes, so
         # the traced peak of the 7..2^16 JSON sweep stays within 10 bytes
         # per byte of its sieve.  Holding every verdict's slot numbers as
         # text took about 950,000 bytes.  The first run fills the caches.
