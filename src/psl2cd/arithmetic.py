@@ -308,54 +308,60 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
     return None
 
 
-def prime_runs(table: bytes | bytearray, lo: int, hi: int) -> Iterator[tuple[int, int, tuple[int, int, int] | None]]:
-    """The prime powers q with lo <= q <= hi as runs (first, stop, higher),
-    ascending: the odd primes n in range(first, stop, 2), those with
-    table[n] == 1, then higher = (q, p, k), the prime power q = p**k that
-    ends the run: 2 = 2**1 or a p**k with k >= 2, or None after the last
-    run.  A run may hold no prime.
+QSet = tuple[range, bytes]
+"""A set of q as (odds, flags): its q are ``itertools.compress(odds, flags)``,
+with odds a range and flags bytes of 0 and 1, one for each of its numbers."""
+
+
+def prime_runs(table: bytes | bytearray, lo: int, hi: int) -> Iterator[tuple[QSet, int | None, int]]:
+    """The prime powers q with lo <= q <= hi as q-sets (qs, p, f), ascending.
+
+    Runs of primes and higher prime powers alternate, and the last is a
+    run.  A run's odds are the odd numbers between two higher prime
+    powers, its flags their stepped slice of the table translated to 0
+    and 1, with p None, since each prime is its own p, and f 1; a run may
+    hold no prime.  A higher prime power q = p**f, 2 = 2**1 or a p**f with
+    f >= 2, comes alone, as ``((range(q, q + 1), b"\\x01"), p, f)``.
 
     table is any byte table longer than hi whose entries equal to 1 are
     exactly the primes: a `prime_sieve` or an `omega_table`.  Only 2 and
-    the powers p**k (k >= 2) of the primes up to sqrt(hi) are listed and
+    the powers p**f (f >= 2) of the primes up to sqrt(hi) are listed and
     sorted, 243 values below 2**20, so no list of the whole range is ever
     held.
     """
     higher = [(2, 2, 1)] if lo <= 2 <= hi else []
     root = math.isqrt(max(hi, 0))
     for p in itertools.compress(range(2, root + 1), table[2 : root + 1].translate(_IS_ONE)):
-        q, k = p * p, 2
+        q, f = p * p, 2
         while q <= hi:
             if q >= lo:
-                higher.append((q, p, k))
-            q, k = q * p, k + 1
+                higher.append((q, p, f))
+            q, f = q * p, f + 1
     higher.sort()
     first = max(lo, 3) | 1
-    for power in higher:
-        yield first, power[0], power
-        first = (power[0] + 1) | 1
-    yield first, hi + 1, None
+    for q, p, f in higher:
+        yield (range(first, q, 2), table[first:q:2].translate(_IS_ONE)), None, 1
+        yield (range(q, q + 1), b"\x01"), p, f
+        first = (q + 1) | 1
+    yield (range(first, hi + 1, 2), table[first : hi + 1 : 2].translate(_IS_ONE)), None, 1
 
 
 def prime_powers(table: bytes | bytearray, lo: int, hi: int) -> Iterator[int]:
-    """The prime powers q with lo <= q <= hi, yielded ascending: the runs of
-    ``prime_runs(table, lo, hi)`` flattened, the primes of each read from
-    one stepped slice of the table."""
-    for first, stop, higher in prime_runs(table, lo, hi):
-        yield from itertools.compress(range(first, stop, 2), table[first:stop:2].translate(_IS_ONE))
-        if higher is not None:
-            yield higher[0]
+    """The prime powers q with lo <= q <= hi, yielded ascending: the q of
+    each q-set of ``prime_runs(table, lo, hi)`` in turn, chained in C, so
+    no Python frame runs per q."""
+    return itertools.chain.from_iterable(itertools.compress(*qs) for qs, _, _ in prime_runs(table, lo, hi))
 
 
-def prime_runs_in_range(lo: int, hi: int) -> tuple[bytearray, Iterator[tuple[int, int, tuple[int, int, int] | None]]]:
-    """``prime_sieve(hi)`` and the runs ``prime_runs`` reads off it for
-    [lo, hi].  The range is checked and the sieve built when this is
-    called, so OverflowError for hi >= 2**63 and the sieve's MemoryError
-    come from the call, not from the first run."""
+def prime_runs_in_range(lo: int, hi: int) -> Iterator[tuple[QSet, int | None, int]]:
+    """``prime_runs`` over ``prime_sieve(hi)`` for [lo, hi].  The range is
+    checked and the sieve built when this is called, so OverflowError for
+    hi >= 2**63 and the sieve's MemoryError come from the call, not from
+    the first q-set; the stream holds the sieve and reads each run's slice
+    off it as the run is taken."""
     if hi >= MAX_VALUE:
         raise OverflowError(f"range end {hi} is out of range: must be below 2**63")
-    sieve = prime_sieve(hi)
-    return sieve, prime_runs(sieve, lo, hi)
+    return prime_runs(prime_sieve(hi), lo, hi)
 
 
 def zsigmondy_base2(n: int) -> int | None:

@@ -38,7 +38,7 @@ from .groups import (
     PrimePower,
     _lattice,
     _shape,
-    group_name,
+    group_to_dict,
     shape_degrees,
     shape_key,
 )
@@ -62,7 +62,6 @@ class TableRow(NamedTuple):
     """
 
     row_id: str
-    group_shape: str
     kind: OuterKind
     matcher: Matcher
     expected_degrees: Expected
@@ -76,28 +75,24 @@ def _odd_prime(n: int) -> bool:
 _ROWS = (
     TableRow(
         "sym6",
-        "Sym(6)",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 3 and f == 2 and d == 2,
         expected_degrees=lambda d, f, p: (1, {(1, 0), (1, 1), (2, -1)}),  # 5, 9, 10, 16
     ),
     TableRow(
         "m10",
-        "M10",
         kind=OuterKind.TWISTED,
         matcher=lambda d, f, p: p == 3 and f == 2 and d == 2,
         expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1), (2, -1)}),  # 9, 10, 16
     ),
     TableRow(
         "pgl",
-        "PGL(2,q)",
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda d, f, p: d == 1,
         expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (1, 1)}),
     ),
     TableRow(
         "s_phi_p3",
-        "PSL(2,3^f).<phi>",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 3 and d == f and _odd_prime(f),
         conditions=lambda q: omega((q - 1) // 2) <= 2,
@@ -105,7 +100,6 @@ _ROWS = (
     ),
     TableRow(
         "aut_p3",
-        "PGL(2,3^f).<phi>",
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda d, f, p: p == 3 and d == f and _odd_prime(f),
         conditions=lambda q: omega(q - 1) == 2,
@@ -113,7 +107,6 @@ _ROWS = (
     ),
     TableRow(
         "s_phi_p2",
-        "PSL(2,2^f).<phi>",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d == f and _odd_prime(f),
         conditions=lambda q: omega(q - 1) <= 2,
@@ -121,7 +114,6 @@ _ROWS = (
     ),
     TableRow(
         "s_phi_quarter",
-        "PSL(2,2^f).<phi^(f/4)>",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d == 4 and f & (f - 1) == 0,  # a prime 2^f + 1 needs f a power of 2
         conditions=lambda q: is_prime(q + 1),
@@ -129,7 +121,6 @@ _ROWS = (
     ),
     TableRow(
         "s_phi_half_even",
-        "PSL(2,2^f).<phi^(f/2)>",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d == 2,
         conditions=lambda q: omega(q + 1) <= 2,
@@ -137,7 +128,6 @@ _ROWS = (
     ),
     TableRow(
         "s_phi_half_odd",
-        "PSL(2,q).<phi^(f/2)>, q odd",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p != 2 and d == 2,
         conditions=lambda q: omega(q + 1) <= 2,
@@ -145,7 +135,6 @@ _ROWS = (
     ),
     TableRow(
         "s_delta_phi_half",
-        "PSL(2,q).<delta*phi^(f/2)>",
         kind=OuterKind.TWISTED,
         matcher=lambda d, f, p: d == 2,
         conditions=lambda q: omega(q + 1) <= 2,
@@ -153,7 +142,6 @@ _ROWS = (
     ),
     TableRow(
         "pgl_phi_half",
-        "PGL(2,q).<phi^(f/2)>",
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda d, f, p: d == 2,  # with a diagonal part, so q is odd
         conditions=lambda q: omega(q + 1) <= 2,
@@ -161,7 +149,6 @@ _ROWS = (
     ),
     TableRow(
         "s_phi_over_m",
-        "PSL(2,2^f).<phi^(f/m)>, m an odd prime < f",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d < f and _odd_prime(d),
         conditions=lambda q: omega(q - 1) <= 2 and omega(q + 1) <= 2,
@@ -285,21 +272,22 @@ def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
     its q.  A violation names q's degrees, so only a part of one q has
     any; a run keeps no pair, by the premise below.
 
-    Each group of a higher prime power q = p^f, 2 or p^k with k >= 2, is a
-    part of one q, ``(range(q, q + 1), b"\x01")``, with its p and f, its
-    plan's shape and ``_decide``'s verdict.  A q's groups come with no
-    sort: its one cached dict ``_q_plans(*shape_key(p, f, q))`` lists its
-    proper extensions in ``OuterKind`` order with ascending d, each with
-    its shape plan.  The range check and that lattice stand in for
+    Each q-set (odds, flags), p, f of ``arithmetic.prime_runs`` that holds
+    a q is passed on unchanged, as it comes: a higher prime power q = p^f,
+    2 or p^k with k >= 2, alone, or a run of primes, with p None, since
+    each prime is its own p, and f 1.  It is decided once, at its first q,
+    by ``_decide`` with each plan of that q's one cached dict
+    ``_q_plans(*shape_key(p or q, f, q))``, which lists q's proper
+    extensions in ``OuterKind`` order with ascending d, so a q's groups
+    come with no sort.  The range check and that lattice stand in for
     ``brute_force_verdict``'s two checks.
 
-    The primes between two higher prime powers (``arithmetic.prime_runs``)
-    are one part, a run: odds the odd numbers between them, flags their
-    slice of the sieve, p None, since each prime is its own p, and f 1.  A
-    prime q >= 7 has one proper extension, PGL(2,q), and the sweep's
-    premise is that its plan reads no q: it has rows, none conditional,
-    keeps no pair, and is the same for q = 1 and 3 mod 4.  So every prime
-    of a run passes, with the run's rows and mismatches.
+    Deciding a run at its first prime is valid by the sweep's premise: a
+    prime q >= 7 has one proper extension, PGL(2,q), and its plan reads no
+    q: it has rows, none conditional, keeps no pair, and is the same for
+    q = 1 and 3 mod 4.  So every prime of a run has the verdict of its
+    first, and a part need not be a whole run: two parts that split a run
+    have one verdict, and their q render the same text as the run's.
 
     The call checks the range and the premise, builds the sieve and takes
     the first part, so these raise from the call, before the caller takes
@@ -319,24 +307,20 @@ def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
     if q_max < q_min:
         raise ValueError(f"empty range: q_min = {q_min} > q_max = {q_max}")
     plans = _q_plans(1, 7, 1)
-    ((pgl, (eps, forms, rows, pairs)),) = plans.items()
+    ((_, _, rows, pairs),) = plans.values()
     if not rows or pairs or any(row.conditions for row, _ in rows) or plans != _q_plans(1, 7, 3):
         raise RuntimeError(
             "the row table breaks the sweep's premise that PGL(2,q) of a prime q >= 7 matches a row, "
             "keeps no pair, has no conditional row and has one plan for q = 1 and 3 mod 4"
         )
-    mispredicted = tuple(row.row_id for row, differs in rows if differs)
-    run_verdict = ((eps, forms), (), tuple(row.row_id for row, _ in rows), mispredicted)
-    sieve, runs = prime_runs_in_range(q_min, q_max)
+    qsets = prime_runs_in_range(q_min, q_max)
 
     def parts() -> Iterator[tuple]:
-        for first, stop, higher in runs:
-            if 1 in (flags := sieve[first:stop:2]):
-                yield (range(first, stop, 2), flags), None, 1, pgl, *run_verdict
-            if higher is not None:
-                q, p, f = higher
-                for outer, plan in _q_plans(*shape_key(p, f, q)).items():
-                    yield (range(q, q + 1), b"\x01"), p, f, outer, plan[:2], *_decide(q, plan)[1:]
+        for (odds, flags), p, f in qsets:
+            if 1 in flags:
+                q = odds[flags.index(1)]
+                for outer, plan in _q_plans(*shape_key(p or q, f, q)).items():
+                    yield (odds, flags), p, f, outer, plan[:2], *_decide(q, plan)[1:]
 
     stream = parts()
     for part in stream:  # the first part, taken here so that an empty range raises at the call
@@ -404,11 +388,7 @@ def verdict_to_dict(v: GroupVerdict) -> dict:
     it, with a sentinel in each integer slot."""
     return {
         "q": v.descriptor.q.q,
-        "group": {
-            "kind": v.descriptor.outer.kind.value,
-            "d": v.descriptor.outer.d,
-            "name": group_name(v.descriptor),
-        },
+        "group": group_to_dict(v.descriptor),
         "degrees": list(v.degrees),
         "pass": v.brute_pass,
         "violations": [violation_to_dict(w) for w in v.violations],

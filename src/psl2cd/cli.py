@@ -34,6 +34,7 @@ from .groups import (
     PrimePower,
     character_degrees,
     group_name,
+    group_to_dict,
     parse_outer,
     shape_degrees,
 )
@@ -56,19 +57,23 @@ _VERDICT_BATCH = 512  # verdicts filled into their templates with one format cal
 _SLOT = 2**63 - 1
 
 
-@functools.lru_cache(maxsize=1024)  # verdict shapes; 7..2^20 has 146
+@functools.lru_cache(maxsize=1024)  # verdict shapes; 7..2^20 has 149
 def _verdict_template(
-    kind: OuterKind, d: int, f: int, n_degrees: int, rows: tuple[str, ...], n_violations: int
+    kind: OuterKind, d: int, f: int, shape: tuple, rows: tuple[str, ...], n_violations: int
 ) -> str:
-    """``to_json(verdict_to_dict(v))`` for every verdict v of this shape,
-    as an item of the sweep report's verdict list (four spaces deep), with
-    a ``%s`` slot for each degree, for q (in the name, then in "q") and for
-    each violation's a, b, gcd and omega.  The shape fixes every literal
-    part ("pass" and "agree" follow from the rows and the number of
-    violations); every other integer of the placeholder is ``_SLOT``."""
+    """``to_json(verdict_to_dict(v))`` for every verdict v of a part of
+    ``classifier.sweep_parts`` with this outer, f, shape, rows and number
+    of violations, as an item of the sweep report's verdict list (four
+    spaces deep), with a ``%s`` slot for each degree, for q (in the name,
+    then in "q") and for each violation's a, b, gcd and omega.  The key
+    fixes every literal part ("pass" and "agree" follow from the rows and
+    the number of violations), and the shape the number of degrees, read
+    here once from ``shape_degrees``; every other integer of the
+    placeholder is ``_SLOT``."""
     g = GroupDescriptor(PrimePower.from_sieve(_SLOT, _SLOT, f), OuterSubgroup(kind, d))
     violations = (Violation(_SLOT, _SLOT, _SLOT, _SLOT),) * n_violations
-    placeholder = GroupVerdict(g, (_SLOT,) * n_degrees, violations, rows, degree_mismatches=())
+    degrees = (_SLOT,) * len(shape_degrees(0, *shape))  # as many at q = 0 as at every q
+    placeholder = GroupVerdict(g, degrees, violations, rows, degree_mismatches=())
     text = to_json(verdict_to_dict(placeholder)).replace("%", "%%")
     return text.replace("\n", "\n    ").replace(str(_SLOT), "%s")
 
@@ -80,7 +85,7 @@ def _rendered(parts: Iterator[tuple]) -> Iterator[str]:
     and q twice, then the violations' numbers once per slice (only a part
     of one q has violations)."""
     for (odds, flags), _, f, outer, shape, violations, rows, _ in parts:
-        template = _verdict_template(*outer, f, len(shape_degrees(odds.start, *shape)), rows, len(violations))
+        template = _verdict_template(*outer, f, shape, rows, len(violations))
         qs = itertools.compress(odds, flags)
         while chunk := list(itertools.islice(qs, _VERDICT_BATCH)):
             numbers = itertools.chain.from_iterable((*shape_degrees(q, *shape), q, q) for q in chunk)
@@ -94,9 +99,9 @@ def _sweep_json(q_min: int, q_max: int, out: TextIO) -> SweepTally:
     The head of the report holds the tally, and the verdicts follow it, so
     the sweep runs twice: ``tally_sweep`` for the head, then
     ``sweep_parts`` once more for the verdicts, which sieves again and
-    decides the higher prime powers again.  The two sieves are built one
-    after the other, never at once, and nothing is held between the
-    passes.  ``sweep_parts`` is called before the first byte is written,
+    decides each part again.  The two sieves are built one after the
+    other, never at once, and nothing is held between the passes.
+    ``sweep_parts`` is called before the first byte is written,
     so a sweep that fails writes nothing.  The head and tail are
     ``to_json`` of the report with ``_SLOT`` as its one verdict, split at
     the last ``_SLOT``.  The verdicts, nearly all of the text, are written
@@ -163,11 +168,7 @@ def _cmd_omega(args: argparse.Namespace) -> int:
 def _cmd_cd(args: argparse.Namespace) -> int:
     g = _descriptor(args)
     degrees = character_degrees(g)
-    payload = {
-        "q": g.q.q,
-        "group": {"kind": g.outer.kind.value, "d": g.outer.d, "name": group_name(g)},
-        "degrees": degrees,
-    }
+    payload = {"q": g.q.q, "group": group_to_dict(g), "degrees": degrees}
     text = [
         f"group: {group_name(g)}",
         f"degrees: {', '.join(map(str, degrees))}",

@@ -218,6 +218,12 @@ def group_name(g: GroupDescriptor) -> str:
     return f"PSL(2,{q}).<delta*phi^{f // d}>"
 
 
+def group_to_dict(g: GroupDescriptor) -> dict:
+    """JSON-ready group entry {kind, d, name}, as ``cd`` and each verdict
+    write it."""
+    return {"kind": g.outer.kind.value, "d": g.outer.d, "name": group_name(g)}
+
+
 class OuterExpressionError(ValueError):
     """Invalid generator expression; carries the 0-based character position."""
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -442,24 +443,29 @@ class TestPrimePowers:
                     assert list(prime_powers(table, lo, hi)) == expected, (lo, hi, len(table))
 
     def test_runs_flatten_to_every_small_range(self):
-        # Each run's primes, then the prime power q = p**f that ends it, as
-        # (q, p, f) with p prime, give the prime powers of the range; every
-        # run but the last stops at the power that ends it.
+        # Runs of primes, with p None and f 1, and single prime powers
+        # q = p**f, with p prime, alternate, the last a run; each single q
+        # is the stop of the run before it, and the q-sets' q, in turn,
+        # are the prime powers of the range.
         every = self.oracle(sieve_factorizer(300), 0, 300)
         for hi in range(301):
             tables = (prime_sieve(hi), omega_table(hi + 1))
             for lo in range(hi + 1):
                 expected = [n for n in every if lo <= n <= hi]
                 for table in tables:
+                    qsets = list(prime_runs(table, lo, hi))
+                    assert len(qsets) % 2 == 1, (lo, hi)
                     flat = []
-                    for first, stop, higher in prime_runs(table, lo, hi):
-                        flat += [n for n in range(first, stop, 2) if table[n] == 1]
-                        if higher is None:
-                            assert stop == hi + 1, (lo, hi)
-                            continue
-                        q, p, f = higher
-                        assert stop == q and trial_is_prime(p) and p**f == q, (lo, hi, higher)
-                        flat.append(q)
+                    for i, ((odds, flags), p, f) in enumerate(qsets):
+                        assert len(flags) == len(odds) and set(flags) <= {0, 1}, (lo, hi, i)
+                        qs = list(itertools.compress(odds, flags))
+                        if i % 2 == 0:
+                            assert (p, f) == (None, 1), (lo, hi, i)
+                            assert qs == [n for n in odds if table[n] == 1], (lo, hi, i)
+                        else:
+                            (q,) = qs
+                            assert trial_is_prime(p) and p**f == q == qsets[i - 1][0][0].stop, (lo, hi, i)
+                        flat += qs
                     assert flat == expected, (lo, hi, len(table))
 
     def test_a_wide_range(self):

@@ -50,8 +50,9 @@ class _Digest:
 
 def test_every_command_of_the_step_is_pinned():
     commands = [line for line in _step_lines() if "python -m psl2cd" in line]
-    assert len(commands) >= 57
+    assert len(commands) >= 58
     assert len(_PINNED) == len(commands)
+    assert set(_EXIT_CODES) <= {args for args, _ in _PINNED}
 
 
 @pytest.mark.parametrize("args, digest", _PINNED, ids=[args for args, _ in _PINNED])

@@ -451,13 +451,20 @@ class TestPrimeRuns:
     def test_every_prime_shares_one_plan_that_reads_no_q(self, monkeypatch):
         assert _lattice(1, False)[1:] == (OuterSubgroup(WD, 1),)
         assert _prime_plan_reads_no_q()
-        # So no prime is decided by itself.
+        # So a run of primes is decided once, at its first prime: the primes
+        # that reach _decide are the first of each run that holds one.
         decided = []
         real = classifier._decide
         monkeypatch.setattr(classifier, "_decide", lambda q, plan: decided.append(q) or real(q, plan))
         sieve = prime_sieve(2**12)
-        assert tally_sweep(7, 2**12).summary["groups"] == sum(sieve[7:]) + len(decided)
-        assert decided and not any(sieve[q] for q in decided)
+        assert tally_sweep(7, 2**12).summary["groups"] == sum(sieve[7:]) + sum(not sieve[q] for q in decided)
+        firsts, in_run = [], False
+        for n in range(7, 2**12 + 1):
+            if len(fs := trial_division(n)) == 1:  # a prime continues a run, a higher prime power ends it
+                if fs[0][1] == 1 and not in_run:
+                    firsts.append(n)
+                in_run = fs[0][1] == 1
+        assert len(firsts) > 1 and [q for q in decided if sieve[q]] == firsts
 
     def test_the_stream_runs_once_per_sweep(self, monkeypatch):
         # sweep expands the parts as they come, with no second pass to tally them.
@@ -657,7 +664,8 @@ class TestSweep:
         # 2^59, so hand the sweep one empty run ended by that prime power.
         # The sweep records nothing and lets the error through.
         monkeypatch.setattr(
-            "psl2cd.classifier.prime_runs_in_range", lambda lo, hi: (bytearray(), [(3, 3, (2**59, 2, 59))])
+            "psl2cd.classifier.prime_runs_in_range",
+            lambda lo, hi: [((range(3, 3, 2), b""), None, 1), ((range(2**59, 2**59 + 1), b"\x01"), 2, 59)],
         )
         message = f"degree {(2**59 + 1) * 59} is out of range for q = {2**59}"
         with pytest.raises(OverflowError, match=message):

@@ -402,7 +402,8 @@ class TestErrorPaths:
         # 2^59, so hand the sweep one empty run ended by that prime power.
         # Neither format writes a partial report.
         monkeypatch.setattr(
-            "psl2cd.classifier.prime_runs_in_range", lambda lo, hi: (bytearray(), [(3, 3, (2**59, 2, 59))])
+            "psl2cd.classifier.prime_runs_in_range",
+            lambda lo, hi: [((range(3, 3, 2), b""), None, 1), ((range(2**59, 2**59 + 1), b"\x01"), 2, 59)],
         )
         message = f"degree {(2**59 + 1) * 59} is out of range for q = {2**59}"
         for fmt in ("text", "json"):
@@ -503,11 +504,37 @@ class TestSweepReportWriter:
         assert q64 and q64[0]["violations"] and q64[0]["rows"] == []
         assert payload["summary"]["passing"] < payload["summary"]["groups"]
 
-    def test_several_write_batches(self):
-        # More verdicts than one slice of a part can fill, so the report
-        # is written as many texts and the joins between them are written.
+    def test_thousands_of_parts_are_joined(self):
+        # Thousands of parts, each written as its own text, so the joins
+        # between parts are written; no run of primes below 2^16 holds a
+        # whole slice.
         payload = self.check(7, 65536)
         assert len(payload["verdicts"]) > cli._VERDICT_BATCH
+
+    def test_a_run_fills_two_slices(self):
+        # The run of primes between 293^2 and 307^2 holds 735 of them, so
+        # at 512 a slice it is written as two texts, joined between them.
+        assert cli._VERDICT_BATCH == 512
+        texts = list(cli._rendered(classifier.sweep_parts(85849, 94249)))
+        assert [text.count('"q": ') for text in texts] == [1] * 4 + [512, 223] + [1] * 4
+        payload = self.check(85849, 94249)
+        assert (payload["summary"]["groups"], payload["summary"]["passing"]) == (743, 737)
+
+    def test_a_split_run_renders_as_the_whole_run(self):
+        # Two parts that split a run share its verdict, so their q render
+        # the same text as the run's: a windowed sieve may cut a run at a
+        # window's edge.  Each run is cut at its middle, and a half that
+        # holds no prime is left out, as the sweep leaves out such a run.
+        def split(parts):
+            for (odds, flags), p, *rest in parts:
+                k = len(odds) // 2
+                halves = [(odds, flags)] if p else [(odds[:k], flags[:k]), (odds[k:], flags[k:])]
+                yield from ((qs, p, *rest) for qs in halves if 1 in qs[1])
+
+        whole = ",\n    ".join(cli._rendered(classifier.sweep_parts(7, 3000)))
+        cut = list(split(classifier.sweep_parts(7, 3000)))
+        assert len(cut) > len(list(classifier.sweep_parts(7, 3000)))
+        assert ",\n    ".join(cli._rendered(iter(cut))) == whole
 
     def test_runs_fill_in_slices(self, monkeypatch):
         # No run of primes below 2^16 holds 512 of them, so fill 5 primes
@@ -660,7 +687,7 @@ class TestVerdictTemplates:
             verdicts.extend(_variants(verdict))
         _assert_batches_are_canonical(verdicts)
 
-    def test_cache_evicting_inside_a_batch_is_bounded(self, monkeypatch):
+    def test_cache_evicting_inside_one_stream_is_bounded(self, monkeypatch):
         # sweep(7, 64) has more than 3 shapes, so a cache of 3 evicts
         # templates within the one stream of parts it renders, each
         # verdict a part of one q, all of them fewer than one slice holds.
