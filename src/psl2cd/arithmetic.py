@@ -2,8 +2,8 @@
 
 Deterministic factorization and primality for inputs below 2**63, plus the
 special predicates the classification conditions consume: Omega (prime
-divisors counted with multiplicity), Zsigmondy primitive prime divisors of
-2**n - 1, and Mersenne/Fermat prime tests.
+divisors counted with multiplicity) and Zsigmondy primitive prime divisors
+of 2**n - 1.  F5 needs no Mersenne or Fermat test; see `facts`.
 
 `factor`, `omega_at_least` and `is_prime` find the primes below 1000 that
 divide n in one stage, `_strip_table_primes`, with one gcd.  What it leaves
@@ -380,25 +380,3 @@ def zsigmondy_base2(n: int) -> int | None:
         if all(pow(2, k, r) != 1 for k in range(1, n)):
             return r
     return None
-
-
-def is_mersenne_prime(n: int) -> bool:
-    """True iff n == 2**k - 1 for some k and n is prime."""
-    if n < 3:
-        return False
-    if (n + 1) & n:
-        return False
-    return is_prime(n)
-
-
-def is_fermat_prime(n: int) -> bool:
-    """True iff n == 2**(2**k) + 1 for some k >= 0 and n is prime."""
-    if n < 3:
-        return False
-    m = n - 1
-    if m & (m - 1):
-        return False  # n - 1 must be a power of two ...
-    e = m.bit_length() - 1
-    if e & (e - 1):
-        return False  # ... whose exponent is itself a power of two
-    return is_prime(n)

@@ -359,12 +359,10 @@ def tally_sweep(q_min: int, q_max: int) -> SweepTally:
             passing += n
         elif matched:
             converse += n
-        if not (violations or matched) or mismatches:
-            for verdict in _verdicts(part):
-                if not verdict.agree:
-                    disagreements.append(verdict)
-                if mismatches:
-                    mismatched.append(verdict)
+        if not (violations or matched):
+            disagreements.extend(_verdicts(part))
+        elif mismatches:  # a mismatch is of a matched row, so never of a disagreement
+            mismatched.extend(_verdicts(part))
     summary = {
         "groups": groups,
         "passing": passing,

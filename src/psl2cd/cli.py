@@ -29,7 +29,6 @@ from .classifier import (
 from .facts import FACTS, fact_report_to_dict, verify_all, verify_fact
 from .groups import (
     GroupDescriptor,
-    OuterKind,
     OuterSubgroup,
     PrimePower,
     character_degrees,
@@ -58,9 +57,7 @@ _SLOT = 2**63 - 1
 
 
 @functools.lru_cache(maxsize=1024)  # verdict shapes; 7..2^20 has 149
-def _verdict_template(
-    kind: OuterKind, d: int, f: int, shape: tuple, rows: tuple[str, ...], n_violations: int
-) -> str:
+def _verdict_template(outer: OuterSubgroup, f: int, shape: tuple, rows: tuple[str, ...], n_violations: int) -> str:
     """``to_json(verdict_to_dict(v))`` for every verdict v of a part of
     ``classifier.sweep_parts`` with this outer, f, shape, rows and number
     of violations, as an item of the sweep report's verdict list (four
@@ -70,7 +67,7 @@ def _verdict_template(
     the number of violations), and the shape the number of degrees, read
     here once from ``shape_degrees``; every other integer of the
     placeholder is ``_SLOT``."""
-    g = GroupDescriptor(PrimePower.from_sieve(_SLOT, _SLOT, f), OuterSubgroup(kind, d))
+    g = GroupDescriptor(PrimePower.from_sieve(_SLOT, _SLOT, f), outer)
     violations = (Violation(_SLOT, _SLOT, _SLOT, _SLOT),) * n_violations
     degrees = (_SLOT,) * len(shape_degrees(0, *shape))  # as many at q = 0 as at every q
     placeholder = GroupVerdict(g, degrees, violations, rows, degree_mismatches=())
@@ -85,7 +82,7 @@ def _rendered(parts: Iterator[tuple]) -> Iterator[str]:
     and q twice, then the violations' numbers once per slice (only a part
     of one q has violations)."""
     for (odds, flags), _, f, outer, shape, violations, rows, _ in parts:
-        template = _verdict_template(*outer, f, shape, rows, len(violations))
+        template = _verdict_template(outer, f, shape, rows, len(violations))
         qs = itertools.compress(odds, flags)
         while chunk := list(itertools.islice(qs, _VERDICT_BATCH)):
             numbers = itertools.chain.from_iterable((*shape_degrees(q, *shape), q, q) for q in chunk)

@@ -44,11 +44,6 @@ class OuterKind(enum.Enum):
     WITH_DIAGONAL = "with_diagonal"
     TWISTED = "twisted"
 
-    # Members are singletons compared by identity, so an identity hash agrees
-    # with equality and spares Enum.__hash__'s Python-level call on every
-    # lookup keyed by kind.
-    __hash__ = object.__hash__
-
 
 class PrimePower(NamedTuple("PrimePower", [("p", int), ("f", int), ("q", int)])):
     """A prime power q = p**f with q >= 4, built from p and f."""

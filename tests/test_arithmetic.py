@@ -14,8 +14,6 @@ from psl2cd.arithmetic import (
     MAX_VALUE,
     divisors,
     factor,
-    is_fermat_prime,
-    is_mersenne_prime,
     is_prime,
     omega,
     omega_at_least,
@@ -540,21 +538,3 @@ class TestZsigmondy:
         with pytest.raises(OverflowError):
             zsigmondy_base2(64)
 
-
-class TestMersenneFermat:
-    def test_examples(self):
-        assert is_mersenne_prime(7)
-        assert is_fermat_prime(17)
-        assert not is_mersenne_prime(15) and not is_fermat_prime(15)
-
-    def test_known_lists(self):
-        mersennes = [n for n in range(2, 1 << 20) if is_mersenne_prime(n)]
-        assert mersennes == [3, 7, 31, 127, 8191, 131071, 524287]
-        fermats = [n for n in range(2, 1 << 20) if is_fermat_prime(n)]
-        assert fermats == [3, 5, 17, 257, 65537]
-
-    def test_adjacent_exclusion_up_to_2_20(self):
-        # q-1 Mersenne prime and q+1 Fermat prime force q <= 4
-        for n in range(2, 1 << 20):
-            if is_mersenne_prime(n) and is_fermat_prime(n + 2):
-                assert n + 1 <= 5

@@ -316,16 +316,16 @@ class TestErrorPaths:
         assert "2**63" in err
 
     @pytest.mark.parametrize(
-        "fact_id, value, operand",
-        [("F4", 64, 2**64 - 1), ("F7", 63, 2**63 + 1)],
+        "fact_id, value, operand, variable",
+        [("F4", 64, 2**64 - 1, "f"), ("F7", 63, 2**63 + 1, "f"), ("F9", 64, 2**64 - 1, "n")],
     )
-    def test_fact_overflow_names_the_fact_and_value(self, capsys, fact_id, value, operand):
+    def test_fact_overflow_names_the_fact_and_value(self, capsys, fact_id, value, operand, variable):
         # The error names the value in the range, not the operand past 2**63.
         code, out, err = run(capsys, "facts", "--fact", fact_id, "--limit", str(value))
         assert code == 2
         assert out == ""
         assert err == (
-            f"error: {fact_id}: f = {value} is out of range: "
+            f"error: {fact_id}: {variable} = {value} is out of range: "
             "the numbers it factors must be below 2**63\n"
         )
         assert str(operand) not in err
@@ -649,7 +649,7 @@ def _variants(v):
     yield v._replace(violations=tuple(Violation(a, a * 2, a, 3 + i) for i, a in enumerate((8, 12, 30))))
 
 
-def _assert_batches_are_canonical(verdicts):
+def _assert_parts_are_canonical(verdicts):
     """Render the verdicts' values, each as a part of one q of the sweep
     stream, with the report's ``_rendered``, and check that each text is
     the canonical JSON of its verdict, four spaces deep.  Return the size
@@ -673,7 +673,7 @@ class TestVerdictTemplates:
     @given(_prime_power())
     @example((3, 2))
     @settings(deadline=None, max_examples=60)
-    def test_rendered_batch_is_the_canonical_json(self, p_f):
+    def test_rendered_part_is_the_canonical_json(self, p_f):
         # Rendering goes through the module's template cache, which keeps
         # the shapes of earlier examples, so a key that leaves out a part
         # of the shape renders some verdict from another verdict's template.
@@ -685,7 +685,7 @@ class TestVerdictTemplates:
             except OverflowError:  # a degree reaches 2**63
                 continue
             verdicts.extend(_variants(verdict))
-        _assert_batches_are_canonical(verdicts)
+        _assert_parts_are_canonical(verdicts)
 
     def test_cache_evicting_inside_one_stream_is_bounded(self, monkeypatch):
         # sweep(7, 64) has more than 3 shapes, so a cache of 3 evicts
@@ -695,7 +695,7 @@ class TestVerdictTemplates:
         monkeypatch.setattr(cli, "_verdict_template", small)
         verdicts = sweep(7, 64)
         assert len(verdicts) < cli._VERDICT_BATCH
-        sizes = _assert_batches_are_canonical(verdicts) + [small.cache_info().currsize]
+        sizes = _assert_parts_are_canonical(verdicts) + [small.cache_info().currsize]
         assert max(sizes) <= 3
         assert small.cache_info().misses > 3
 

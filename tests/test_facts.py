@@ -1,9 +1,22 @@
 import pytest
 
 from psl2cd import facts
-from psl2cd.arithmetic import is_mersenne_prime, omega
+from psl2cd.arithmetic import is_prime, omega
 from psl2cd.cli import main
 from psl2cd.facts import FACTS, fact_report_to_dict, verify_all, verify_fact
+
+from _oracles import trial_is_prime
+
+
+def _mersenne_prime(n):
+    """n = 2**k - 1 for some k, and prime by trial division."""
+    return n >= 3 and (n + 1) & n == 0 and trial_is_prime(n)
+
+
+def _fermat_prime(n):
+    """n = 2**(2**k) + 1 for some k >= 0, and prime by trial division."""
+    m = n - 1
+    return n >= 3 and m & (m - 1) == 0 and (e := m.bit_length() - 1) & (e - 1) == 0 and trial_is_prime(n)
 
 
 class TestRegistry:
@@ -58,21 +71,21 @@ class TestIndividualFacts:
         assert verify_fact("F5", 10**4).holds
 
     def test_f5_test_agrees_with_the_window(self, monkeypatch):
-        # F5 tests the powers of two alone; a scan of every q in [6, limit]
-        # against the written-out window must find the same values.
-        def full_scan(limit):
-            return [
-                q for q in range(6, limit + 1) if is_mersenne_prime(q - 1) and facts.is_fermat_prime(q + 1)
-            ]
+        # F5 tests the powers of two alone, for prime q - 1 and q + 1; a scan
+        # of every q in [6, limit] against the written-out forms must find
+        # the same values.
+        def full_scan(limit, fermat=_fermat_prime):
+            return [q for q in range(6, limit + 1) if _mersenne_prime(q - 1) and fermat(q + 1)]
 
         assert facts._mersenne_fermat_window(4) is False
         assert FACTS["F5"].counterexamples(10**5) == full_scan(10**5) == []
-        # With every q + 1 read as a Fermat prime, q fails exactly when
-        # q - 1 is a Mersenne prime, so there are values to find.
-        monkeypatch.setattr(facts, "is_fermat_prime", lambda n: True)
-        assert FACTS["F5"].counterexamples(10**5) == full_scan(10**5) == [8, 32, 128, 8192]
+        # With every 2**k + 1 read as prime, and so every q + 1 of the scan
+        # as a Fermat prime, q fails exactly when q - 1 is a Mersenne prime,
+        # so there are values to find.
+        monkeypatch.setattr(facts, "is_prime", lambda n: is_prime(n) or (n - 1) & (n - 2) == 0)
+        assert FACTS["F5"].counterexamples(10**5) == full_scan(10**5, lambda n: True) == [8, 32, 128, 8192]
         for limit in (7, 8, 8191, 8192):
-            assert FACTS["F5"].counterexamples(limit) == full_scan(limit), limit
+            assert FACTS["F5"].counterexamples(limit) == full_scan(limit, lambda n: True), limit
 
     def test_f6_f8_small(self):
         assert verify_fact("F6", 10**4).holds
@@ -112,6 +125,28 @@ class TestIndividualFacts:
     def test_f9(self):
         report = verify_fact("F9", 40)
         assert report.holds
+
+
+class TestMersenneFermat:
+    # F5 reads "q - 1 is a Mersenne prime and q + 1 a Fermat prime" as "q - 1
+    # and q + 1 are prime" at q = 2**k; these check that reading.
+    def test_examples(self):
+        assert _mersenne_prime(7) and is_prime(7)
+        assert _fermat_prime(17) and is_prime(17)
+        assert not _mersenne_prime(15) and not _fermat_prime(15) and not is_prime(15)
+
+    def test_known_lists(self):
+        # 2**k + 1 prime forces k to be a power of two, so below 2**20 the
+        # primes of the form 2**k + 1 are exactly the Fermat primes.
+        mersennes = [(1 << k) - 1 for k in range(1, 20) if is_prime((1 << k) - 1)]
+        assert mersennes == [3, 7, 31, 127, 8191, 131071, 524287]
+        fermats = [(1 << k) + 1 for k in range(1, 20) if is_prime((1 << k) + 1)]
+        assert fermats == [3, 5, 17, 257, 65537]
+        assert all(map(_mersenne_prime, mersennes)) and all(map(_fermat_prime, fermats))
+
+    def test_adjacent_exclusion_up_to_2_20(self):
+        # q - 1 a Mersenne prime and q + 1 a Fermat prime force q <= 4
+        assert [n + 1 for n in range(2, 1 << 20) if _mersenne_prime(n) and _fermat_prime(n + 2)] == [4]
 
 
 class TestOddPrimePowers:
