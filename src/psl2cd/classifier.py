@@ -38,6 +38,7 @@ from .groups import (
     PrimePower,
     _lattice,
     _shape,
+    degree_terms,
     group_to_dict,
     shape_degrees,
     shape_key,
@@ -55,7 +56,7 @@ class TableRow(NamedTuple):
     ``kind`` is the row's outer kind, stated only here.  The matcher, the
     row's whole shape test, and the prediction read (d, f, p) with p capped
     at 7, never q, so they run once per shape.  The prediction is in
-    ``groups._shape``'s terms, (eps, forms) with the form (m, s) the degree
+    ``groups._shape``'s layout, (eps, forms) with the form (m, s) the degree
     m*(q + s) and (q+eps)/2 a degree when eps is not 0, or None where the
     row predicts nothing.  ``conditions`` reads the integer q alone; it is
     None for a row that holds on every q of its shapes.
@@ -159,15 +160,19 @@ _ROWS = (
 
 def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
     """What every group of a shape, (kind, d) plus a ``groups.shape_key``,
-    shares: ``_shape``'s (eps, forms), the rows whose kind and matcher fit,
-    in table order, each with whether its prediction differs from the
-    shape's, and the index pairs (i, j), i < j, of ``shape_degrees``' list
-    whose gcd may reach 8.  Distinct forms with multipliers up to f differ once
-    q > 2f - 1, and 2f - 1 < 2^f <= q, so each flag holds for every q of
-    the shape.  gcd(m1(q + s1), m2(q + s2)) divides lcm(m1, m2)|s1 - s2|,
-    and gcd((q+eps)/2, m(q + s)) divides m|eps - s|, so the half degree
-    counts as the form (1, eps).  A pair with 1, or with a nonzero bound
-    below 8, has Omega(gcd) <= 2 for every q and is dropped."""
+    shares: the ``groups.degree_terms`` of ``_shape``'s (eps, forms), the
+    rows whose kind and matcher fit, in table order, each with whether its
+    prediction differs from the shape's, and the index pairs (i, j), i < j,
+    of the terms, and so of ``shape_degrees``' list, whose gcd may reach 8.
+    Distinct forms with multipliers up to f differ once q > 2f - 1, and
+    2f - 1 < 2^f <= q, so each flag holds for every q of the shape.
+
+    The gcd of the degrees (a1*q + b1)/k1 and (a2*q + b2)/k2 divides a1*q +
+    b1 and a2*q + b2, so it divides the bound |a2*b1 - a1*b2| / gcd(a1, a2).
+    That is lcm(m1, m2)|s1 - s2| for m1(q + s1) and m2(q + s2), m|eps - s|
+    for (q+eps)/2 and m(q + s), and 1 for the degree 1 and any other.  A
+    pair whose bound is below 8 but not 0 has Omega(gcd) <= 2 for every q
+    and is dropped."""
     eps, forms = _shape(kind, d, f, p, q4)
     computed = (eps, set(forms))
     rows = tuple(
@@ -175,14 +180,13 @@ def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
         for row in _ROWS
         if row.kind is kind and row.matcher(d, f, p)
     )
-    terms = ((1, eps), *forms) if eps else forms  # degrees 1, 2, ... of the list
+    terms = degree_terms(eps, forms)
     pairs = tuple(
         (i, j)
-        for i, (m1, s1) in enumerate(terms, 1)
-        for j, (m2, s2) in enumerate(terms[i:], i + 1)
-        if s1 == s2 or math.lcm(m1, m2) * abs(s1 - s2) >= 8
+        for (i, (a1, b1, _)), (j, (a2, b2, _)) in itertools.combinations(enumerate(terms), 2)
+        if not 0 < abs(a2 * b1 - a1 * b2) // math.gcd(a1, a2) < 8
     )
-    return eps, forms, rows, pairs
+    return terms, rows, pairs
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,8 +236,8 @@ def _decide(q: int, plan: tuple) -> tuple:
     kept pairs come in (i, j) order, so violations are sorted by (a, b),
     and no gcd reaches 2**63 once ``shape_degrees`` has checked the
     degrees."""
-    eps, forms, rows, pairs = plan
-    degrees = shape_degrees(q, eps, forms)
+    terms, rows, pairs = plan
+    degrees = shape_degrees(q, terms)
     violations = []
     for i, j in pairs:
         a, b = degrees[i], degrees[j]
@@ -251,10 +255,10 @@ def _decide(q: int, plan: tuple) -> tuple:
 
 def _verdicts(part: tuple) -> Iterator[GroupVerdict]:
     """The ``GroupVerdict`` of each q of a part of ``sweep_parts``, in order."""
-    qs, p, f, outer, shape, *verdict = part
+    qs, p, f, outer, terms, *verdict = part
     for q in itertools.compress(*qs):
         g = GroupDescriptor(PrimePower.from_sieve(q, p or q, f), outer)
-        yield GroupVerdict(g, tuple(shape_degrees(q, *shape)), *verdict)
+        yield GroupVerdict(g, tuple(shape_degrees(q, terms)), *verdict)
 
 
 def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
@@ -263,11 +267,14 @@ def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
     what a part is; ``tally_sweep``, ``sweep`` and the JSON report's writer
     (``cli``) each fold over them.
 
-    A part is ((odds, flags), p, f, outer, shape, violations, rows,
+    A part is ((odds, flags), p, f, outer, terms, violations, rows,
     mismatches): one group H = PSL(2,q).outer for each q of
     ``itertools.compress(odds, flags)``, at least one, with odds a range
-    and flags bytes of 0 and 1.  ``groups.shape_degrees(q, *shape)`` gives
-    each q's degrees, and the part's violations, matched rows and degree
+    and flags bytes of 0 and 1.  The terms are the plan's
+    ``groups.degree_terms``, the same for every q of the part:
+    ``groups.shape_degrees(q, terms)`` gives one q's degrees and
+    ``groups.degree_columns(qs, terms)`` those of an ascending list of its
+    q, by columns.  The part's violations, matched rows and degree
     mismatches (tuples, as in ``_decide``) are the verdict of every one of
     its q.  A violation names q's degrees, so only a part of one q has
     any; a run keeps no pair, by the premise below.
@@ -297,17 +304,17 @@ def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
     passes with nothing checked.  The other parts are read off the sieve
     as they are taken; no list of the prime powers is held.
 
-    ``shape_degrees`` cannot overflow here: every degree is at most
-    (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a range past 2**57
-    needs a sieve larger than any address space, so it raises MemoryError
-    at the call.
+    ``shape_degrees`` and ``degree_columns`` cannot overflow here: every
+    degree is at most (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a
+    range past 2**57 needs a sieve larger than any address space, so it
+    raises MemoryError at the call.
     """
     if q_min < 7:
         raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")
     if q_max < q_min:
         raise ValueError(f"empty range: q_min = {q_min} > q_max = {q_max}")
     plans = _q_plans(1, 7, 1)
-    ((_, _, rows, pairs),) = plans.values()
+    ((_, rows, pairs),) = plans.values()
     if not rows or pairs or any(row.conditions for row, _ in rows) or plans != _q_plans(1, 7, 3):
         raise RuntimeError(
             "the row table breaks the sweep's premise that PGL(2,q) of a prime q >= 7 matches a row, "
@@ -320,7 +327,7 @@ def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
             if 1 in flags:
                 q = odds[flags.index(1)]
                 for outer, plan in _q_plans(*shape_key(p or q, f, q)).items():
-                    yield (odds, flags), p, f, outer, plan[:2], *_decide(q, plan)[1:]
+                    yield (odds, flags), p, f, outer, plan[0], *_decide(q, plan)[1:]
 
     stream = parts()
     for part in stream:  # the first part, taken here so that an empty range raises at the call

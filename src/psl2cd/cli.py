@@ -32,10 +32,10 @@ from .groups import (
     OuterSubgroup,
     PrimePower,
     character_degrees,
+    degree_columns,
     group_name,
     group_to_dict,
     parse_outer,
-    shape_degrees,
 )
 from .maximals import maximal_subgroups, pgl_maximals_special, pgl2_order, psl2_order
 from .twoprime import Violation, check_set, violation_to_dict
@@ -57,19 +57,18 @@ _SLOT = 2**63 - 1
 
 
 @functools.lru_cache(maxsize=1024)  # verdict shapes; 7..2^20 has 149
-def _verdict_template(outer: OuterSubgroup, f: int, shape: tuple, rows: tuple[str, ...], n_violations: int) -> str:
+def _verdict_template(outer: OuterSubgroup, f: int, terms: tuple, rows: tuple[str, ...], n_violations: int) -> str:
     """``to_json(verdict_to_dict(v))`` for every verdict v of a part of
-    ``classifier.sweep_parts`` with this outer, f, shape, rows and number
-    of violations, as an item of the sweep report's verdict list (four
-    spaces deep), with a ``%s`` slot for each degree, for q (in the name,
-    then in "q") and for each violation's a, b, gcd and omega.  The key
-    fixes every literal part ("pass" and "agree" follow from the rows and
-    the number of violations), and the shape the number of degrees, read
-    here once from ``shape_degrees``; every other integer of the
-    placeholder is ``_SLOT``."""
+    ``classifier.sweep_parts`` with this outer, f, degree terms, rows and
+    number of violations, as an item of the sweep report's verdict list
+    (four spaces deep), with a ``%s`` slot for each degree, for q (in the
+    name, then in "q") and for each violation's a, b, gcd and omega.  The
+    key fixes every literal part ("pass" and "agree" follow from the rows
+    and the number of violations), and the terms the number of degrees,
+    one per term; every other integer of the placeholder is ``_SLOT``."""
     g = GroupDescriptor(PrimePower.from_sieve(_SLOT, _SLOT, f), outer)
     violations = (Violation(_SLOT, _SLOT, _SLOT, _SLOT),) * n_violations
-    degrees = (_SLOT,) * len(shape_degrees(0, *shape))  # as many at q = 0 as at every q
+    degrees = (_SLOT,) * len(terms)
     placeholder = GroupVerdict(g, degrees, violations, rows, degree_mismatches=())
     text = to_json(verdict_to_dict(placeholder)).replace("%", "%%")
     return text.replace("\n", "\n    ").replace(str(_SLOT), "%s")
@@ -78,14 +77,16 @@ def _verdict_template(outer: OuterSubgroup, f: int, shape: tuple, rows: tuple[st
 def _rendered(parts: Iterator[tuple]) -> Iterator[str]:
     """The verdict text of ``classifier.sweep_parts``' parts, four spaces
     deep: each part's template filled for a slice of ``_VERDICT_BATCH`` of
-    its q at a time, joined by commas, each q's slots its ``shape_degrees``
-    and q twice, then the violations' numbers once per slice (only a part
-    of one q has violations)."""
-    for (odds, flags), _, f, outer, shape, violations, rows, _ in parts:
-        template = _verdict_template(outer, f, shape, rows, len(violations))
+    its q at a time, joined by commas.  The slice's degrees are built by
+    columns, ``degree_columns`` of the part's terms, and zipped with the
+    slice twice, so each q's slots are its degrees and q twice; then come
+    the violations' numbers once per slice (only a part of one q has
+    violations)."""
+    for (odds, flags), _, f, outer, terms, violations, rows, _ in parts:
+        template = _verdict_template(outer, f, terms, rows, len(violations))
         qs = itertools.compress(odds, flags)
         while chunk := list(itertools.islice(qs, _VERDICT_BATCH)):
-            numbers = itertools.chain.from_iterable((*shape_degrees(q, *shape), q, q) for q in chunk)
+            numbers = itertools.chain.from_iterable(zip(*degree_columns(chunk, terms), chunk, chunk))
             yield ",\n    ".join([template] * len(chunk)) % (*numbers, *itertools.chain.from_iterable(violations))
 
 

@@ -22,7 +22,8 @@ where (q+eps)/2 occurs only for odd q and H <= S<phi>, subject to six
 exceptional removals at small characteristic.  All of it but q itself is
 fixed by H's shape: its (kind, d) and q's ``shape_key``, (f, min(p, 7),
 q mod 4).  ``_shape`` states that part, the sign eps included, as degree
-forms, and ``classifier._q_plans`` keeps it once per shape.  Note the
+forms, ``degree_terms`` lays them out as one q-free term per degree, and
+``classifier._q_plans`` keeps those once per shape.  Note the
 membership convention: a TWISTED subgroup never contains delta itself (an
 even power of delta*phi^(f/d) is a pure field automorphism, an odd power
 keeps the delta component tied to a nontrivial field part), so it gets
@@ -189,18 +190,37 @@ def character_degrees(g: GroupDescriptor) -> list[int]:
     the half degree, the index split, the multipliers and the removals)
     taken from ``_shape`` as forms already in the order of their values.
     Raises OverflowError if any degree would reach 2**63."""
-    return shape_degrees(g.q.q, *_shape(*g.outer, *shape_key(*g.q)))
+    return shape_degrees(g.q.q, degree_terms(*_shape(*g.outer, *shape_key(*g.q))))
 
 
-def shape_degrees(q: int, eps: int, forms: tuple[tuple[int, int], ...]) -> list[int]:
-    """cd(H) from q and its shape's ``(eps, forms)``: 1, then (q+eps)/2 when
-    eps is not 0, then m*(q + s) for each form, ascending.  Raises
-    OverflowError if any degree would reach 2**63."""
-    degrees = [1, (q + eps) // 2] if eps else [1]
-    degrees += [m * (q + s) for m, s in forms]
+def degree_terms(eps: int, forms: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int, int], ...]:
+    """The one statement of the degree layout: ``_shape``'s (eps, forms) as
+    q-free terms (a, b, k), one per degree, each the degree (a*q + b) // k.
+    They are (0, 1, 1) for the degree 1, then (1, eps, 2) for (q+eps)/2 when
+    eps is not 0, then (m, m*s, 1) for each form's m*(q + s), so that they
+    are in ascending order of their values, as the forms are."""
+    half = ((1, eps, 2),) if eps else ()
+    return ((0, 1, 1), *half, *((m, m * s, 1) for m, s in forms))
+
+
+def shape_degrees(q: int, terms: tuple[tuple[int, int, int], ...]) -> list[int]:
+    """cd(H) from q and its shape's ``degree_terms``, ascending.  Raises
+    OverflowError if the last, largest, degree would reach 2**63."""
+    degrees = [(a * q + b) // k for a, b, k in terms]
     if degrees[-1] >= MAX_VALUE:
         raise OverflowError(f"degree {degrees[-1]} is out of range for q = {q}")
     return degrees
+
+
+def degree_columns(qs: list[int], terms: tuple[tuple[int, int, int], ...]) -> list[list[int]]:
+    """``shape_degrees`` of each of the ascending, nonempty qs, by columns:
+    one list per term, over the qs, so that ``zip(*columns)`` gives each q's
+    degrees.  Raises OverflowError if the largest degree, the last column's
+    value at the last q, would reach 2**63."""
+    columns = [[(a * q + b) // k for q in qs] for a, b, k in terms]
+    if columns[-1][-1] >= MAX_VALUE:
+        raise OverflowError(f"degree {columns[-1][-1]} is out of range for q = {qs[-1]}")
+    return columns
 
 
 def group_name(g: GroupDescriptor) -> str:

@@ -262,7 +262,7 @@ class TestShapeFlag:
             swap_prediction(monkeypatch, wrong_row)
         mismatches = 0
         for v in _verdicts_to_check():
-            _, _, shape_rows, _ = _cached_plan(v.descriptor)
+            _, shape_rows, _ = _cached_plan(v.descriptor)
             for row, differs in shape_rows:
                 assert differs == _differs_at(row, v.descriptor), (group_name(v.descriptor), row.row_id)
             assert v.degree_mismatches == tuple(
@@ -414,8 +414,8 @@ class TestPairBound:
         d = data.draw(st.sampled_from([d for d in divisors(f) if kind is not T or d % 2 == 0]))
         assume((kind, d) != (U, 1))
         q = data.draw(st.integers(min_value=4, max_value=2**40)) * 2 + (p != 2)
-        eps, forms, _, pairs = classifier._shape_plan(kind, d, f, p, q % 4)
-        degrees = shape_degrees(q, eps, forms)
+        terms, _, pairs = classifier._shape_plan(kind, d, f, p, q % 4)
+        degrees = shape_degrees(q, terms)
         for i, j in itertools.combinations(range(len(degrees)), 2):
             if (i, j) not in pairs:
                 assert math.gcd(degrees[i], degrees[j]) < 8, (i, j)
@@ -424,15 +424,15 @@ class TestPairBound:
         # Degrees 1, (q-1)/2, q-1, q, q+1, 3(q-1), 3(q+1).  Every pair of
         # different signs drops: (q-1)/2 with 3(q+1) has the bound 3*2 and
         # 3(q-1) with 3(q+1) the bound lcm(3, 3)*2, both 6.
-        eps, forms, _, pairs = classifier._shape_plan(U, 3, 3, 7, 3)
-        degrees = shape_degrees(343, eps, forms)
+        terms, _, pairs = classifier._shape_plan(U, 3, 3, 7, 3)
+        degrees = shape_degrees(343, terms)
         assert [(degrees[i], degrees[j]) for i, j in pairs] == [(171, 342), (171, 1026), (342, 1026), (344, 1032)]
 
     def test_pgl_keeps_no_pair(self):
         for f in range(1, 63):
             for p in (3, 5, 7):
                 for q4 in (1, 3):
-                    assert classifier._shape_plan(WD, 1, f, p, q4)[3] == ()
+                    assert classifier._shape_plan(WD, 1, f, p, q4)[2] == ()
 
 
 def _prime_plan_reads_no_q() -> bool:
@@ -443,7 +443,7 @@ def _prime_plan_reads_no_q() -> bool:
     plans = classifier._q_plans(1, 7, 1)
     if list(plans) != [OuterSubgroup(WD, 1)] or plans != classifier._q_plans(1, 7, 3):
         return False
-    ((_, _, rows, pairs),) = plans.values()
+    ((_, rows, pairs),) = plans.values()
     return bool(rows) and pairs == () and all(row.conditions is None and not differs for row, differs in rows)
 
 

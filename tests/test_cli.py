@@ -536,10 +536,12 @@ class TestSweepReportWriter:
         assert len(cut) > len(list(classifier.sweep_parts(7, 3000)))
         assert ",\n    ".join(cli._rendered(iter(cut))) == whole
 
-    def test_runs_fill_in_slices(self, monkeypatch):
-        # No run of primes below 2^16 holds 512 of them, so fill 5 primes
-        # at a time to put most runs in several slices.
-        monkeypatch.setattr(cli, "_VERDICT_BATCH", 5)
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_runs_fill_in_slices(self, monkeypatch, batch):
+        # No run of primes below 2^16 holds 512 of them, so fill a few
+        # primes at a time to put most runs in several slices, and each
+        # slice's degree columns down to one or two q.
+        monkeypatch.setattr(cli, "_VERDICT_BATCH", batch)
         self.check(7, 3000)
 
     def test_error_free_range(self):
@@ -654,16 +656,17 @@ def _assert_parts_are_canonical(verdicts):
     stream, with the report's ``_rendered``, and check that each text is
     the canonical JSON of its verdict, four spaces deep.  Return the size
     of the template cache as each part reaches the renderer.  Each part's
-    shape is (0, forms) with the form (1, d - q) for each degree d above 1,
-    so that ``shape_degrees`` gives back a variant's edited degrees."""
+    terms are ``groups.degree_terms``' (0, 1, 1) for the degree 1, then
+    (1, d - q, 1) for each degree d above it, so that the degree columns
+    give back a variant's edited degrees."""
     sizes = []
 
     def parts():
         for v in verdicts:
             sizes.append(cli._verdict_template.cache_info().currsize)
             p, f, q = v.descriptor.q
-            shape = (0, tuple((1, d - q) for d in v.degrees[1:]))
-            yield (range(q, q + 1), b"\x01"), p, f, v.descriptor.outer, shape, *v[2:]
+            terms = ((0, 1, 1), *((1, d - q, 1) for d in v.degrees[1:]))
+            yield (range(q, q + 1), b"\x01"), p, f, v.descriptor.outer, terms, *v[2:]
 
     assert list(cli._rendered(parts())) == [to_json(verdict_to_dict(v)).replace("\n", "\n    ") for v in verdicts]
     return sizes

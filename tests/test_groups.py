@@ -14,9 +14,12 @@ from psl2cd.groups import (
     OuterSubgroup,
     PrimePower,
     character_degrees,
+    degree_columns,
+    degree_terms,
     enumerate_outer_subgroups,
     group_name,
     parse_outer,
+    shape_degrees,
     shape_key,
 )
 
@@ -312,6 +315,54 @@ class TestCachedShape:
         groups._lattice.cache_clear()
         sweep(7, 65536)  # 6,631 prime powers
         assert groups._lattice.cache_info().currsize < 200
+
+
+@st.composite
+def _shape_and_qs(draw) -> tuple[tuple, list[int]]:
+    """The ``degree_terms`` of a shape, drawn as
+    ``classifier``'s pair-bound test draws it (every p in {2, 3, 5, 7}, f,
+    kind, d and q mod 4), and 1 to 40 ascending q of that q mod 4."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    f = draw(st.integers(min_value=1, max_value=62))
+    kind = draw(st.sampled_from([U] if p == 2 else [U, WD, T] if f % 2 == 0 else [U, WD]))
+    d = draw(st.sampled_from([d for d in divisors(f) if kind is not T or d % 2 == 0]))
+    q4 = 0 if p == 2 else draw(st.sampled_from((1, 3)))
+    ks = draw(st.lists(st.integers(min_value=1, max_value=2**40), min_size=1, max_size=40, unique=True))
+    return degree_terms(*groups._shape(kind, d, f, p, q4)), [4 * k + q4 for k in sorted(ks)]
+
+
+class TestDegreeColumns:
+    """``degree_columns``, the sweep report's degrees by columns, against
+    the one-q ``shape_degrees`` that ``character_degrees`` and the
+    classifier read."""
+
+    @given(_shape_and_qs())
+    def test_columns_are_the_transposed_rows(self, shape_and_qs):
+        terms, qs = shape_and_qs
+        rows = [shape_degrees(q, terms) for q in qs]
+        assert degree_columns(qs, terms) == [list(column) for column in zip(*rows)]
+
+    @given(_shape_and_qs())
+    def test_only_the_last_q_reaching_2_63_overflows(self, shape_and_qs):
+        # The smallest q whose top degree (a*q + b) // k reaches 2**63
+        # follows the drawn q; the q before it stays in range.
+        terms, qs = shape_and_qs
+        a, b, k = terms[-1]
+        q_top = -(-(2**63 * k - b) // a)
+        top = (a * q_top + b) // k
+        assert len(degree_columns([*qs, q_top - 1], terms)) == len(terms)
+        message = f"degree {top} is out of range for q = {q_top}"
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            degree_columns([*qs, q_top], terms)
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            shape_degrees(q_top, terms)
+
+    def test_terms_state_the_degree_layout(self):
+        # PSL(2,27).<phi>: 1, (q-1)/2, q, 3(q-1), 3(q+1).
+        terms = degree_terms(-1, ((1, 0), (3, -1), (3, 1)))
+        assert terms == ((0, 1, 1), (1, -1, 2), (1, 0, 1), (3, -3, 1), (3, 3, 1))
+        assert shape_degrees(27, terms) == [1, 13, 27, 78, 84]
+        assert degree_columns([27, 243], terms) == [[1, 1], [13, 121], [27, 243], [78, 726], [84, 732]]
 
 
 class TestParser:
