@@ -6,11 +6,14 @@ computes cd(H) exactly, checks the two-prime condition on the pairs no
 q-free bound keeps below gcd 8 (no other pair can fail), and matches H
 against the twelve group families known to be the only possible survivors,
 and their necessary arithmetic conditions on q; pairs and families are
-picked once per shape, in its plan.  ``sweep_parts`` is the sweep: one
-stream of parts of one layout, each a set of q whose groups of one outer
-kind and d share a verdict in plain values, which ``tally_sweep`` counts
-a part at a time, making a ``GroupVerdict`` only for a group that breaks
-a claim.  The hard assertion runs in one
+picked once per shape, in its plan.  Apart from its degrees, a verdict
+reads only the plan and Omega(q - 1) and Omega(q + 1): each kept pair's
+Omega comes from its recipe in the plan, and each condition is stated on
+those two values, which the groups of a q share.  ``sweep_parts`` is the
+sweep: one stream of parts of one layout, each a set of q whose groups of
+one outer kind and d share a verdict in plain values, which
+``tally_sweep`` counts a part at a time, making a ``GroupVerdict`` only
+for a group that breaks a claim.  The hard assertion runs in one
 direction only: a group that passes the pair check must match some family
 whose conditions hold.  The converse -- a matched family whose group
 nevertheless fails -- is reported, never assumed absent.
@@ -30,7 +33,7 @@ import itertools
 import math
 from typing import Callable, Iterator, NamedTuple
 
-from .arithmetic import is_prime, omega, prime_runs_in_range
+from .arithmetic import is_prime, omega, omega_table, prime_runs_in_range
 from .groups import (
     GroupDescriptor,
     OuterKind,
@@ -47,6 +50,7 @@ from .twoprime import Violation, violation_to_dict
 
 Matcher = Callable[[int, int, int], bool]
 Expected = Callable[[int, int, int], tuple[int, set[tuple[int, int]]] | None]
+Condition = Callable[[int, Callable[[int], int]], bool]
 
 
 class TableRow(NamedTuple):
@@ -58,15 +62,18 @@ class TableRow(NamedTuple):
     at 7, never q, so they run once per shape.  The prediction is in
     ``groups._shape``'s layout, (eps, forms) with the form (m, s) the degree
     m*(q + s) and (q+eps)/2 a degree when eps is not 0, or None where the
-    row predicts nothing.  ``conditions`` reads the integer q alone; it is
-    None for a row that holds on every q of its shapes.
+    row predicts nothing.  ``conditions`` reads q and, through the function
+    it is given, Omega of q - 1 and q + 1 only: ``_decide`` gives it the
+    per-q memo, the tests' reference plain ``omega``.  Omega((q - 1)/2) is
+    Omega(q - 1) - 1 for odd q, and q + 1 is prime when Omega(q + 1) = 1.
+    It is None for a row that holds on every q of its shapes.
     """
 
     row_id: str
     kind: OuterKind
     matcher: Matcher
     expected_degrees: Expected
-    conditions: Callable[[int], bool] | None = None
+    conditions: Condition | None = None
 
 
 def _odd_prime(n: int) -> bool:
@@ -96,83 +103,98 @@ _ROWS = (
         "s_phi_p3",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 3 and d == f and _odd_prime(f),
-        conditions=lambda q: omega((q - 1) // 2) <= 2,
+        conditions=lambda q, om: om(q - 1) - 1 <= 2,  # Omega((q - 1)/2), q odd
         expected_degrees=lambda d, f, p: (-1, {(1, 0), (f, -1), (f, 1)}),
     ),
     TableRow(
         "aut_p3",
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda d, f, p: p == 3 and d == f and _odd_prime(f),
-        conditions=lambda q: omega(q - 1) == 2,
+        conditions=lambda q, om: om(q - 1) == 2,
         expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (f, -1), (f, 1)}),
     ),
     TableRow(
         "s_phi_p2",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d == f and _odd_prime(f),
-        conditions=lambda q: omega(q - 1) <= 2,
+        conditions=lambda q, om: om(q - 1) <= 2,
         expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (f, -1), (f, 1)}),
     ),
     TableRow(
         "s_phi_quarter",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d == 4 and f & (f - 1) == 0,  # a prime 2^f + 1 needs f a power of 2
-        conditions=lambda q: is_prime(q + 1),
+        conditions=lambda q, om: om(q + 1) == 1,  # q + 1 prime
         expected_degrees=lambda d, f, p: (0, {(1, 0), (4, -1), (1, 1), (2, 1), (4, 1)}),
     ),
     TableRow(
         "s_phi_half_even",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d == 2,
-        conditions=lambda q: omega(q + 1) <= 2,
+        conditions=lambda q, om: om(q + 1) <= 2,
         expected_degrees=lambda d, f, p: (0, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
         "s_phi_half_odd",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p != 2 and d == 2,
-        conditions=lambda q: omega(q + 1) <= 2,
+        conditions=lambda q, om: om(q + 1) <= 2,
         expected_degrees=lambda d, f, p: None if p == 3 and f == 2 else (1, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
         "s_delta_phi_half",
         kind=OuterKind.TWISTED,
         matcher=lambda d, f, p: d == 2,
-        conditions=lambda q: omega(q + 1) <= 2,
+        conditions=lambda q, om: om(q + 1) <= 2,
         expected_degrees=lambda d, f, p: None if p == 3 and f == 2 else (0, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
         "pgl_phi_half",
         kind=OuterKind.WITH_DIAGONAL,
         matcher=lambda d, f, p: d == 2,  # with a diagonal part, so q is odd
-        conditions=lambda q: omega(q + 1) <= 2,
+        conditions=lambda q, om: om(q + 1) <= 2,
         expected_degrees=lambda d, f, p: (0, {(1, 0), (2, -1), (1, 1), (2, 1)}),
     ),
     TableRow(
         "s_phi_over_m",
         kind=OuterKind.UNTWISTED,
         matcher=lambda d, f, p: p == 2 and d < f and _odd_prime(d),
-        conditions=lambda q: omega(q - 1) <= 2 and omega(q + 1) <= 2,
+        conditions=lambda q, om: om(q - 1) <= 2 and om(q + 1) <= 2,
         expected_degrees=lambda d, f, p: (0, {(1, -1), (1, 0), (d, -1), (1, 1), (d, 1)}),
     ),
 )
+
+
+# Omega of every n <= 2*62, for the pairs whose gcd divides a q-free bound.
+_SMALL_OMEGA = omega_table(2 * 62)
 
 
 def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
     """What every group of a shape, (kind, d) plus a ``groups.shape_key``,
     shares: the ``groups.degree_terms`` of ``_shape``'s (eps, forms), the
     rows whose kind and matcher fit, in table order, each with whether its
-    prediction differs from the shape's, and the index pairs (i, j), i < j,
-    of the terms, and so of ``shape_degrees``' list, whose gcd may reach 8.
-    Distinct forms with multipliers up to f differ once q > 2f - 1, and
-    2f - 1 < 2^f <= q, so each flag holds for every q of the shape.
+    prediction differs from the shape's, and the pairs of terms, and so of
+    ``shape_degrees``' list, whose gcd may reach 8, each as a recipe
+    (i, j, s, extra) for the degrees i < j.  Distinct forms with multipliers
+    up to f differ once q > 2f - 1, and 2f - 1 < 2^f <= q, so each flag
+    holds for every q of the shape.
 
     The gcd of the degrees (a1*q + b1)/k1 and (a2*q + b2)/k2 divides a1*q +
     b1 and a2*q + b2, so it divides the bound |a2*b1 - a1*b2| / gcd(a1, a2).
     That is lcm(m1, m2)|s1 - s2| for m1(q + s1) and m2(q + s2), m|eps - s|
     for (q+eps)/2 and m(q + s), and 1 for the degree 1 and any other.  A
     pair whose bound is below 8 but not 0 has Omega(gcd) <= 2 for every q
-    and is dropped."""
+    and is dropped.  The recipe of a kept pair says where Omega(gcd) comes
+    from:
+
+    * bound 0: both degrees are multiples of one q + s, s = +1 or -1, and
+      the gcd is (q + s) * gcd(a1*k2, a2*k1) / (k1*k2), so Omega(gcd) =
+      Omega(q + s) + extra, extra the Omega of that q-free factor: Omega(gcd(
+      m1, m2)) for m1(q + s) and m2(q + s), and -1 for (q+eps)/2 and
+      m(q + eps);
+    * bound 8 or more: s is None, and the gcd divides the bound, at most
+      2*62 since every multiplier divides d <= f <= 62, so its Omega is read
+      from ``_SMALL_OMEGA`` (extra 0, unread)."""
     eps, forms = _shape(kind, d, f, p, q4)
     computed = (eps, set(forms))
     rows = tuple(
@@ -181,12 +203,14 @@ def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
         if row.kind is kind and row.matcher(d, f, p)
     )
     terms = degree_terms(eps, forms)
-    pairs = tuple(
-        (i, j)
-        for (i, (a1, b1, _)), (j, (a2, b2, _)) in itertools.combinations(enumerate(terms), 2)
-        if not 0 < abs(a2 * b1 - a1 * b2) // math.gcd(a1, a2) < 8
-    )
-    return terms, rows, pairs
+    pairs = []
+    for (i, (a1, b1, k1)), (j, (a2, b2, k2)) in itertools.combinations(enumerate(terms), 2):
+        bound = abs(a2 * b1 - a1 * b2) // math.gcd(a1, a2)
+        if bound == 0:
+            pairs.append((i, j, b1 // a1, _SMALL_OMEGA[math.gcd(a1 * k2, a2 * k1)] - _SMALL_OMEGA[k1 * k2]))
+        elif bound >= 8:
+            pairs.append((i, j, None, 0))
+    return terms, rows, tuple(pairs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,28 +249,32 @@ def brute_force_verdict(g: GroupDescriptor) -> GroupVerdict:
     return GroupVerdict(g, *_decide(g.q.q, _q_plans(*shape_key(*g.q))[g.outer]))
 
 
-# A q's groups, decided in turn, share most pair gcds (at most 22 distinct per q below 2**62).
-_gcd_omega = functools.lru_cache(maxsize=256)(omega)
+# Omega(q - 1) and Omega(q + 1), read once for the groups of a q decided in turn.
+_omega_near_q = functools.lru_cache(maxsize=2)(omega)
 
 
 def _decide(q: int, plan: tuple) -> tuple:
     """The verdict at q >= 7 of a proper extension with this shape plan,
     as the plain values (degrees, violations, matched rows, degree
     mismatches), each a tuple: a ``GroupVerdict`` without its group.  The
-    kept pairs come in (i, j) order, so violations are sorted by (a, b),
-    and no gcd reaches 2**63 once ``shape_degrees`` has checked the
-    degrees."""
+    kept pairs come in (i, j) order, so violations are sorted by (a, b).
+    Omega(q - 1) and Omega(q + 1) are read through ``_omega_near_q`` only
+    where a kept pair with gcd >= 8 or a matched row's condition needs one,
+    and no other Omega is factored.  Both are below 2**63: q is, and 2**63 -
+    1 = 7^2 * 73 * ... is not a prime power."""
     terms, rows, pairs = plan
     degrees = shape_degrees(q, terms)
     violations = []
-    for i, j in pairs:
+    for i, j, s, extra in pairs:
         a, b = degrees[i], degrees[j]
         gcd = math.gcd(a, b)
-        if gcd >= 8 and (om := _gcd_omega(gcd)) >= 3:  # Omega(gcd) >= 3 needs gcd >= 2**3
-            violations.append(Violation(a, b, gcd, om))
+        if gcd >= 8:  # Omega(gcd) >= 3 needs gcd >= 2**3
+            om = _SMALL_OMEGA[gcd] if s is None else _omega_near_q(q + s) + extra
+            if om >= 3:
+                violations.append(Violation(a, b, gcd, om))
     matched = mismatched = ()
     for row, differs in rows:
-        if row.conditions is None or row.conditions(q):
+        if row.conditions is None or row.conditions(q, _omega_near_q):
             matched += (row.row_id,)
             if differs:
                 mismatched += (row.row_id,)

@@ -1,10 +1,15 @@
-"""Re-check a ``psl2cd sweep --format json`` report with no code of the package.
+"""Re-check a ``psl2cd sweep --format json`` or ``check --format json``
+report with no code of the package.
 
     python -m psl2cd sweep --qmin 7 --qmax 65536 --format json | python3 tests/recheck.py
+    python -m psl2cd check --degrees 1,12,24,60 --format json | python3 tests/recheck.py
     python3 tests/recheck.py report.json
 
 Stdlib only; it imports nothing of psl2cd, so it shares no code with what
-wrote the report.  It checks:
+wrote the report.  A ``check`` report, {degrees, pass, violations}, is
+held to the pair check below: its degrees ascending positive integers,
+its violations exactly the breaking pairs and its pass true exactly when
+there are none.  Of a sweep report it checks:
 
 * that the verdicts are one per proper extension S < H <= Aut(S), S =
   PSL(2,q), of every prime power q in [q_min, q_max], in (q, kind, d)
@@ -40,6 +45,8 @@ import sys
 from typing import Iterator
 
 KINDS = ("untwisted", "with_diagonal", "twisted")  # the report's order of kinds within a q
+CHECK_KEYS = {"degrees", "pass", "violations"}  # a check report: one degree set and its verdict
+SWEEP_KEYS = {"q_min", "q_max", "degree_mismatches", "overflowed", "summary", "verdicts"}
 
 
 def prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
@@ -139,6 +146,19 @@ def breaking_pairs(degrees: list[int]) -> list[dict]:
     return pairs
 
 
+def pair_problems(label: str, entry: dict) -> Iterator[str]:
+    """Each way the degrees, violations and pass of a verdict or a check
+    report break the pair check, as one line starting with label."""
+    degrees = entry["degrees"]
+    if degrees[0] < 1 or any(a >= b for a, b in zip(degrees, degrees[1:])):
+        yield f"{label}: degrees are not ascending positive integers"
+        return
+    if entry["violations"] != (expected := breaking_pairs(degrees)):
+        yield f"{label}: violations are not {expected}"
+    if entry["pass"] is not (not entry["violations"]):
+        yield f"{label}: pass is {entry['pass']} with {len(entry['violations'])} violations"
+
+
 def expected_groups(q_min: int, q_max: int) -> Iterator[tuple[int, dict]]:
     """(q, group entry) of every verdict the report must hold, in order."""
     for q, p, f in prime_powers(q_min, q_max):
@@ -148,9 +168,11 @@ def expected_groups(q_min: int, q_max: int) -> Iterator[tuple[int, dict]]:
 
 def problems(report: dict) -> Iterator[str]:
     """Each way the report breaks a check, as one line."""
-    keys = {"q_min", "q_max", "degree_mismatches", "overflowed", "summary", "verdicts"}
-    if set(report) != keys:
-        yield f"top-level keys {sorted(report)} are not {sorted(keys)}"
+    if set(report) == CHECK_KEYS:
+        yield from pair_problems("the degree set", report)
+        return
+    if set(report) != SWEEP_KEYS:
+        yield f"top-level keys {sorted(report)} are neither {sorted(SWEEP_KEYS)} nor {sorted(CHECK_KEYS)}"
         return
     verdicts = report["verdicts"]
     got = [(v["q"], v["group"]) for v in verdicts]
@@ -159,14 +181,7 @@ def problems(report: dict) -> Iterator[str]:
         i = next((i for i, pair in enumerate(zip(got, expected)) if pair[0] != pair[1]), min(len(got), len(expected)))
         yield f"{len(got)} verdicts where {len(expected)} are expected; they differ first at verdict {i}"
     for i, v in enumerate(verdicts):
-        degrees = v["degrees"]
-        if degrees[0] < 1 or any(a >= b for a, b in zip(degrees, degrees[1:])):
-            yield f"verdict {i} ({v['group']['name']}): degrees are not ascending positive integers"
-            continue
-        if v["violations"] != breaking_pairs(degrees):
-            yield f"verdict {i} ({v['group']['name']}): violations are not {breaking_pairs(degrees)}"
-        if v["pass"] is not (not v["violations"]):
-            yield f"verdict {i} ({v['group']['name']}): pass is {v['pass']} with {len(v['violations'])} violations"
+        yield from pair_problems(f"verdict {i} ({v['group']['name']})", v)
         if v["agree"] is not (not v["pass"] or bool(v["rows"])):
             yield f"verdict {i} ({v['group']['name']}): agree is {v['agree']} with pass {v['pass']}, rows {v['rows']}"
     index = {(v["q"], v["group"]["name"]): i for i, v in enumerate(verdicts)}

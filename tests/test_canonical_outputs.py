@@ -6,8 +6,8 @@ one case: ARGS, split as the shell splits them, go through ``cli.main``
 and the sha256 of what it writes to stdout must be HEX.  The shell lines
 ignore the exit status, so the cases also pin it: 0, except where
 ``_EXIT_CODES`` says otherwise (``classify`` reports a degree mismatch
-only through it).  The step's other lines pipe a pinned sweep report
-through ``tests/recheck.py``, which ``tests/test_recheck.py`` tests.
+only through it).  The step's other lines pipe a pinned sweep or check
+report through ``tests/recheck.py``, which ``tests/test_recheck.py`` tests.
 """
 
 import contextlib
@@ -32,7 +32,7 @@ def _step_lines() -> list[str]:
 
 
 _PINNED = [m.groups() for line in _step_lines() if (m := _LINE.search(line.strip()))]
-_RECHECK = re.compile(r"""python -m psl2cd (sweep .+ --format json) \| python tests/recheck\.py$""")
+_RECHECK = re.compile(r"""python -m psl2cd ((?:sweep|check) .+ --format json) \| python tests/recheck\.py$""")
 _RECHECKED = [m.group(1) for line in _step_lines() if (m := _RECHECK.fullmatch(line.strip()))]
 _EXIT_CODES = {  # each set has pairs that break the condition
     "check --degrees 1,12,24,60 --format json": 1,
@@ -53,7 +53,7 @@ class _Digest:
 
 def test_every_command_of_the_step_is_pinned():
     commands = [line for line in _step_lines() if "python -m psl2cd" in line]
-    assert len(_PINNED) >= 58
+    assert len(_PINNED) >= 62
     assert len(_PINNED) + len(_RECHECKED) == len(commands)
     assert set(_RECHECKED) <= {args for args, _ in _PINNED}  # a rechecked report is also pinned
     assert set(_EXIT_CODES) <= {args for args, _ in _PINNED}

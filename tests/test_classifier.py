@@ -9,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from psl2cd import classifier
-from psl2cd.arithmetic import divisors, is_prime, prime_sieve
+from psl2cd.arithmetic import divisors, is_prime, omega, prime_sieve
 from psl2cd.classifier import (
     GroupVerdict,
     brute_force_verdict,
@@ -71,22 +71,23 @@ class TestTableRows:
         return [
             r.row_id
             for r in classifier._ROWS
-            if r.kind is g.outer.kind and r.matcher(d, f, p) and (r.conditions is None or r.conditions(g.q.q))
+            if r.kind is g.outer.kind and r.matcher(d, f, p) and (r.conditions is None or r.conditions(g.q.q, omega))
         ]
 
     def test_conditions_run_only_where_the_shape_leaves_q_open(self, monkeypatch, fresh_plans):
         # The matchers decide every shape fact, so the three rows that hold
         # on every q of their shapes have no conditions, and the others
-        # are called with q alone, 600 times in the sweep of 7..2^20.
+        # are called with q and the per-q memo, 600 times in the sweep of
+        # 7..2^20.
         assert [r.row_id for r in classifier._ROWS if r.conditions is None] == ["sym6", "m10", "pgl"]
         calls = []
 
         def counted(row):
-            return row._replace(conditions=lambda q: calls.append(q) is None and row.conditions(q))
+            return row._replace(conditions=lambda q, om: calls.append((q, om)) is None and row.conditions(q, om))
 
         monkeypatch.setattr(classifier, "_ROWS", tuple(r if r.conditions is None else counted(r) for r in classifier._ROWS))
         summary = tally_sweep(7, 2**20).summary
-        assert len(calls) == 600 and all(type(q) is int for q in calls)
+        assert len(calls) == 600 and all(type(q) is int and om is classifier._omega_near_q for q, om in calls)
         assert summary["groups"] == 82999 and summary["disagreements"] == 0
 
     def test_pgl_unconditional(self):
@@ -281,7 +282,7 @@ def _reference_verdict(g: GroupDescriptor) -> GroupVerdict:
     matched = [
         row
         for row in classifier._ROWS
-        if row.kind is g.outer.kind and row.matcher(d, f, p) and (row.conditions is None or row.conditions(g.q.q))
+        if row.kind is g.outer.kind and row.matcher(d, f, p) and (row.conditions is None or row.conditions(g.q.q, omega))
     ]
     return GroupVerdict(
         g,
@@ -349,42 +350,21 @@ class TestPlanVerdicts:
         assert decided == 5931 + 9432 and failing == 10666
 
 
-class TestGcdOmegaMemo:
-    """``_decide``'s Omega memo changes no verdict, cold or warm."""
-
-    def test_bounded(self):
-        assert classifier._gcd_omega.cache_info().maxsize == 256
-
-    def test_cold_and_warm_match_the_reference(self):
-        # Every proper extension of each q; all degrees stay below 2**63.
-        groups = [
-            GroupDescriptor(pp, outer)
-            for q in (3**30, 5**24, 7**18, 1000003**2, 2**40)
-            for pp in [PrimePower.from_value(q)]
-            for outer in enumerate_outer_subgroups(pp, include_trivial=False)
-        ]
-        expected = [_reference_verdict(g) for g in groups]
-        assert any(v.violations for v in expected)  # some groups fail
-        classifier._gcd_omega.cache_clear()
-        assert [brute_force_verdict(g) for g in groups] == expected
-        assert classifier._gcd_omega.cache_info().hits > 0
-        assert [brute_force_verdict(g) for g in groups] == expected
-
-
 def test_reference_shares_no_memo_with_the_plan_loop(monkeypatch):
-    # Each failing group of 7..2^16 reads Omega of a kept pair's gcd through
-    # the memo.  With the memo broken the plan path raises on it, and
-    # check_set and the reference still give the sweep's verdict.
+    # Each failing group of 7..2^16 reads Omega(q - 1) or Omega(q + 1)
+    # through the per-q memo.  With the memo broken the plan path raises on
+    # it, and check_set and the reference, which read plain omega, still
+    # give the sweep's verdict.
     failing = [v for v in sweep(7, 2**16) if v.violations]
 
     def broken(n):
-        raise AssertionError(f"_gcd_omega({n}) called")
+        raise AssertionError(f"_omega_near_q({n}) called")
 
-    monkeypatch.setattr(classifier, "_gcd_omega", broken)
+    monkeypatch.setattr(classifier, "_omega_near_q", broken)
     for v in failing:
         assert check_set(v.degrees) == v.violations
         assert _reference_verdict(v.descriptor) == v
-        with pytest.raises(AssertionError, match="_gcd_omega"):
+        with pytest.raises(AssertionError, match="_omega_near_q"):
             brute_force_verdict(v.descriptor)
     assert len(failing) > 100
 
@@ -393,8 +373,30 @@ _SIGNS = st.sampled_from((-1, 0, 1))
 _MULTIPLIERS = st.integers(min_value=1, max_value=62)
 
 
+@st.composite
+def _shapes(draw):
+    """(kind, d, f, p, q) of a proper extension: p in {2, 3, 5, 7} standing
+    for min(p, 7), any f <= 62, kind and d from its lattice, and an odd q
+    (even for p = 2) up to 2^41."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    f = draw(st.integers(min_value=1, max_value=62))
+    kind = draw(st.sampled_from([U] if p == 2 else [U, WD, T] if f % 2 == 0 else [U, WD]))
+    d = draw(st.sampled_from([d for d in divisors(f) if kind is not T or d % 2 == 0]))
+    assume((kind, d) != (U, 1))
+    q = draw(st.integers(min_value=4, max_value=2**40)) * 2 + (p != 2)
+    return kind, d, f, p, q
+
+
+def _pair_bound(terms, i, j) -> int:
+    """The q-free bound |a2*b1 - a1*b2| / gcd(a1, a2) that the gcd of the
+    degrees of terms i and j divides."""
+    (a1, b1, _), (a2, b2, _) = terms[i], terms[j]
+    return abs(a2 * b1 - a1 * b2) // math.gcd(a1, a2)
+
+
 class TestPairBound:
-    """The q-free bounds behind the pairs a plan drops."""
+    """The q-free bounds behind the pairs a plan drops, and the recipes of
+    the pairs it keeps."""
 
     @given(st.integers(min_value=7), _MULTIPLIERS, _MULTIPLIERS, _SIGNS, _SIGNS)
     def test_gcd_of_two_forms_divides_the_bound(self, q, m1, m2, s1, s2):
@@ -406,27 +408,61 @@ class TestPairBound:
         assume(s != eps)
         assert m * abs(eps - s) % math.gcd((q + eps) // 2, m * (q + s)) == 0
 
-    @given(st.data())
-    def test_dropped_pairs_keep_gcd_below_8(self, data):
-        p = data.draw(st.sampled_from((2, 3, 5, 7)))
-        f = data.draw(st.integers(min_value=1, max_value=62))
-        kind = data.draw(st.sampled_from([U] if p == 2 else [U, WD, T] if f % 2 == 0 else [U, WD]))
-        d = data.draw(st.sampled_from([d for d in divisors(f) if kind is not T or d % 2 == 0]))
-        assume((kind, d) != (U, 1))
-        q = data.draw(st.integers(min_value=4, max_value=2**40)) * 2 + (p != 2)
+    @given(_shapes())
+    def test_dropped_pairs_keep_gcd_below_8(self, shape):
+        kind, d, f, p, q = shape
         terms, _, pairs = classifier._shape_plan(kind, d, f, p, q % 4)
+        kept = {(i, j) for i, j, _, _ in pairs}
         degrees = shape_degrees(q, terms)
         for i, j in itertools.combinations(range(len(degrees)), 2):
-            if (i, j) not in pairs:
+            if (i, j) not in kept:
                 assert math.gcd(degrees[i], degrees[j]) < 8, (i, j)
+
+    @given(_shapes())
+    def test_each_recipe_gives_omega_of_the_gcd(self, shape):
+        # A recipe with s reads Omega(q + s) plus its q-free extra, and one
+        # without reads the small table at the gcd, which divides the bound.
+        kind, d, f, p, q = shape
+        terms, _, pairs = classifier._shape_plan(kind, d, f, p, q % 4)
+        degrees = shape_degrees(q, terms)
+        for i, j, s, extra in pairs:
+            gcd = math.gcd(degrees[i], degrees[j])
+            if s is None:
+                assert _pair_bound(terms, i, j) % gcd == 0, (i, j)
+                assert classifier._SMALL_OMEGA[gcd] == omega(gcd), (i, j)
+            else:
+                assert _pair_bound(terms, i, j) == 0 and s in (-1, 1), (i, j)
+                assert omega(q + s) + extra == omega(gcd), (i, j)
+
+    def test_every_direct_bound_is_in_the_small_table(self):
+        # Over every shape with f <= 62, as q < 2^63 allows: the largest
+        # bound, 2*62, is that of 62(q - 1) with 62(q + 1) at d = 62.
+        largest = 0
+        for f in range(1, 63):
+            for p in (2, 3, 5, 7):
+                for q4 in (1, 3) if p != 2 else (0,):
+                    for kind, d in _lattice(f, p == 2)[1:]:
+                        terms, _, pairs = classifier._shape_plan(kind, d, f, p, q4)
+                        bounds = [_pair_bound(terms, i, j) for i, j, s, _ in pairs if s is None]
+                        largest = max(largest, *bounds, 0)
+        assert largest == 2 * 62 == len(classifier._SMALL_OMEGA) - 1
+        assert list(classifier._SMALL_OMEGA) == [0] + [omega(n) for n in range(1, 125)]
 
     def test_plan_of_psl_343_phi(self):
         # Degrees 1, (q-1)/2, q-1, q, q+1, 3(q-1), 3(q+1).  Every pair of
         # different signs drops: (q-1)/2 with 3(q+1) has the bound 3*2 and
-        # 3(q-1) with 3(q+1) the bound lcm(3, 3)*2, both 6.
+        # 3(q-1) with 3(q+1) the bound lcm(3, 3)*2, both 6.  The kept pairs
+        # are all of one q + s: (q-1)/2 with q-1 and with 3(q-1) read
+        # Omega(q - 1) - 1, and q-1 with 3(q-1), q+1 with 3(q+1) read
+        # Omega(q + s) + Omega(gcd(1, 3)).
         terms, _, pairs = classifier._shape_plan(U, 3, 3, 7, 3)
         degrees = shape_degrees(343, terms)
-        assert [(degrees[i], degrees[j]) for i, j in pairs] == [(171, 342), (171, 1026), (342, 1026), (344, 1032)]
+        assert [(degrees[i], degrees[j], s, extra) for i, j, s, extra in pairs] == [
+            (171, 342, -1, -1),
+            (171, 1026, -1, -1),
+            (342, 1026, -1, 0),
+            (344, 1032, 1, 0),
+        ]
 
     def test_pgl_keeps_no_pair(self):
         for f in range(1, 63):
@@ -493,7 +529,7 @@ class TestPrimeRuns:
         name, value = {
             "conditional_row": (
                 "_ROWS",
-                tuple(r._replace(conditions=lambda q: q % 4 == 1) if r.row_id == "pgl" else r for r in rows),
+                tuple(r._replace(conditions=lambda q, om: q % 4 == 1) if r.row_id == "pgl" else r for r in rows),
             ),
             "no_row": ("_ROWS", tuple(r for r in rows if r.row_id != "pgl")),
             "kept_pair": ("_shape", one_more_form),
@@ -601,7 +637,7 @@ class TestSweep:
         # anomaly).  PGL(2,49).<phi^1> and PSL(2,49).<delta*phi^1> fail and
         # match no row, which breaks no claim.
         rows = {r.row_id: r for r in classifier._ROWS}
-        rows["pgl_phi_half"] = rows["pgl_phi_half"]._replace(conditions=lambda q: q < 25)
+        rows["pgl_phi_half"] = rows["pgl_phi_half"]._replace(conditions=lambda q, om: q < 25)
         rows["sym6"] = rows["sym6"]._replace(expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1)}))
         rows["s_phi_half_odd"] = rows["s_phi_half_odd"]._replace(conditions=None)
         monkeypatch.setattr(classifier, "_ROWS", tuple(rows.values()))

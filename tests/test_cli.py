@@ -580,7 +580,7 @@ class TestSweepReportWriter:
         # without 5 and 10 (a degree mismatch), and s_phi_half_odd holds for
         # every q, so the failing PSL(2,49).<phi^1> matches it (a converse
         # anomaly).
-        _swap_row(monkeypatch, "pgl_phi_half", conditions=lambda q: q < 25)
+        _swap_row(monkeypatch, "pgl_phi_half", conditions=lambda q, om: q < 25)
         _swap_row(monkeypatch, "sym6", expected_degrees=lambda d, f, p: (0, {(1, 0), (1, 1)}))
         _swap_row(monkeypatch, "s_phi_half_odd", conditions=None)
         payload = self.check(7, 49)

@@ -1,6 +1,7 @@
-"""``tests/recheck.py``, the re-check of the sweep report that shares no
-code with the package: it imports none, it accepts the real 7..2^16 report
-piped from the CLI, and it rejects each kind of damage to a report."""
+"""``tests/recheck.py``, the re-check of the sweep and check reports that
+shares no code with the package: it imports none, it accepts the real
+7..2^16 report piped from the CLI and every pinned check report, and it
+rejects each kind of damage to a report."""
 
 import ast
 import contextlib
@@ -132,6 +133,44 @@ def test_each_kind_of_damage_is_rejected(damage, message, tmp_path, capsys):
     assert recheck.main([str(path)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert lines and all(message in line for line in lines), lines
+
+
+def _check_report(args: str) -> str:
+    """What ``cli.main`` writes for a pinned check command."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(args.split())
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("args", [args for args, _ in _PINNED if args.startswith("check ")])
+def test_every_pinned_check_report_passes(args, tmp_path):
+    # The pinned check commands, each of which prints a report, the one CI pipes included.
+    path = tmp_path / "report.json"
+    path.write_text(_check_report(args))
+    assert recheck.main([str(path)]) == 0
+
+
+def _flip_check_pass(report):
+    report["pass"] = True
+
+
+def _drop_check_violation(report):
+    report["violations"].pop(1)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(_flip_check_pass, "pass is True with 3 violations"), (_drop_check_violation, "violations are not")],
+    ids=["flipped_pass", "dropped_violation"],
+)
+def test_each_kind_of_damage_to_a_check_report_is_rejected(damage, message, tmp_path, capsys):
+    report = json.loads(_check_report("check --degrees 1,12,24,60 --format json"))
+    damage(report)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert recheck.main([str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(message in line for line in lines) and "the degree set" in lines[0], lines
 
 
 def test_a_report_that_is_not_json_is_rejected(tmp_path, capsys):
