@@ -350,6 +350,29 @@ class TestPlanVerdicts:
         assert decided == 5931 + 9432 and failing == 10666
 
 
+class TestGcdOmegaMemo:
+    """``_decide``'s Omega memo, which holds Omega(q - 1) and Omega(q + 1)
+    of the q at hand, changes no verdict, cold or warm."""
+
+    def test_bounded(self):
+        assert classifier._omega_near_q.cache_info().maxsize == 2
+
+    def test_cold_and_warm_match_the_reference(self):
+        # Every proper extension of each q; all degrees stay below 2**63.
+        groups = [
+            GroupDescriptor(pp, outer)
+            for q in (3**30, 5**24, 7**18, 1000003**2, 2**40)
+            for pp in [PrimePower.from_value(q)]
+            for outer in enumerate_outer_subgroups(pp, include_trivial=False)
+        ]
+        expected = [_reference_verdict(g) for g in groups]
+        assert any(v.violations for v in expected)  # some groups fail
+        classifier._omega_near_q.cache_clear()
+        assert [brute_force_verdict(g) for g in groups] == expected
+        assert classifier._omega_near_q.cache_info().hits > 0
+        assert [brute_force_verdict(g) for g in groups] == expected
+
+
 def test_reference_shares_no_memo_with_the_plan_loop(monkeypatch):
     # Each failing group of 7..2^16 reads Omega(q - 1) or Omega(q + 1)
     # through the per-q memo.  With the memo broken the plan path raises on
