@@ -2,14 +2,15 @@
 condition.
 
 For each prime power q >= 7 and each group S < H <= Aut(S), ``_decide``
-computes cd(H) exactly, checks the two-prime condition on the pairs no
-q-free bound keeps below gcd 8 (no other pair can fail), and matches H
-against the twelve group families known to be the only possible survivors,
-and their necessary arithmetic conditions on q; pairs and families are
-picked once per shape, in its plan.  Apart from its degrees, a verdict
-reads only the plan and Omega(q - 1) and Omega(q + 1): each kept pair's
-Omega comes from its recipe in the plan, and each condition is stated on
-those two values, which the groups of a q share.  ``sweep_parts`` is the
+computes cd(H) exactly, checks the two-prime condition on the pairs
+whose q-free bound leaves Omega(gcd) >= 3 possible (no other pair can
+fail), and matches H against the twelve group families known to be the
+only possible survivors, and their necessary arithmetic conditions on q;
+pairs and families are picked once per shape, in its plan.  Apart from
+its degrees, a verdict reads only the plan and Omega(q - 1) and
+Omega(q + 1): each kept pair's Omega comes from its recipe in the plan
+alone, and each condition is stated on those two values, which the
+groups of a q share.  ``sweep_parts`` is the
 sweep: one stream of parts of one layout, each a set of q whose groups of
 one outer kind and d share a verdict in plain values, which
 ``tally_sweep`` counts a part at a time, making a ``GroupVerdict`` only
@@ -165,7 +166,7 @@ _ROWS = (
 )
 
 
-# Omega of every n <= 2*62, for the pairs whose gcd divides a q-free bound.
+# Omega of every n <= 2*62: of each nonzero q-free bound, and of each gcd dividing one.
 _SMALL_OMEGA = omega_table(2 * 62)
 
 
@@ -174,27 +175,27 @@ def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
     shares: the ``groups.degree_terms`` of ``_shape``'s (eps, forms), the
     rows whose kind and matcher fit, in table order, each with whether its
     prediction differs from the shape's, and the pairs of terms, and so of
-    ``shape_degrees``' list, whose gcd may reach 8, each as a recipe
-    (i, j, s, extra) for the degrees i < j.  Distinct forms with multipliers
-    up to f differ once q > 2f - 1, and 2f - 1 < 2^f <= q, so each flag
-    holds for every q of the shape.
+    ``shape_degrees``' list, that can fail, each as a recipe (i, j, s,
+    extra) for the degrees i < j.  Distinct forms with multipliers up to f
+    differ once q > 2f - 1, and 2f - 1 < 2^f <= q, so each flag holds for
+    every q of the shape.
 
     The gcd of the degrees (a1*q + b1)/k1 and (a2*q + b2)/k2 divides a1*q +
     b1 and a2*q + b2, so it divides the bound |a2*b1 - a1*b2| / gcd(a1, a2).
     That is lcm(m1, m2)|s1 - s2| for m1(q + s1) and m2(q + s2), m|eps - s|
     for (q+eps)/2 and m(q + s), and 1 for the degree 1 and any other.  A
-    pair whose bound is below 8 but not 0 has Omega(gcd) <= 2 for every q
-    and is dropped.  The recipe of a kept pair says where Omega(gcd) comes
-    from:
+    pair whose bound is not 0 has Omega(gcd) <= Omega(bound) for every q,
+    so it is kept iff Omega(bound) >= 3; a pair of bound 0 is always kept.
+    The recipe of a kept pair gives Omega(gcd) exactly at every q >= 7:
 
     * bound 0: both degrees are multiples of one q + s, s = +1 or -1, and
       the gcd is (q + s) * gcd(a1*k2, a2*k1) / (k1*k2), so Omega(gcd) =
       Omega(q + s) + extra, extra the Omega of that q-free factor: Omega(gcd(
       m1, m2)) for m1(q + s) and m2(q + s), and -1 for (q+eps)/2 and
       m(q + eps);
-    * bound 8 or more: s is None, and the gcd divides the bound, at most
-      2*62 since every multiplier divides d <= f <= 62, so its Omega is read
-      from ``_SMALL_OMEGA`` (extra 0, unread)."""
+    * any other bound: s is None, and the gcd divides the bound, at most
+      2*62 since every multiplier divides d <= f <= 62, so its Omega, and
+      the bound's, are read from ``_SMALL_OMEGA`` (extra 0, unread)."""
     eps, forms = _shape(kind, d, f, p, q4)
     computed = (eps, set(forms))
     rows = tuple(
@@ -208,7 +209,7 @@ def _shape_plan(kind: OuterKind, d: int, f: int, p: int, q4: int) -> tuple:
         bound = abs(a2 * b1 - a1 * b2) // math.gcd(a1, a2)
         if bound == 0:
             pairs.append((i, j, b1 // a1, _SMALL_OMEGA[math.gcd(a1 * k2, a2 * k1)] - _SMALL_OMEGA[k1 * k2]))
-        elif bound >= 8:
+        elif _SMALL_OMEGA[bound] >= 3:
             pairs.append((i, j, None, 0))
     return terms, rows, tuple(pairs)
 
@@ -258,20 +259,20 @@ def _decide(q: int, plan: tuple) -> tuple:
     as the plain values (degrees, violations, matched rows, degree
     mismatches), each a tuple: a ``GroupVerdict`` without its group.  The
     kept pairs come in (i, j) order, so violations are sorted by (a, b).
-    Omega(q - 1) and Omega(q + 1) are read through ``_omega_near_q`` only
-    where a kept pair with gcd >= 8 or a matched row's condition needs one,
-    and no other Omega is factored.  Both are below 2**63: q is, and 2**63 -
-    1 = 7^2 * 73 * ... is not a prime power."""
+    Each kept pair's Omega(gcd) is read from its recipe alone, with no
+    threshold on the gcd.  Omega(q - 1) and Omega(q + 1) are read through
+    ``_omega_near_q`` only where a kept pair of bound 0 or a matched row's
+    condition needs one, and no other Omega is factored.  Both are below
+    2**63: q is, and 2**63 - 1 = 7^2 * 73 * ... is not a prime power."""
     terms, rows, pairs = plan
     degrees = shape_degrees(q, terms)
     violations = []
     for i, j, s, extra in pairs:
         a, b = degrees[i], degrees[j]
         gcd = math.gcd(a, b)
-        if gcd >= 8:  # Omega(gcd) >= 3 needs gcd >= 2**3
-            om = _SMALL_OMEGA[gcd] if s is None else _omega_near_q(q + s) + extra
-            if om >= 3:
-                violations.append(Violation(a, b, gcd, om))
+        om = _SMALL_OMEGA[gcd] if s is None else _omega_near_q(q + s) + extra
+        if om >= 3:
+            violations.append(Violation(a, b, gcd, om))
     matched = mismatched = ()
     for row, differs in rows:
         if row.conditions is None or row.conditions(q, _omega_near_q):

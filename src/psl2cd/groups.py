@@ -240,11 +240,10 @@ def group_to_dict(g: GroupDescriptor) -> dict:
 
 
 class OuterExpressionError(ValueError):
-    """Invalid generator expression; carries the 0-based character position."""
+    """Invalid generator expression; the message ends with its 0-based position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 _TOKEN_RE = re.compile(r"delta(?:\*phi\^(\d+))?|phi\^(\d+)")

@@ -33,7 +33,7 @@ from psl2cd.groups import (
     shape_key,
 )
 
-from _oracles import trial_division
+from _oracles import trial_division, trial_omega
 
 U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
 
@@ -410,6 +410,16 @@ def _shapes(draw):
     return kind, d, f, p, q
 
 
+def _every_shape():
+    """(kind, d, f, p, q4) of every shape with f <= 62: p in {2, 3, 5, 7}
+    standing for min(p, 7), each q mod 4, and each proper (kind, d)."""
+    for f in range(1, 63):
+        for p in (2, 3, 5, 7):
+            for q4 in (1, 3) if p != 2 else (0,):
+                for kind, d in _lattice(f, p == 2)[1:]:
+                    yield kind, d, f, p, q4
+
+
 def _pair_bound(terms, i, j) -> int:
     """The q-free bound |a2*b1 - a1*b2| / gcd(a1, a2) that the gcd of the
     degrees of terms i and j divides."""
@@ -432,14 +442,49 @@ class TestPairBound:
         assert m * abs(eps - s) % math.gcd((q + eps) // 2, m * (q + s)) == 0
 
     @given(_shapes())
-    def test_dropped_pairs_keep_gcd_below_8(self, shape):
+    def test_dropped_pairs_never_fail(self, shape):
         kind, d, f, p, q = shape
         terms, _, pairs = classifier._shape_plan(kind, d, f, p, q % 4)
         kept = {(i, j) for i, j, _, _ in pairs}
         degrees = shape_degrees(q, terms)
         for i, j in itertools.combinations(range(len(degrees)), 2):
             if (i, j) not in kept:
-                assert math.gcd(degrees[i], degrees[j]) < 8, (i, j)
+                assert trial_omega(math.gcd(degrees[i], degrees[j])) <= 2, (i, j)
+
+    def test_a_pair_is_kept_iff_it_can_fail(self):
+        # A pair of bound 0 can fail at some q, since Omega(q + s) has no
+        # upper limit; a pair of any other bound fails at no q unless
+        # Omega(bound) >= 3, as its gcd divides the bound.
+        shapes = direct = same_s = 0
+        for kind, d, f, p, q4 in _every_shape():
+            terms, _, pairs = classifier._shape_plan(kind, d, f, p, q4)
+            kept = {(i, j): s for i, j, s, _ in pairs}
+            for i, j in itertools.combinations(range(len(terms)), 2):
+                bound = _pair_bound(terms, i, j)
+                if bound == 0:
+                    assert kept[i, j] in (-1, 1), (kind, d, f, p, q4, i, j)
+                else:
+                    assert ((i, j) in kept) == (trial_omega(bound) >= 3), (kind, d, f, p, q4, i, j)
+                    assert kept.get((i, j)) is None
+            shapes += 1
+            direct += sum(s is None for s in kept.values())
+            same_s += sum(s is not None for s in kept.values())
+        assert (shapes, direct, same_s) == (3715, 19960, 27165)
+
+    @pytest.mark.parametrize(
+        "f, d, a, b",
+        [(9, 9, 19683, 177138), (9, 9, 19683, 177156), (5, 5, 1210, 1220)],
+    )
+    def test_a_pair_of_gcd_8_or_more_may_drop(self, f, d, a, b):
+        # At q = 3^9, q with 9(q - 1) and with 9(q + 1) have gcd 9 and the
+        # bound 9; at q = 3^5, 5(q - 1) with 5(q + 1) has gcd 10 and the
+        # bound 10.  Omega of each bound is 2, so the pair fails at no q.
+        q = 3**f
+        terms, _, pairs = classifier._shape_plan(U, d, f, 3, q % 4)
+        degrees = shape_degrees(q, terms)
+        i, j = degrees.index(a), degrees.index(b)
+        assert math.gcd(a, b) == _pair_bound(terms, i, j) >= 8 and trial_omega(math.gcd(a, b)) == 2
+        assert (i, j) not in {(i, j) for i, j, _, _ in pairs}
 
     @given(_shapes())
     def test_each_recipe_gives_omega_of_the_gcd(self, shape):
@@ -458,16 +503,13 @@ class TestPairBound:
                 assert omega(q + s) + extra == omega(gcd), (i, j)
 
     def test_every_direct_bound_is_in_the_small_table(self):
-        # Over every shape with f <= 62, as q < 2^63 allows: the largest
-        # bound, 2*62, is that of 62(q - 1) with 62(q + 1) at d = 62.
+        # The plan reads the small table at every nonzero bound, kept or
+        # dropped, over every shape with f <= 62, as q < 2^63 allows: the
+        # largest, 2*62, is that of 62(q - 1) with 62(q + 1) at d = 62.
         largest = 0
-        for f in range(1, 63):
-            for p in (2, 3, 5, 7):
-                for q4 in (1, 3) if p != 2 else (0,):
-                    for kind, d in _lattice(f, p == 2)[1:]:
-                        terms, _, pairs = classifier._shape_plan(kind, d, f, p, q4)
-                        bounds = [_pair_bound(terms, i, j) for i, j, s, _ in pairs if s is None]
-                        largest = max(largest, *bounds, 0)
+        for kind, d, f, p, q4 in _every_shape():
+            terms = classifier._shape_plan(kind, d, f, p, q4)[0]
+            largest = max(largest, *(_pair_bound(terms, i, j) for i, j in itertools.combinations(range(len(terms)), 2)))
         assert largest == 2 * 62 == len(classifier._SMALL_OMEGA) - 1
         assert list(classifier._SMALL_OMEGA) == [0] + [omega(n) for n in range(1, 125)]
 

@@ -398,13 +398,13 @@ class TestParser:
         pp9 = PrimePower.from_value(9)
         with pytest.raises(OuterExpressionError) as err:
             parse_outer("phi^0", pp9)
-        assert err.value.position == 0
+        assert str(err.value).endswith(" (at position 0)")
         with pytest.raises(OuterExpressionError) as err:
             parse_outer("phi^1, banana", pp9)
-        assert err.value.position == 7
+        assert str(err.value).endswith(" (at position 7)")
         with pytest.raises(OuterExpressionError) as err:
             parse_outer("phi^1,, phi^2", pp9)
-        assert err.value.position == 6
+        assert str(err.value).endswith(" (at position 6)")
 
     def test_delta_rejected_in_characteristic_two(self):
         pp8 = PrimePower.from_value(8)
