@@ -5,13 +5,17 @@ special predicates the classification conditions consume: Omega (prime
 divisors counted with multiplicity) and Zsigmondy primitive prime divisors
 of 2**n - 1.  F5 needs no Mersenne or Fermat test; see `facts`.
 
-`factor`, `omega_at_least` and `is_prime` find the primes below 1000 that
-divide n in one stage, `_strip_table_primes`, with one gcd.  What it leaves
-has no prime factor below 1000, so below 1009**2 it is 1 or prime without a
-test.  The only shared state is one bounded memo (at most 1,024 entries)
-keyed on that cofactor, so n, 2n and n/2 reuse the same Miller-Rabin and
-rho work; everything is a pure function of its arguments and concurrent use
-is safe.
+`factor`, `omega`, `omega_at_least` and `is_prime` find the primes below
+1000 that divide n in one stage, `_strip_table_primes`, with one gcd.  What
+it leaves has no prime factor below 1000, so below 1009**2 it is 1 or prime
+without a test.  `factor` splits a larger cofactor with Brent's rho; Omega
+never runs rho, but scans the cofactor against prime-block products up to
+its cube root (`_cofactor_omega`).  The shared state is three bounded
+caches: the memos of the two cofactor steps, `_factor_cached` and
+`_cofactor_omega` (at most 1,024 entries each, keyed on the cofactor, so n,
+2n and n/2 reuse the same work), and the block products (at most 256, all
+of them below 2**21, about 410 KB in all).  Everything is a pure function
+of its arguments and concurrent use is safe.
 
 Each prime is proved once, with no more work than its size needs.
 Miller-Rabin runs only on such a cofactor past 1009**2, with the first k
@@ -163,16 +167,21 @@ def factor(n: int) -> Factorization:
 
     Raises ValueError for n < 1 and OverflowError for n >= 2**63.
     """
-    if n < 1:
-        raise ValueError(f"cannot factor {n}: positive integer required")
-    if n >= MAX_VALUE:
-        raise OverflowError(f"{n} is out of range: inputs must be below 2**63")
+    _check_range(n)
     out, n = _strip_table_primes(n)
     if n >= _NEXT_PRIME_SQ:
         out.extend(_factor_cached(n))
     elif n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def _check_range(n: int) -> None:
+    """The domain of `factor` and `omega`: 1 <= n < 2**63."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: positive integer required")
+    if n >= MAX_VALUE:
+        raise OverflowError(f"{n} is out of range: inputs must be below 2**63")
 
 
 def _strip_table_primes(n: int) -> tuple[list[tuple[int, int]], int]:
@@ -261,8 +270,80 @@ def _brent_rho(n: int) -> int:
 
 
 def omega(n: int) -> int:
-    """Number of prime divisors of n counted with multiplicity; omega(1) == 0."""
-    return sum(e for _, e in factor(n))
+    """Number of prime divisors of n counted with multiplicity; omega(1) == 0.
+
+    The primes below 1000 are counted as in `factor`.  A cofactor c of
+    1009**2 or more goes to `_cofactor_omega`, which runs no rho: it divides
+    out the primes below lo, one block at a time, while lo**3 <= c.  Then
+    c < lo**3 has no prime factor below lo, and three of them would make it
+    at least lo**3, so c is 1, a prime or a product of two primes, and one
+    Miller-Rabin test tells them apart.  So omega(n) equals
+    ``sum(e for _, e in factor(n))``, which the tests hold it to, and it
+    raises `factor`'s ValueError for n < 1 and OverflowError for n >= 2**63.
+    """
+    _check_range(n)
+    stripped, n = _strip_table_primes(n)
+    count = sum(e for _, e in stripped)
+    if n >= _NEXT_PRIME_SQ:
+        count += _cofactor_omega(n)
+    elif n > 1:
+        count += 1
+    return count
+
+
+_BLOCK = 1 << 13  # integers per block of `_block_product`
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _cofactor_omega(n: int) -> int:
+    """Omega of n >= 1009**2 with no prime factor below 1000.
+
+    A prime counts 1, by one Miller-Rabin test.  Otherwise the blocks
+    [lo, lo + 2**13) are walked upward from lo = 1009 while lo**3 <= n: each
+    block's primes that divide n are named by one gcd with its product,
+    and divided out of n with multiplicity.  When the walk stops, n has no
+    prime factor below lo and n < lo**3, so it is 1, a prime or a product
+    of two primes: a prime without a test below lo**2, and otherwise as
+    Miller-Rabin says.  Below 2**63 every block starts below 2**21.
+    """
+    if _miller_rabin(n):
+        return 1
+    count, lo = 0, 1009
+    while lo * lo * lo <= n:
+        g = math.gcd(n, _block_product(lo))
+        while g > 1:
+            # g is squarefree with every prime in the block, so below lo**2
+            # it is one prime, and past it its least divisor from lo up is.
+            p = g if g < lo * lo else next(r for r in range(lo, g, 2) if g % r == 0)
+            g //= p
+            while n % p == 0:
+                n //= p
+                count += 1
+        lo += _BLOCK
+    if n == 1:
+        return count
+    return count + (1 if n < lo * lo or _miller_rabin(n) else 2)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_product(lo: int) -> int:
+    """Product of the primes in [lo, lo + 2**13), for odd lo >= 1009.
+
+    Only this block's 2**12 odd numbers are sieved, by the odd primes up to
+    the square root of its end, so building it holds a few KB at most; the
+    product, about 2**13 * log2(e) bits by the prime number theorem, is
+    the only thing kept.
+    """
+    hi = lo + _BLOCK
+    odds = bytearray(b"\x01") * (_BLOCK // 2)  # odds[i] stands for lo + 2i
+    base = prime_sieve(math.isqrt(hi - 1))
+    for p in itertools.compress(range(3, len(base)), base[3:]):
+        first = -(-lo // p) * p  # lo > p, so the first multiple is composite
+        if first % 2 == 0:
+            first += p
+        i = (first - lo) // 2
+        odds[i::p] = bytes(len(range(i, len(odds), p)))
+    return math.prod(itertools.compress(range(lo, hi, 2), odds))
 
 
 def omega_at_least(n: int, k: int) -> bool:
@@ -270,9 +351,10 @@ def omega_at_least(n: int, k: int) -> bool:
 
     The primes below 1000 are stripped as in ``factor``.  When their count,
     plus one prime for a nontrivial cofactor, settles the bound, or the
-    cofactor is 1 or a prime below 1009**2, no factoring is needed, so this
-    works on values far beyond 2**63.  Otherwise the cofactor is factored
-    exactly, which requires it to be below 2**63.
+    cofactor is 1 or a prime below 1009**2, nothing more is needed, so this
+    works on values far beyond 2**63.  Otherwise the cofactor's Omega is
+    counted as in `omega`, by the block scan up to its cube root, which
+    requires it to be below 2**63.
     """
     if n < 1:
         raise ValueError(f"Omega is undefined for {n}")
@@ -283,7 +365,7 @@ def omega_at_least(n: int, k: int) -> bool:
     if count + 1 >= k or n < _NEXT_PRIME_SQ:
         return count + 1 >= k
     if n < MAX_VALUE:
-        return count + sum(e for _, e in _factor_cached(n)) >= k
+        return count + _cofactor_omega(n) >= k
     raise OverflowError(f"cannot settle Omega >= {k} for an out-of-range cofactor")
 
 

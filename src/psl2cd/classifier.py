@@ -65,8 +65,9 @@ class TableRow(NamedTuple):
     m*(q + s) and (q+eps)/2 a degree when eps is not 0, or None where the
     row predicts nothing.  ``conditions`` reads q and, through the function
     it is given, Omega of q - 1 and q + 1 only: ``_decide`` gives it the
-    per-q memo, the tests' reference plain ``omega``.  Omega((q - 1)/2) is
-    Omega(q - 1) - 1 for odd q, and q + 1 is prime when Omega(q + 1) = 1.
+    per-q memo of ``omega``, the tests' reference an Omega read off
+    ``factor``.  Omega((q - 1)/2) is Omega(q - 1) - 1 for odd q, and q + 1
+    is prime when Omega(q + 1) = 1.
     It is None for a row that holds on every q of its shapes.
     """
 
@@ -262,7 +263,7 @@ def _decide(q: int, plan: tuple) -> tuple:
     Each kept pair's Omega(gcd) is read from its recipe alone, with no
     threshold on the gcd.  Omega(q - 1) and Omega(q + 1) are read through
     ``_omega_near_q`` only where a kept pair of bound 0 or a matched row's
-    condition needs one, and no other Omega is factored.  Both are below
+    condition needs one, and no other Omega is counted.  Both are below
     2**63: q is, and 2**63 - 1 = 7^2 * 73 * ... is not a prime power."""
     terms, rows, pairs = plan
     degrees = shape_degrees(q, terms)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2cd import arithmetic
+from psl2cd import arithmetic, classifier
 from psl2cd.arithmetic import (
     MAX_VALUE,
     divisors,
@@ -91,6 +92,14 @@ def _reference_is_prime(n: int) -> bool:
 def _prime_above(n: int) -> int:
     n += 1
     while not trial_is_prime(n):
+        n += 1
+    return n
+
+
+def _reference_prime_above(n: int) -> int:
+    """The least prime above n, by the twelve-witness reference test."""
+    n += 1
+    while not _reference_is_prime(n):
         n += 1
     return n
 
@@ -265,6 +274,57 @@ class TestCofactorCache:
         assert arithmetic._factor_cached.cache_info().maxsize == 1 << 10
 
 
+class TestCofactorOmega:
+    """The block scan that counts Omega of a cofactor without rho."""
+
+    @pytest.mark.parametrize("lo", [1009, 1009 + (1 << 13), 1009 + 255 * (1 << 13)])
+    def test_block_product_is_the_product_of_its_primes(self, lo):
+        # the first two blocks, either side of 9201, and the last one below 2**21
+        expected = math.prod(p for p in range(lo, lo + (1 << 13)) if trial_is_prime(p))
+        assert arithmetic._block_product.__wrapped__(lo) == expected
+
+    def test_a_sweep_builds_no_block(self):
+        # The q - 1 and q + 1 of the benchmark's sweep, 7..2^20, stay below
+        # 1009**3, where the walk reads no block.
+        arithmetic._block_product.cache_clear()
+        arithmetic._cofactor_omega.cache_clear()
+        classifier._omega_near_q.cache_clear()
+        assert sum(1 for _ in classifier.sweep_parts(7, 2**20)) > 0
+        assert arithmetic._block_product.cache_info().misses == 0
+
+    def test_blocks_are_bounded(self):
+        n = (2**31 - 1) ** 2
+        arithmetic._block_product.cache_clear()
+        arithmetic._cofactor_omega.cache_clear()
+        assert omega(n) == 2
+        info = arithmetic._block_product.cache_info()
+        # n stays whole, so the walk reads every block start lo with lo**3 <= n
+        los = range(1009, _root_floor(n, 3) + 1, 1 << 13)
+        assert info.maxsize == 256 and info.currsize == info.misses == len(los) <= 256
+        assert sum(sys.getsizeof(arithmetic._block_product(lo)) for lo in los) < 400_000
+        assert arithmetic._block_product.cache_info().misses == info.misses  # each was cached
+        # Only the last block is built again, under tracemalloc: tracing
+        # every build takes seconds.
+        tracemalloc.start()
+        try:
+            arithmetic._block_product.__wrapped__(los[-1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_memo_is_bounded_and_shared(self):
+        assert arithmetic._cofactor_omega.cache_info().maxsize == 1 << 10
+        # 3**39 - 1 = 2 * 13**2 * 313 * 6553 * 7333 * 797161: the walk finds
+        # two primes of the first block in one gcd, and leaves one prime
+        q = 3**39
+        arithmetic._cofactor_omega.cache_clear()
+        ns = [(q - 1) // 2, q - 1, 2 * (q - 1)]
+        assert [omega(n) for n in ns] == [sum(e for _, e in factor(n)) for n in ns] == [6, 7, 8]
+        # all three share one cofactor above the trial table
+        assert arithmetic._cofactor_omega.cache_info().misses == 1
+
+
 class TestIsPrime:
     def test_examples(self):
         assert not is_prime(1)
@@ -390,6 +450,58 @@ class TestOmega:
         expected = sum(e for _, e in powers) + len(primes)
         for k in range(9):
             assert omega_at_least(n, k) == (expected >= k), (n, k)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_omega_on_constructed_products(self, data):
+        # n = s * m below 2**63, with s a product of table primes and m
+        # either at most three primes in [1009, 2**21], which the block scan
+        # divides out, or two primes past 2**21, which it leaves for the
+        # last Miller-Rabin test, so Omega(n) is known by construction.
+        if data.draw(st.booleans(), label="past 2**21"):
+            a = _reference_prime_above(data.draw(st.integers(1 << 21, 1 << 41), label="a"))
+            # 2000 exceeds every prime gap below 2**63, so a * b < 2**63
+            b = _reference_prime_above(data.draw(st.integers(1 << 21, (MAX_VALUE - 1) // a - 2000), label="b"))
+            primes = [a, b]
+        else:
+            primes = [
+                _prime_at_or_below(data.draw(st.integers(1009, 1 << 21), label="m"))
+                for _ in range(data.draw(st.integers(0, 3), label="len(m)"))
+            ]
+        n, expected = math.prod(primes), len(primes)
+        room = (MAX_VALUE - 1) // n
+        powers = st.tuples(st.sampled_from(TABLE_PRIMES), st.integers(1, 40))
+        for p, e in data.draw(st.lists(powers, max_size=4), label="s"):
+            while e and p**e > room:
+                e -= 1
+            n, room, expected = n * p**e, room // p**e, expected + e
+        assert n < MAX_VALUE
+        assert omega(n) == expected == sum(e for _, e in factor(n)), n
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            ((2**31 - 1) ** 2, 2),  # the square of a prime past every block
+            (2097131 * 2097133 * 2097143, 3),  # three primes at the cube bound, in the last block
+            (1009**3, 3),  # the first block's start, cubed
+            (1009**2 * 1013, 3),
+            # 9199 ends the first block and 9203 opens the second; with two
+            # primes past the walk's end, missing either would count 3
+            (9199 * 9203 * 329977 * 329993, 4),
+            (2**61 - 1, 1),
+        ],
+    )
+    def test_omega_edge_cases(self, n, expected):
+        assert n < MAX_VALUE
+        arithmetic._cofactor_omega.cache_clear()
+        assert omega(n) == expected == sum(e for _, e in factor(n))
+
+    @pytest.mark.parametrize("n", [0, -7, MAX_VALUE, 2**70])
+    def test_omega_raises_as_factor_does(self, n):
+        with pytest.raises((ValueError, OverflowError)) as from_factor:
+            factor(n)
+        with pytest.raises(from_factor.type, match=f"^{re.escape(str(from_factor.value))}$"):
+            omega(n)
 
 
 class TestOmegaTable:

@@ -9,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from psl2cd import classifier
-from psl2cd.arithmetic import divisors, is_prime, omega, prime_sieve
+from psl2cd.arithmetic import divisors, factor, is_prime, omega, prime_sieve
 from psl2cd.classifier import (
     GroupVerdict,
     brute_force_verdict,
@@ -42,6 +42,12 @@ def desc(q: int, kind: OuterKind, d: int) -> GroupDescriptor:
     return GroupDescriptor(PrimePower.from_value(q), OuterSubgroup(kind, d))
 
 
+def _factor_omega(n: int) -> int:
+    """Omega off `factor`'s rho, for the reference row conditions: it
+    shares no block scan with the Omega that `_decide` reads."""
+    return sum(e for _, e in factor(n))
+
+
 # Every real row predicts its degrees correctly, so tests swap in one of
 # these: PGL(2,q) without its degree q, and PSL(2,3^f).<phi> with only the
 # half degree's sign wrong, (q+1)/2 for (q-1)/2.
@@ -71,7 +77,7 @@ class TestTableRows:
         return [
             r.row_id
             for r in classifier._ROWS
-            if r.kind is g.outer.kind and r.matcher(d, f, p) and (r.conditions is None or r.conditions(g.q.q, omega))
+            if r.kind is g.outer.kind and r.matcher(d, f, p) and (r.conditions is None or r.conditions(g.q.q, _factor_omega))
         ]
 
     def test_conditions_run_only_where_the_shape_leaves_q_open(self, monkeypatch, fresh_plans):
@@ -282,7 +288,7 @@ def _reference_verdict(g: GroupDescriptor) -> GroupVerdict:
     matched = [
         row
         for row in classifier._ROWS
-        if row.kind is g.outer.kind and row.matcher(d, f, p) and (row.conditions is None or row.conditions(g.q.q, omega))
+        if row.kind is g.outer.kind and row.matcher(d, f, p) and (row.conditions is None or row.conditions(g.q.q, _factor_omega))
     ]
     return GroupVerdict(
         g,
@@ -376,8 +382,8 @@ class TestGcdOmegaMemo:
 def test_reference_shares_no_memo_with_the_plan_loop(monkeypatch):
     # Each failing group of 7..2^16 reads Omega(q - 1) or Omega(q + 1)
     # through the per-q memo.  With the memo broken the plan path raises on
-    # it, and check_set and the reference, which read plain omega, still
-    # give the sweep's verdict.
+    # it, and check_set and the reference, which read no memo, still give
+    # the sweep's verdict.
     failing = [v for v in sweep(7, 2**16) if v.violations]
 
     def broken(n):
