@@ -5,17 +5,19 @@ special predicates the classification conditions consume: Omega (prime
 divisors counted with multiplicity) and Zsigmondy primitive prime divisors
 of 2**n - 1.  F5 needs no Mersenne or Fermat test; see `facts`.
 
-`factor`, `omega`, `omega_at_least` and `is_prime` find the primes below
-1000 that divide n in one stage, `_strip_table_primes`, with one gcd.  What
-it leaves has no prime factor below 1000, so below 1009**2 it is 1 or prime
-without a test.  `factor` splits a larger cofactor with Brent's rho; Omega
-never runs rho, but scans the cofactor against prime-block products up to
-its cube root (`_cofactor_omega`).  The shared state is three bounded
-caches: the memos of the two cofactor steps, `_factor_cached` and
-`_cofactor_omega` (at most 1,024 entries each, keyed on the cofactor, so n,
-2n and n/2 reuse the same work), and the block products (at most 256, all
-of them below 2**21, about 410 KB in all).  Everything is a pure function
-of its arguments and concurrent use is safe.
+`factor`, `omega`, `omega_at_least`, `is_prime` and `prime_power_decompose`
+find the primes below 1000 that divide n in one stage, `_strip_table_primes`,
+with one gcd.  What it leaves has no prime factor below 1000, so below
+1009**2 it is 1 or prime without a test.  `factor` splits a larger
+cofactor with Brent's rho, and serves only the `factor` command and F9;
+no verdict calls it.  Omega never runs rho, but scans the cofactor against
+prime-block products up to its cube root (`_cofactor_omega`), and
+`prime_power_decompose` needs only an exact root and one prime test.  The
+shared state is two bounded caches: the memo of `_cofactor_omega` (at
+most 1,024 entries, keyed on the cofactor, so n, 2n and n/2 reuse the same
+work), and the block products (at most 256, all of them below 2**21,
+about 410 KB in all).  Everything is a pure function of its arguments and
+concurrent use is safe.
 
 Each prime is proved once, with no more work than its size needs.
 Miller-Rabin runs only on such a cofactor past 1009**2, with the first k
@@ -161,19 +163,17 @@ def factor(n: int) -> Factorization:
 
     After ``_strip_table_primes``, the cofactor is factored by
     deterministic Miller-Rabin, perfect-power roots and Brent's rho with a
-    fixed parameter schedule, so the output (and everything downstream of
-    it) is reproducible.  Only that cofactor step is memoized, so 2(q - 1),
-    4(q - 1) and (q - 1)/2 share the work done for q - 1.
+    fixed parameter schedule, so the output is reproducible.  Nothing is
+    memoized: only the `factor` command and F9's `zsigmondy_base2` call it.
 
     Raises ValueError for n < 1 and OverflowError for n >= 2**63.
     """
     _check_range(n)
     out, n = _strip_table_primes(n)
-    if n >= _NEXT_PRIME_SQ:
-        out.extend(_factor_cached(n))
-    elif n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    counts: dict[int, int] = {}
+    if n > 1:
+        _split(n, counts, 1)
+    return (*out, *sorted(counts.items()))
 
 
 def _check_range(n: int) -> None:
@@ -205,14 +205,6 @@ def _strip_table_primes(n: int) -> tuple[list[tuple[int, int]], int]:
             e += 1
         out.append((p, e))
     return out, n
-
-
-@functools.lru_cache(maxsize=1 << 10)
-def _factor_cached(n: int) -> Factorization:
-    """Factorization of n >= 1009**2 with no prime factor below 1000."""
-    counts: dict[int, int] = {}
-    _split(n, counts, 1)
-    return tuple(sorted(counts.items()))
 
 
 def _split(n: int, counts: dict[int, int], mult: int) -> None:
@@ -370,24 +362,40 @@ def omega_at_least(n: int, k: int) -> bool:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factor(n):
-        divs = [d * p**j for d in divs for j in range(e + 1)]
-    return sorted(divs)
+    """All positive divisors of n >= 1, ascending, by trial division up to
+    sqrt(n).  Meant for the exponents of q < 2**63: its callers pass f and
+    divisors d of f, all at most 62."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def prime_power_decompose(q: int) -> tuple[int, int] | None:
     """(p, f) with q == p**f and p prime, or None if q is not a prime power.
 
-    Raises ValueError for q < 2.
+    No factorization is run.  After `_strip_table_primes`, q is a prime
+    power exactly when one table prime divides it and leaves cofactor 1.
+    If none does, every prime factor of q is at least 1009, so q = r**k
+    forces q >= 1009**k, which has at least 10k bits, and k <= 6 below
+    2**63.  Take the largest such k with an exact root r (an integer square
+    root for k = 2, a rounded float root checked with its neighbours for
+    k >= 3), or r = q and k = 1 if there is none.  Then r is no perfect
+    power, so q is a prime power exactly when r is prime: without a test
+    below 1009**2, and otherwise by one Miller-Rabin test.
+
+    Raises ValueError for q < 2 and `factor`'s OverflowError for q >= 2**63.
     """
     if q < 2:
         raise ValueError(f"{q} has no prime-power decomposition")
-    fs = factor(q)
-    if len(fs) == 1:
-        return fs[0]
-    return None
+    _check_range(q)
+    stripped, n = _strip_table_primes(q)
+    if stripped:
+        return stripped[0] if len(stripped) == 1 and n == 1 else None
+    for k in range(min(6, q.bit_length() // 10), 1, -1):
+        root = math.isqrt(q) if k == 2 else round(q ** (1 / k))
+        for r in (root, root - 1, root + 1):
+            if r**k == q:
+                return (r, k) if r < _NEXT_PRIME_SQ or _miller_rabin(r) else None
+    return (q, 1) if q < _NEXT_PRIME_SQ or _miller_rabin(q) else None
 
 
 QSet = tuple[range, bytes]

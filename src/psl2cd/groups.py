@@ -77,8 +77,8 @@ class PrimePower(NamedTuple("PrimePower", [("p", int), ("f", int), ("q", int)]))
     def from_sieve(cls, q: int, p: int, f: int) -> "PrimePower":
         """Trusted constructor for a (q, p, f) triple whose p is proved
         prime and q == p**f < 2**63, by the sweep's sieve, which builds
-        each higher prime power as p**f, or by ``factor`` in
-        ``from_value``: it builds the tuple (p, f, q) directly and none of
+        each higher prime power as p**f, or by ``prime_power_decompose``
+        in ``from_value``: it builds the tuple (p, f, q) directly and none of
         ``__new__``'s checks run.  Its one other use is
         ``cli._verdict_template``'s placeholder: q = p = ``_SLOT``."""
         return tuple.__new__(cls, (p, f, q))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arithmetic import MAX_VALUE, factor, omega
+from .arithmetic import MAX_VALUE, divisors, is_prime, omega
 from .groups import PrimePower
 
 
@@ -80,7 +80,7 @@ def maximal_subgroups(q: PrimePower) -> list[MaximalSubgroup]:
             (f"D{2 * (n - 1)}", "dihedral_minus", 2 * (n - 1)),
             (f"D{2 * (n + 1)}", "dihedral_plus", 2 * (n + 1)),
         ]
-        for r, _ in factor(f):
+        for r in filter(is_prime, divisors(f)):
             q0 = 2 ** (f // r)
             if q0 != 2:
                 # PGL(2,q0) = PSL(2,q0) in characteristic 2
@@ -99,7 +99,7 @@ def maximal_subgroups(q: PrimePower) -> list[MaximalSubgroup]:
     if f % 2 == 0:
         q0 = p ** (f // 2)
         entries.append((f"PGL(2,{q0})", "subfield_pgl", pgl2_order(q0)))
-    for r, _ in factor(f):
+    for r in filter(is_prime, divisors(f)):
         if r % 2:
             q0 = p ** (f // r)
             entries.append((f"PSL(2,{q0})", "subfield_psl", pgl2_order(q0) // 2))

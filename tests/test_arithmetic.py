@@ -235,7 +235,6 @@ class TestSplit:
             return miller_rabin(n)
 
         monkeypatch.setattr(arithmetic, "_miller_rabin", counting)
-        arithmetic._factor_cached.cache_clear()
         cases = (
             ((1009, 1), (1013, 1), (2**31 - 1, 1)),
             ((997, 1), (1009, 2), (1000003, 1)),
@@ -252,26 +251,19 @@ class TestSplit:
 
 
 class TestCofactorCache:
-    QS = (3**37, 5**25, 7**20, 1000003**2, 1009**5)
+    """`factor` keeps no memo: n, 2n and n/2 each factor the shared cofactor."""
 
-    @staticmethod
-    def _factor_family(q: int, order: int) -> list:
-        ns = [(q - 1) // 2, q - 1, 2 * (q - 1), 12 * (q - 1)][::order]
-        arithmetic._factor_cached.cache_clear()
-        results = [factor(n) for n in ns]
-        # all four share one cofactor above the trial table
-        assert arithmetic._factor_cached.cache_info().misses <= 1
-        for n, fs in zip(ns, results):
-            assert math.prod(p**e for p, e in fs) == n
-        return results[::order]
+    QS = (3**37, 5**25, 7**20, 1000003**2, 1009**5)
 
     def test_order_independent(self):
         for q in self.QS:
-            assert 12 * (q - 1) < MAX_VALUE
-            assert self._factor_family(q, 1) == self._factor_family(q, -1), q
-
-    def test_bounded(self):
-        assert arithmetic._factor_cached.cache_info().maxsize == 1 << 10
+            ns = [(q - 1) // 2, q - 1, 2 * (q - 1), 12 * (q - 1)]
+            assert ns[-1] < MAX_VALUE
+            forward = [factor(n) for n in ns]
+            backward = [factor(n) for n in reversed(ns)][::-1]
+            assert forward == backward, q
+            for n, fs in zip(ns, forward):
+                assert math.prod(p**e for p, e in fs) == n
 
 
 class TestCofactorOmega:
@@ -604,8 +596,41 @@ class TestPrimePowerDecompose:
         assert prime_power_decompose(12) is None
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            prime_power_decompose(1)
+        for q in (1, 0, -5):
+            with pytest.raises(ValueError):
+                prime_power_decompose(q)
+        for q in (MAX_VALUE, 1 << 70):
+            with pytest.raises(OverflowError) as expected:
+                factor(q)
+            with pytest.raises(OverflowError, match=f"^{re.escape(str(expected.value))}$"):
+                prime_power_decompose(q)
+
+    def test_matches_the_sieve_oracle(self):
+        limit = 2 * 10**5
+        oracle = sieve_factorizer(limit)
+        for q in range(2, limit + 1):
+            fs = oracle(q)
+            assert prime_power_decompose(q) == (fs[0] if len(fs) == 1 else None), q
+
+    @pytest.mark.parametrize("p", [2, 3, 997, 1009, 1013, 65521, 2**31 - 1])
+    def test_every_power_below_the_range_end(self, p):
+        k, q = 1, p
+        while q < MAX_VALUE:
+            assert prime_power_decompose(q) == (p, k)
+            k, q = k + 1, q * p
+
+    @pytest.mark.parametrize("p, k", [(3037000493, 2), (2097143, 3), (55103, 4), (6203, 5), (1447, 6)])
+    def test_largest_prime_for_each_exponent(self, p, k):
+        # where a float k-th root is most likely to be off by one
+        assert p == _prime_at_or_below(_root_floor(MAX_VALUE - 1, k))
+        assert prime_power_decompose(p**k) == (p, k)
+
+    @pytest.mark.parametrize(
+        "q", [1009 * 1013, 1009**2 * 1013, (1009 * 1013) ** 2, 1073741827 * 1073741831]
+    )
+    def test_none_without_a_table_prime(self, q):
+        assert math.gcd(q, math.prod(TABLE_PRIMES)) == 1 and q < MAX_VALUE
+        assert prime_power_decompose(q) is None
 
     def test_range_enumeration(self):
         # (q, p, f) for every small range, including empty and negative ends.

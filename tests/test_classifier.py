@@ -2,13 +2,14 @@ import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from psl2cd import classifier
+from psl2cd import arithmetic, classifier, groups
 from psl2cd.arithmetic import divisors, factor, is_prime, omega, prime_sieve
 from psl2cd.classifier import (
     GroupVerdict,
@@ -19,6 +20,7 @@ from psl2cd.classifier import (
     verdict_to_dict,
 )
 from psl2cd.cli import main, to_json
+from psl2cd.maximals import maximal_subgroups
 from psl2cd.twoprime import check_set
 from psl2cd.groups import (
     GroupDescriptor,
@@ -396,6 +398,44 @@ def test_reference_shares_no_memo_with_the_plan_loop(monkeypatch):
         with pytest.raises(AssertionError, match="_omega_near_q"):
             brute_force_verdict(v.descriptor)
     assert len(failing) > 100
+
+
+# q = p**f reaching each path of prime_power_decompose: table primes, one
+# or more primes of the cofactor's range, the top prime for f = 2, 3 and 6,
+# and q below 2**21, whose maximal subgroups the pass also lists.
+_DEEP_POWERS = (
+    3**39, 2**61, 997**6, 1009**6, 65521**3, 2097143**3, 1447**6, 3037000493**2,
+    2**20, 3**9, 5**9, 1009**2,
+)
+
+
+def test_no_verdict_calls_factor(monkeypatch, capsys):
+    # factor serves only the factor command and F9.  A sweep, a classify and
+    # a pass over deep prime powers, every proper extension's verdict plus
+    # the maximal subgroups below 2**21, run with it broken everywhere.
+    real = arithmetic.factor
+
+    def broken(n):
+        raise AssertionError(f"factor({n}) called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("psl2cd") and getattr(module, "factor", None) is real:
+            monkeypatch.setattr(module, "factor", broken)
+    # the q-free caches would hide a call made while they were filled
+    groups._lattice.cache_clear()
+    classifier._q_plans.cache_clear()
+    assert sum(1 for _ in sweep_parts(7, 2**16)) > 0
+    assert main(["classify", "--q", "4611686014132420609", "--outer", "phi^1"]) == 0
+    assert "PSL(2,4611686014132420609)" in capsys.readouterr().out
+    for q in _DEEP_POWERS:
+        pp = PrimePower.from_value(q)
+        for outer in enumerate_outer_subgroups(pp, include_trivial=False):
+            try:
+                brute_force_verdict(GroupDescriptor(pp, outer))
+            except OverflowError:
+                pass  # a degree past 2**63, which the sweep records as overflowed
+        if q < 1 << 21:
+            assert maximal_subgroups(pp)
 
 
 _SIGNS = st.sampled_from((-1, 0, 1))
