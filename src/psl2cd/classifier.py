@@ -287,7 +287,7 @@ def _verdicts(part: tuple) -> Iterator[GroupVerdict]:
     """The ``GroupVerdict`` of each q of a part of ``sweep_parts``, in order."""
     qs, p, f, outer, terms, *verdict = part
     for q in itertools.compress(*qs):
-        g = GroupDescriptor(PrimePower.from_sieve(q, p or q, f), outer)
+        g = GroupDescriptor(PrimePower(p or q, f, q), outer)
         yield GroupVerdict(g, tuple(shape_degrees(q, terms)), *verdict)
 
 

@@ -66,7 +66,7 @@ def _verdict_template(outer: OuterSubgroup, f: int, terms: tuple, rows: tuple[st
     key fixes every literal part ("pass" and "agree" follow from the rows
     and the number of violations), and the terms the number of degrees,
     one per term; every other integer of the placeholder is ``_SLOT``."""
-    g = GroupDescriptor(PrimePower.from_sieve(_SLOT, _SLOT, f), outer)
+    g = GroupDescriptor(PrimePower(_SLOT, f, _SLOT), outer)
     violations = (Violation(_SLOT, _SLOT, _SLOT, _SLOT),) * n_violations
     degrees = (_SLOT,) * len(terms)
     placeholder = GroupVerdict(g, degrees, violations, rows, degree_mismatches=())

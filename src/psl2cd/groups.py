@@ -37,7 +37,7 @@ import functools
 import re
 from typing import NamedTuple
 
-from .arithmetic import MAX_VALUE, divisors, is_prime, prime_power_decompose
+from .arithmetic import MAX_VALUE, divisors, prime_power_decompose
 
 
 class OuterKind(enum.Enum):
@@ -46,68 +46,48 @@ class OuterKind(enum.Enum):
     TWISTED = "twisted"
 
 
-class PrimePower(NamedTuple("PrimePower", [("p", int), ("f", int), ("q", int)])):
-    """A prime power q = p**f with q >= 4, built from p and f."""
+class PrimePower(NamedTuple):
+    """A prime power q = p**f with p prime and 4 <= q < 2**63.
 
-    __slots__ = ()
+    Construction checks nothing.  An outside q comes in through
+    ``from_value``, which proves all of it; the sweep builds each
+    (p, f, q) from its sieve, where p is prime and q = p**f by
+    construction.  The one other caller, ``cli._verdict_template``, builds
+    a placeholder whose p and q are its slot marker."""
 
-    def __new__(cls, p: int, f: int) -> "PrimePower":
-        if f < 1:
-            raise ValueError(f"exponent must be positive, got {f}")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        q = p**f
-        if q < 4:
-            raise ValueError(f"q = {q} < 4 admits no almost simple group here")
-        if q >= MAX_VALUE:
-            raise OverflowError(f"q = {q} is out of range: must be below 2**63")
-        return tuple.__new__(cls, (p, f, q))
-
-    def __getnewargs__(self) -> tuple[int, int]:
-        return self.p, self.f  # pickle and copy rebuild through __new__(cls, p, f)
+    p: int
+    f: int
+    q: int
 
     @classmethod
     def from_value(cls, q: int) -> "PrimePower":
+        """q as p**f, for q a prime power with 4 <= q < 2**63.  Raises
+        ``prime_power_decompose``'s ValueError for q < 2 and OverflowError
+        for q >= 2**63, and ValueError when q is no prime power or q < 4."""
         decomp = prime_power_decompose(q)
         if decomp is None:
             raise ValueError(f"{q} is not a prime power")
-        return cls(*decomp) if q < 4 else cls.from_sieve(q, *decomp)
-
-    @classmethod
-    def from_sieve(cls, q: int, p: int, f: int) -> "PrimePower":
-        """Trusted constructor for a (q, p, f) triple whose p is proved
-        prime and q == p**f < 2**63, by the sweep's sieve, which builds
-        each higher prime power as p**f, or by ``prime_power_decompose``
-        in ``from_value``: it builds the tuple (p, f, q) directly and none of
-        ``__new__``'s checks run.  Its one other use is
-        ``cli._verdict_template``'s placeholder: q = p = ``_SLOT``."""
-        return tuple.__new__(cls, (p, f, q))
+        if q < 4:
+            raise ValueError(f"q = {q} < 4 admits no almost simple group here")
+        return cls(*decomp, q)
 
 
-class OuterSubgroup(NamedTuple("OuterSubgroup", [("kind", OuterKind), ("d", int)])):
-    """A subgroup of Out(PSL(2,q)), in canonical (kind, d) form."""
+class OuterSubgroup(NamedTuple):
+    """A subgroup of Out(PSL(2,q)) in canonical (kind, d) form: d >= 1
+    divides f, d is even when TWISTED, and only UNTWISTED occurs for p = 2.
+    Construction checks nothing; ``_lattice`` and ``parse_outer`` make
+    only such pairs."""
 
-    __slots__ = ()
-
-    def __new__(cls, kind: OuterKind, d: int) -> "OuterSubgroup":
-        if d < 1:
-            raise ValueError(f"d must be positive, got {d}")
-        if kind is OuterKind.TWISTED and d % 2:
-            raise ValueError("a twisted subgroup needs even d; odd d contains delta")
-        return tuple.__new__(cls, (kind, d))
+    kind: OuterKind
+    d: int
 
 
-class GroupDescriptor(NamedTuple("GroupDescriptor", [("q", PrimePower), ("outer", OuterSubgroup)])):
-    """One group H with S <= H <= Aut(S), S = PSL(2,q)."""
+class GroupDescriptor(NamedTuple):
+    """One group H with S <= H <= Aut(S), S = PSL(2,q): q with a member of
+    its ``enumerate_outer_subgroups`` lattice."""
 
-    __slots__ = ()
-
-    def __new__(cls, q: PrimePower, outer: OuterSubgroup) -> "GroupDescriptor":
-        if q.f % outer.d:
-            raise ValueError(f"d = {outer.d} does not divide f = {q.f}")
-        if q.p == 2 and outer.kind is not OuterKind.UNTWISTED:
-            raise ValueError("no diagonal automorphism in characteristic 2")
-        return tuple.__new__(cls, (q, outer))
+    q: PrimePower
+    outer: OuterSubgroup
 
     @property
     def is_trivial(self) -> bool:

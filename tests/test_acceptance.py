@@ -75,8 +75,8 @@ def criterion_3_pgl_universality() -> None:
     count = 0
     for q in prime_powers(prime_sieve(1 << 20), 7, 1 << 20):
         p, f = prime_power_decompose(q)
-        pp = PrimePower(p, f)
-        assert pp.q == q
+        assert p**f == q
+        pp = PrimePower(p, f, q)
         pgl = OuterSubgroup(U if p == 2 else WD, 1)
         degrees = character_degrees(GroupDescriptor(pp, pgl))
         violations = check_set(degrees)
@@ -127,8 +127,8 @@ def criterion_7_maximal_subgroup_consistency() -> None:
     count = 0
     for q in prime_powers(prime_sieve(4096), 7, 4096):
         p, f = prime_power_decompose(q)
-        pp = PrimePower(p, f)
-        assert pp.q == q
+        assert p**f == q
+        pp = PrimePower(p, f, q)
         order = psl2_order(pp)
         for entry in maximal_subgroups(pp):
             assert entry.order * entry.index == order, (q, entry)

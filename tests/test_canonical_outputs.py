@@ -6,9 +6,10 @@ one case: ARGS, split as the shell splits them, go through ``cli.main``
 and the sha256 of what it writes to stdout must be HEX.  The shell lines
 ignore the exit status, so the cases also pin it: 0, except where
 ``_EXIT_CODES`` says otherwise (``classify`` reports a degree mismatch
-only through it, and a q that is no prime power exits 2).  The step's
-other lines pipe a pinned sweep or check report through
-``tests/recheck.py``, which ``tests/test_recheck.py`` tests.
+only through it, and a q or outer list rejected where it enters exits
+2 with nothing on stdout).  The step's other lines pipe a pinned sweep or
+check report through ``tests/recheck.py``, which ``tests/test_recheck.py``
+tests.
 """
 
 import contextlib
@@ -40,6 +41,9 @@ _EXIT_CODES = {  # each set has pairs that break the condition
     "check --degrees 40,10,1,20 --format json": 1,
     "check --degrees 1,8,16,9223372036854775808 --format json": 1,
     "cd --q 1022117 --format json": 2,  # 1009 * 1013 is not a prime power
+    "cd --q 3 --format json": 2,  # q < 4
+    "classify --q 5 --outer delta --format json": 2,  # the classification starts at q = 7
+    "classify --q 8 --outer delta --format json": 2,  # no delta at p = 2
 }
 
 
@@ -55,7 +59,7 @@ class _Digest:
 
 def test_every_command_of_the_step_is_pinned():
     commands = [line for line in _step_lines() if "python -m psl2cd" in line]
-    assert len(_PINNED) >= 71
+    assert len(_PINNED) >= 74
     assert len(_PINNED) + len(_RECHECKED) == len(commands)
     assert set(_RECHECKED) <= {args for args, _ in _PINNED}  # a rechecked report is also pinned
     assert set(_EXIT_CODES) <= {args for args, _ in _PINNED}

@@ -120,7 +120,7 @@ class TestTableRows:
         # for p <= 11 and f <= 12.
         verdicts = list(sweep(7, 4096))
         for p in (2, 3, 5, 7, 11):
-            for pp in (PrimePower(p, f) for f in range(1, 13) if p**f >= 7):
+            for pp in (PrimePower(p, f, p**f) for f in range(1, 13) if p**f >= 7):
                 for outer in enumerate_outer_subgroups(pp, include_trivial=False):
                     verdicts.append(brute_force_verdict(GroupDescriptor(pp, outer)))
         for v in verdicts:
@@ -252,7 +252,7 @@ def _verdicts_to_check():
     p^f < 2^63 for p <= 13 whose degrees stay below 2^63."""
     yield from sweep(7, 2**16)
     for p in (2, 3, 5, 7, 11, 13):
-        for pp in (PrimePower(p, f) for f in range(1, 63) if 7 <= p**f < 2**63):
+        for pp in (PrimePower(p, f, p**f) for f in range(1, 63) if 7 <= p**f < 2**63):
             for outer in enumerate_outer_subgroups(pp, include_trivial=False):
                 try:
                     yield brute_force_verdict(GroupDescriptor(pp, outer))
@@ -312,7 +312,7 @@ def _seeded_prime_powers(seed: int, count: int) -> list[PrimePower]:
         while not is_prime(p):
             p += 1
         if 7 <= p**f < 2**62:
-            found[p**f] = PrimePower(p, f)
+            found[p**f] = PrimePower(p, f, p**f)
     return list(found.values())
 
 
@@ -345,8 +345,8 @@ class TestPlanVerdicts:
         # Every q = p^f <= 2^40 with f >= 3, and q = p^2 for every prime p in
         # [2^20 - 2^15, 2^20): 5,931 and 9,432 groups, none near 2^63.
         sieve = prime_sieve(2**20)
-        powers = [PrimePower(p, f) for p in range(2, 2**14) if sieve[p] for f in range(3, 41) if p**f <= 2**40]
-        powers += [PrimePower(p, 2) for p in range(2**20 - 2**15, 2**20) if sieve[p]]
+        powers = [PrimePower(p, f, p**f) for p in range(2, 2**14) if sieve[p] for f in range(3, 41) if p**f <= 2**40]
+        powers += [PrimePower(p, 2, p * p) for p in range(2**20 - 2**15, 2**20) if sieve[p]]
         decided = failing = 0
         for pp in powers:
             for outer in enumerate_outer_subgroups(pp, include_trivial=False):

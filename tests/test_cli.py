@@ -232,15 +232,28 @@ class TestErrorPaths:
             ("factor --n 3 extra", "unrecognized arguments: extra"),
             ("factor --n 3 'a\nb'", "unrecognized arguments: a\\nb"),
             ("sweep --qmin 24 --qmax 24 --jobs 2", "no prime power in [24, 24]: nothing to check"),
+            ("cd --q 1", "1 has no prime-power decomposition"),
+            ("cd --q 2", "q = 2 < 4 admits no almost simple group here"),
+            ("cd --q 3", "q = 3 < 4 admits no almost simple group here"),
+            ("cd --q 12", "12 is not a prime power"),
+            ("cd --q 9223372036854775808", "9223372036854775808 is out of range: inputs must be below 2**63"),
+            ("classify --q 5 --outer delta", "the classification covers q >= 7, got 5"),
+            ("cd --q 8 --outer delta", "delta requires odd characteristic (at position 0)"),
+            ("cd --q 9 --outer phi^3", "exponent 3 out of range 1..2 (at position 0)"),
+            ("maximals --q 4", "maximal subgroup catalog starts at q = 7, got 4"),
         ],
         ids=[
             "jobs-x", "qmin-x", "no-qmax", "no-command", "unknown-command",
             "extra-argument", "extra-argument-with-newline", "jobs-note-after-failure",
+            "q-1", "q-2", "q-3", "q-12", "q-2^63", "classify-q-5", "delta-at-p-2", "phi-past-f", "maximals-q-4",
         ],
     )
     def test_usage_errors_print_one_line(self, capsys, argv, message):
         # argparse's own errors go through main's handler, without usage
         # lines, and the --jobs note is printed only after a sweep succeeds.
+        # A q or --outer list is checked where it enters (from_value,
+        # parse_outer, brute_force_verdict, the maximals catalog), since
+        # the group types check nothing.
         assert run(capsys, *shlex.split(argv)) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [["-h"], ["sweep", "-h"]])
@@ -468,7 +481,7 @@ class TestSweepReportWriter:
     @staticmethod
     def check(q_min, q_max):
         factor = sieve_factorizer(q_max)
-        powers = [PrimePower(*fs[0]) for q in range(q_min, q_max + 1) if len(fs := factor(q)) == 1]
+        powers = [PrimePower(*fs[0], q) for q in range(q_min, q_max + 1) if len(fs := factor(q)) == 1]
         verdicts = [
             brute_force_verdict(GroupDescriptor(pp, outer))
             for pp in powers
@@ -642,7 +655,7 @@ def _variants(v):
         yield v._replace(descriptor=GroupDescriptor(pp, outer))
     small_p = 2 if pp.p == 2 else 3
     if small_p ** (2 * pp.f) < MAX_VALUE:
-        doubled = PrimePower(small_p, 2 * pp.f)
+        doubled = PrimePower.from_value(small_p ** (2 * pp.f))
         if v.descriptor.outer in enumerate_outer_subgroups(doubled, include_trivial=False):
             yield v._replace(descriptor=GroupDescriptor(doubled, v.descriptor.outer))
     yield v._replace(degrees=v.degrees[:-1])
@@ -680,7 +693,7 @@ class TestVerdictTemplates:
         # Rendering goes through the module's template cache, which keeps
         # the shapes of earlier examples, so a key that leaves out a part
         # of the shape renders some verdict from another verdict's template.
-        pp = PrimePower(*p_f)
+        pp = PrimePower(*p_f, p_f[0] ** p_f[1])
         verdicts = []
         for outer in enumerate_outer_subgroups(pp, include_trivial=False):
             try:

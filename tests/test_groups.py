@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2cd import classifier, groups
-from psl2cd.arithmetic import divisors, is_prime, prime_power_decompose, prime_powers, prime_sieve
+from psl2cd import arithmetic, classifier, groups
+from psl2cd.arithmetic import divisors, is_prime
 from psl2cd.classifier import sweep
 from psl2cd.groups import (
     GroupDescriptor,
@@ -23,6 +23,8 @@ from psl2cd.groups import (
     shape_key,
 )
 
+from _oracles import sieve_factorizer, trial_is_prime
+
 U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
 
 
@@ -32,35 +34,39 @@ def desc(q: int, kind: OuterKind, d: int) -> GroupDescriptor:
 
 class TestPrimePower:
     def test_construction(self):
-        pp = PrimePower(3, 2)
+        pp = PrimePower(3, 2, 9)
         assert (pp.p, pp.f, pp.q) == (3, 2, 9)
-        assert PrimePower.from_value(8) == PrimePower(2, 3)
+        assert PrimePower.from_value(8) == PrimePower(2, 3, 8)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PrimePower(4, 2)
-        with pytest.raises(ValueError):
-            PrimePower(3, 1)  # q = 3 < 4
-        with pytest.raises(ValueError):
-            PrimePower.from_value(12)
+        for q in (1, 3, 12):
+            with pytest.raises(ValueError):
+                PrimePower.from_value(q)
 
-    def test_from_sieve_matches_validated_constructor(self):
-        for q, p, f in [(q, *prime_power_decompose(q)) for q in prime_powers(prime_sieve(5000), 4, 5000)]:
-            trusted = PrimePower.from_sieve(q, p, f)
-            assert trusted == PrimePower(p, f) == PrimePower.from_value(q)
-            assert type(trusted) is PrimePower
-            assert hash(trusted) == hash(PrimePower(p, f))
+    def test_from_value_over_a_range(self):
+        # Every q in [0, 2 * 10**5]: a ValueError exactly when q < 4 or q is
+        # no prime power, and otherwise (p, f, q) with p prime, p**f == q.
+        limit = 2 * 10**5
+        factor = sieve_factorizer(limit)
+        for q in range(limit + 1):
+            if q < 4 or len(factor(q)) != 1:
+                with pytest.raises(ValueError):
+                    PrimePower.from_value(q)
+                continue
+            p, f, q_back = PrimePower.from_value(q)
+            assert q_back == q and p**f == q and (p, f) == factor(q)[0], q
+            assert trial_is_prime(p), q
 
     def test_from_value_does_not_reprove_p(self, monkeypatch):
-        # factor has proved p prime and q = p**f < 2**63; only __new__ tests p
+        # prime_power_decompose has proved p prime and q = p**f < 2**63, and
+        # nothing after it tests p again
         def no_test(n):
             raise AssertionError(f"is_prime({n}) called")
 
-        monkeypatch.setattr(groups, "is_prime", no_test)
+        monkeypatch.setattr(arithmetic, "is_prime", no_test)
+        assert not hasattr(groups, "is_prime")
         for q, p, f in ((9, 3, 2), (2**61 - 1, 2**61 - 1, 1), (3**39, 3, 39)):
             assert PrimePower.from_value(q) == (p, f, q)
-        with pytest.raises(AssertionError, match="is_prime"):
-            PrimePower(4, 1)
 
 
 class TestOuterKind:
@@ -78,14 +84,6 @@ class TestOuterKind:
 
 
 class TestDescriptors:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            desc(8, WD, 1)  # no diagonal automorphism at p = 2
-        with pytest.raises(ValueError):
-            OuterSubgroup(T, 3)  # twisted needs even d
-        with pytest.raises(ValueError):
-            desc(9, U, 3)  # 3 does not divide f = 2
-
     def test_trivial(self):
         assert desc(9, U, 1).is_trivial
         assert not desc(9, WD, 1).is_trivial
@@ -117,7 +115,7 @@ class TestEnumerate:
     def test_subgroup_count(self, p, f):
         if p**f < 4 or p**f > 2**40:
             return
-        pp = PrimePower(p, f)
+        pp = PrimePower(p, f, p**f)
         subs = enumerate_outer_subgroups(pp, True)
         tau = len(divisors(f))
         tau_even = sum(1 for d in divisors(f) if d % 2 == 0)
@@ -130,10 +128,22 @@ class TestEnumerate:
         # The JSON digests rely on this order: the sweep reads each q's groups
         # from its plans, and classify and the benchmark from this list.
         for p in (2, 3, 5, 7, 11):
-            for pp in (PrimePower(p, f) for f in range(1, 63) if 4 <= p**f < 2**63):
+            for pp in (PrimePower(p, f, p**f) for f in range(1, 63) if 4 <= p**f < 2**63):
                 proper = enumerate_outer_subgroups(pp, include_trivial=False)
                 assert list(classifier._q_plans(*shape_key(*pp))) == proper, pp
                 assert enumerate_outer_subgroups(pp, True) == [OuterSubgroup(U, 1), *proper], pp
+
+    def test_lattice_members_are_canonical(self):
+        # OuterSubgroup checks nothing, so its producers must: here the
+        # lattice, and parse_outer in TestParser.
+        for f in range(1, 63):
+            for char_two in (False, True):
+                subs = groups._lattice(f, char_two)
+                assert subs[0] == OuterSubgroup(U, 1) and len(set(subs)) == len(subs)
+                for kind, d in subs:
+                    assert d >= 1 and f % d == 0, (f, kind, d)
+                    assert kind is not T or d % 2 == 0, (f, kind, d)
+                    assert kind is U or not char_two, (f, kind, d)
 
     def test_returned_list_is_a_fresh_copy(self):
         pp = PrimePower.from_value(81)
@@ -248,7 +258,7 @@ class TestCharacterDegrees:
             for p in {p, 2, 3}:
                 if not 4 <= p**f <= bound:
                     continue
-                pp = PrimePower(p, f)
+                pp = PrimePower(p, f, p**f)
                 for outer in enumerate_outer_subgroups(pp, True):
                     cd = character_degrees(GroupDescriptor(pp, outer))
                     assert cd[-1] <= (pp.q + 1) * f < 2**63
@@ -301,7 +311,7 @@ class TestCachedShape:
             for f in range(1, 63):
                 if p**f < 4 or p**f >= 2**63:
                     continue
-                pp = PrimePower(p, f)
+                pp = PrimePower(p, f, p**f)
                 for outer in enumerate_outer_subgroups(pp, True):
                     g = GroupDescriptor(pp, outer)
                     expected = _reference_degrees(p, f, outer.kind, outer.d)
@@ -393,6 +403,15 @@ class TestParser:
             )
         }
         assert reachable == set(enumerate_outer_subgroups(pp, True))
+
+    @given(st.sampled_from([8, 9, 64, 81, 3**6, 5**4, 2**12]), st.data())
+    def test_parse_gives_only_lattice_members(self, q, data):
+        pp = PrimePower.from_value(q)
+        tokens = st.integers(1, pp.f).map(lambda k: f"phi^{k}")
+        if pp.p != 2:
+            tokens |= st.just("delta") | st.integers(1, pp.f).map(lambda k: f"delta*phi^{k}")
+        expression = ",".join(data.draw(st.lists(tokens, max_size=4)))
+        assert parse_outer(expression, pp) in groups._lattice(pp.f, pp.p == 2)
 
     def test_errors_carry_positions(self):
         pp9 = PrimePower.from_value(9)

@@ -165,7 +165,7 @@ class TestCatalogInvariants:
             p, f = prime_power_decompose(q)
             if p == 2:
                 continue
-            pp = PrimePower(p, f)
+            pp = PrimePower(p, f, q)
             if q in (7, 9, 11):
                 continue
             for e in maximal_subgroups(pp):

@@ -1,6 +1,8 @@
-"""The package's value types are NamedTuples: importing the CLI loads no
-``dataclasses``, instances pickle, copy and compare as before, and the three
-validating constructors keep their checks and messages."""
+"""The package's value types are plain NamedTuples: importing the CLI loads
+no ``dataclasses``, and instances pickle, copy and compare as tuples of their
+fields.  None of them checks its fields; an outside q or generator list is
+checked where it enters, by ``PrimePower.from_value`` and ``parse_outer``,
+whose messages are pinned here."""
 
 import copy
 import os
@@ -13,7 +15,7 @@ import pytest
 
 import psl2cd
 from psl2cd.classifier import GroupVerdict, brute_force_verdict
-from psl2cd.groups import GroupDescriptor, OuterKind, OuterSubgroup, PrimePower
+from psl2cd.groups import GroupDescriptor, OuterExpressionError, OuterKind, OuterSubgroup, PrimePower, parse_outer
 from psl2cd.twoprime import Violation
 
 U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
@@ -33,11 +35,11 @@ def test_cli_import_loads_no_dataclasses():
 
 
 _VALUES = [
-    PrimePower(3, 4),
+    PrimePower(3, 4, 81),
     OuterSubgroup(T, 2),
-    GroupDescriptor(PrimePower(3, 4), OuterSubgroup(WD, 2)),
-    brute_force_verdict(GroupDescriptor(PrimePower(2, 6), OuterSubgroup(U, 6))),  # fails
-    brute_force_verdict(GroupDescriptor(PrimePower(3, 2), OuterSubgroup(WD, 2))),  # passes
+    GroupDescriptor(PrimePower(3, 4, 81), OuterSubgroup(WD, 2)),
+    brute_force_verdict(GroupDescriptor(PrimePower(2, 6, 64), OuterSubgroup(U, 6))),  # fails
+    brute_force_verdict(GroupDescriptor(PrimePower(3, 2, 9), OuterSubgroup(WD, 2))),  # passes
 ]
 
 
@@ -71,49 +73,35 @@ def test_verdict_with_violations_is_among_the_values():
 
 
 def test_repr_and_hash_are_those_of_the_fields():
-    pp = PrimePower(3, 2)
+    pp = PrimePower(3, 2, 9)
     assert repr(pp) == "PrimePower(p=3, f=2, q=9)"
     assert repr(OuterSubgroup(WD, 1)) == "OuterSubgroup(kind=<OuterKind.WITH_DIAGONAL: 'with_diagonal'>, d=1)"
     assert hash(pp) == hash((3, 2, 9))
-    assert PrimePower(p=3, f=2) == pp
+    assert PrimePower(p=3, f=2, q=9) == pp
 
 
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: PrimePower(4, 1), ValueError, "4 is not prime"),
-        (lambda: PrimePower(2, 1), ValueError, "q = 2 < 4 admits no almost simple group here"),
-        (lambda: PrimePower(3, 0), ValueError, "exponent must be positive, got 0"),
+        (lambda: PrimePower.from_value(12), ValueError, "12 is not a prime power"),
+        (lambda: PrimePower.from_value(2), ValueError, "q = 2 < 4 admits no almost simple group here"),
+        (lambda: PrimePower.from_value(1), ValueError, "1 has no prime-power decomposition"),
         (
-            lambda: PrimePower(3, 40),
+            lambda: PrimePower.from_value(3**40),
             OverflowError,
-            "q = 12157665459056928801 is out of range: must be below 2**63",
-        ),
-        (lambda: OuterSubgroup(T, 3), ValueError, "a twisted subgroup needs even d; odd d contains delta"),
-        (lambda: OuterSubgroup(U, 0), ValueError, "d must be positive, got 0"),
-        (
-            lambda: GroupDescriptor(PrimePower(3, 4), OuterSubgroup(U, 3)),
-            ValueError,
-            "d = 3 does not divide f = 4",
+            "12157665459056928801 is out of range: inputs must be below 2**63",
         ),
         (
-            lambda: GroupDescriptor(PrimePower(2, 3), OuterSubgroup(WD, 1)),
-            ValueError,
-            "no diagonal automorphism in characteristic 2",
+            lambda: parse_outer("delta", PrimePower.from_value(8)),
+            OuterExpressionError,
+            "delta requires odd characteristic (at position 0)",
         ),
     ],
-    ids=[
-        "not-prime",
-        "q-below-4",
-        "exponent-0",
-        "q-past-cap",
-        "twisted-odd-d",
-        "d-0",
-        "d-not-dividing-f",
-        "diagonal-char-2",
-    ],
+    ids=["not-prime", "q-below-4", "exponent-0", "q-past-cap", "diagonal-char-2"],
 )
 def test_constructor_messages(build, error, message):
+    # The entry points reject q = 12 (no prime p with p**f = 12), q = 2,
+    # q = 3**0 = 1, q = 3**40 past 2**63, and delta at p = 2.
     with pytest.raises(error) as raised:
         build()
     assert type(raised.value) is error
