@@ -71,7 +71,8 @@ def prime_sieve(limit: int) -> bytearray:
     return sieve
 
 
-_INCREMENT = bytes(range(1, 256)) + b"\0"  # bytes.translate table for b -> b + 1
+_TWICE_IDENTITY = bytes(range(256)) * 2
+_ADD = tuple(_TWICE_IDENTITY[a : a + 256] for a in range(64))  # bytes.translate tables for b -> b + a
 _ZERO_TO_ONE = b"\1" + bytes(range(1, 256))  # bytes.translate table for 0 -> 1
 _IS_ONE = bytes(b == 1 for b in range(256))  # bytes.translate table for b -> (b == 1)
 
@@ -79,12 +80,28 @@ _IS_ONE = bytes(b == 1 for b in range(256))  # bytes.translate table for b -> (b
 def omega_table(limit: int) -> bytearray:
     """Omega(n) for every 0 <= n <= limit, as table[n]; table[0] == table[1] == 0.
 
-    A sieve of Eratosthenes over one zero table: the next prime is the
-    next zero byte past p (no smaller prime divides it), and each power m
-    of that prime adds one to every multiple of m.  Only primes up to
-    limit // 2 have a multiple to mark, so the sieve stops there; every
-    zero byte left above limit // 2 (index 2 or more) is then a prime, and
-    one translate gives them all Omega 1.  No list of primes is built.
+    Three passes over one zero table, with r = isqrt(limit) and lo = r + 1:
+
+    1. A sieve of Eratosthenes by the primes up to r: the next prime is
+       the next zero byte past p up to r, and each power m of it adds one
+       to every multiple of m.  Now table[n] is Omega of the r-smooth part
+       of n, which is all of n for an r-smooth n.
+    2. Every zero byte from lo up is a prime, since n <= limit < lo**2
+       with no prime factor up to r is one; it is set to 1, 64 KiB at a
+       time, so no second full-size copy exists.
+    3. For k = 2, ..., limit // lo in increasing order,
+       ``table[k*m] = table[k] + table[m]`` for all lo <= m <= limit // k,
+       as one strided slice assignment: Omega is completely additive.
+
+    Why pass 3 leaves every entry right.  Each write to n = k*m reads
+    k <= r, final since pass 1, and m < n as it stood before the step.  An
+    r-smooth n is only ever written from sources that are already final:
+    its m is r-smooth too, and by induction on k still right.  Any other
+    n <= limit is k'*P for a single prime P > r (two of them would pass
+    lo**2) and an r-smooth k'.  A step k writes n only if k divides k',
+    as k <= r < P, so n is last written at step k', from P, whose 1 no
+    step changes; k' = 1 is a prime of pass 2.  So about sqrt(limit)
+    slice assignments replace one sieve step per prime up to limit // 2.
     Omega(n) < 63 below 2**63, so a byte always suffices.
 
     Raises MemoryError, before allocating anything, when a table of
@@ -93,16 +110,20 @@ def omega_table(limit: int) -> bytearray:
     if limit >= sys.maxsize:
         raise MemoryError(f"a sieve up to {limit} does not fit in memory")
     table = bytearray(max(limit + 1, 0))
-    half = limit // 2
-    p = table.find(0, 2, half + 1)
+    if limit < 2:
+        return table
+    lo = math.isqrt(limit) + 1
+    p = table.find(0, 2, lo)
     while p != -1:
         m = p
         while m <= limit:
-            table[m::m] = table[m::m].translate(_INCREMENT)
+            table[m::m] = table[m::m].translate(_ADD[1])
             m *= p
-        p = table.find(0, p + 1, half + 1)
-    tail = max(half + 1, 2)
-    table[tail:] = table[tail:].translate(_ZERO_TO_ONE)
+        p = table.find(0, p + 1, lo)
+    for i in range(lo, limit + 1, 1 << 16):
+        table[i : i + (1 << 16)] = table[i : i + (1 << 16)].translate(_ZERO_TO_ONE)
+    for k in range(2, limit // lo + 1):
+        table[k * lo :: k] = table[lo : limit // k + 1].translate(_ADD[table[k]])
     return table
 
 
@@ -442,13 +463,6 @@ def prime_runs(table: bytes | bytearray, lo: int, hi: int) -> Iterator[tuple[QSe
         yield (range(q, q + 1), b"\x01"), p, f
         first = (q + 1) | 1
     yield (range(first, hi + 1, 2), table[first : hi + 1 : 2].translate(_IS_ONE)), None, 1
-
-
-def prime_powers(table: bytes | bytearray, lo: int, hi: int) -> Iterator[int]:
-    """The prime powers q with lo <= q <= hi, yielded ascending: the q of
-    each q-set of ``prime_runs(table, lo, hi)`` in turn, chained in C, so
-    no Python frame runs per q."""
-    return itertools.chain.from_iterable(itertools.compress(*qs) for qs, _, _ in prime_runs(table, lo, hi))
 
 
 def prime_runs_in_range(lo: int, hi: int) -> Iterator[tuple[QSet, int | None, int]]:

@@ -12,9 +12,13 @@ and q + 1 already have the Mersenne and Fermat forms, so F5 tests only
 that both are prime.  A value whose arithmetic passes 2**63 makes the
 loop raise OverflowError, naming it with the variable the fact passes
 (``f = 64``, or ``n`` for F9), and `verify_fact` prefixes the fact's id.
-F6 and F8, which cannot overflow, each build one `omega_table(limit + 1)`,
-read Omega from it and test the odd q of `prime_powers(table, start,
-limit)` in a list comprehension; `omega` stays unmemoized.
+F6 and F8, which cannot overflow, each build one `omega_table(limit + 1)`
+and walk the q-sets of `prime_runs(table, start, limit)`, one q-set at a
+time: its prime flags are ANDed, as ints, with the "Omega < 3" columns
+of the table at q - 1 and q + 1, each a strided slice translated to 0
+and 1, and only a nonzero result is walked.  So every odd prime power's
+predicate is read from the table, and no Python frame runs per q;
+`omega` stays unmemoized.
 Every fact is expected to hold with zero counterexamples; a counterexample
 would contradict a step of the classification and is treated as a failure
 by the CLI and the acceptance suite.
@@ -22,6 +26,7 @@ by the CLI and the acceptance suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable, NamedTuple
 
@@ -31,7 +36,7 @@ from .arithmetic import (
     omega,
     omega_at_least,
     omega_table,
-    prime_powers,
+    prime_runs,
     zsigmondy_base2,
 )
 
@@ -98,16 +103,59 @@ def _omega_split_power4(f: int) -> bool:
     return omega((1 << f) - 1) + omega((1 << f) + 1) >= 3
 
 
+_BELOW_3 = bytes(b < 3 for b in range(256))  # bytes.translate table for b -> (b < 3)
+
+
+def _below_3(table: bytearray, start: int, count: int, step: int) -> bytes:
+    """table[start + i*step] < 3 for i < count, as bytes of 0 and 1."""
+    return table[start : start + count * step : step].translate(_BELOW_3)
+
+
+def _odd_failures(limit: int, start: int, failing: Callable[[bytearray, int, int], int]) -> list[int]:
+    """The odd prime powers q in [start, limit] that fail, in ascending order.
+
+    ``failing(table, a, n)`` reads from ``omega_table(limit + 1)`` whether
+    each of the odd q a, a + 2, ..., a + 2(n - 1) fails, as an int whose
+    i-th little-endian byte is 0 or 1.  Each q-set's flags are ANDed with
+    it; a single even q (a power of 2) is skipped.
+    """
+    table = omega_table(limit + 1)
+    found: list[int] = []
+    for (odds, flags), _, _ in prime_runs(table, start, limit):
+        if odds and odds.start & 1:
+            mask = int.from_bytes(flags, "little") & failing(table, odds.start, len(odds))
+            if mask:
+                found += itertools.compress(odds, mask.to_bytes(len(odds), "little"))
+    return found
+
+
+def _multiple_of_4_below_3(table: bytearray, a: int, n: int) -> int:
+    # q - eps, eps = q (mod 4), is the neighbour of q that 4 divides, and
+    # each such neighbour serves two consecutive odd q: a + 1 serves a and
+    # a + 2 when a = 3 (mod 4), and a - 1 serves a - 2 and a otherwise.
+    # So one column of every fourth entry, each byte doubled, is F6's
+    # column from a shift of s = 0 or 1.
+    s = a % 4 == 1
+    column = _below_3(table, a + 1 - 2 * s, (n + s + 1) // 2, 4)
+    doubled = bytearray(2 * len(column))
+    doubled[0::2] = doubled[1::2] = column
+    return int.from_bytes(doubled[s : s + n], "little")
+
+
+def _both_neighbours_below_3(table: bytearray, a: int, n: int) -> int:
+    return int.from_bytes(_below_3(table, a - 1, n, 2), "little") & int.from_bytes(
+        _below_3(table, a + 1, n, 2), "little"
+    )
+
+
 def _omega_q_minus_eps_counterexamples(limit: int) -> list[int]:
     """F6 for odd prime powers q in [7, limit]: Omega(q - eps) >= 3, eps = q (mod 4)."""
-    table = omega_table(limit + 1)
-    return [q for q in prime_powers(table, 7, limit) if q & 1 and table[q - 1 if q % 4 == 1 else q + 1] < 3]
+    return _odd_failures(limit, 7, _multiple_of_4_below_3)
 
 
 def _omega_either_neighbour_counterexamples(limit: int) -> list[int]:
     """F8 for odd prime powers q in [13, limit]: Omega(q - 1) >= 3 or Omega(q + 1) >= 3."""
-    table = omega_table(limit + 1)
-    return [q for q in prime_powers(table, 13, limit) if q & 1 and table[q - 1] < 3 and table[q + 1] < 3]
+    return _odd_failures(limit, 13, _both_neighbours_below_3)
 
 
 _FACT_LIST = (

@@ -10,7 +10,7 @@ import random
 import sys
 import time
 
-from psl2cd.arithmetic import factor, is_prime, prime_power_decompose, prime_powers, prime_sieve, zsigmondy_base2
+from psl2cd.arithmetic import factor, is_prime, prime_power_decompose, prime_sieve, zsigmondy_base2
 from psl2cd.classifier import sweep, tally_sweep
 from psl2cd.groups import (
     GroupDescriptor,
@@ -23,6 +23,7 @@ from psl2cd.maximals import maximal_subgroups, pgl_maximals_special, psl2_order
 from psl2cd.twoprime import check_set
 
 from _oracles import sieve_factorizer
+from _runs import prime_powers
 
 U, WD, T = OuterKind.UNTWISTED, OuterKind.WITH_DIAGONAL, OuterKind.TWISTED
 

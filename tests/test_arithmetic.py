@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -20,13 +21,13 @@ from psl2cd.arithmetic import (
     omega_at_least,
     omega_table,
     prime_power_decompose,
-    prime_powers,
     prime_runs,
     prime_sieve,
     zsigmondy_base2,
 )
 
 from _oracles import sieve_factorizer, trial_division, trial_is_prime
+from _runs import prime_powers
 
 TABLE_PRIMES = [p for p in range(2, 1000) if trial_is_prime(p)]
 
@@ -508,9 +509,43 @@ class TestOmegaTable:
 
     @pytest.mark.parametrize("limit", range(65))
     def test_small_limits(self, limit):
-        # Odd and even limits on both sides of the limit // 2 cut-off.
+        # Odd and even limits on both sides of each square up to 64, where
+        # the square-root split moves.
         expected = [0, 0][: limit + 1] + [omega(n) for n in range(2, limit + 1)]
         assert list(omega_table(limit)) == expected
+
+    def test_every_limit_to_3000(self):
+        # Each limit from r**2 - 1 to r**2 + 1 moves the square-root split
+        # of the sieve and the additive pass.
+        oracle = sieve_factorizer(3000)
+        expected = bytearray([0, 0] + [sum(e for _, e in oracle(n)) for n in range(2, 3001)])
+        for limit in range(-1, 3001):
+            assert omega_table(limit) == expected[: limit + 1], limit
+
+    @pytest.mark.parametrize(
+        "limit, digest",
+        [
+            (10**6 + 1, "2c32b6b93b0c248d11bc7c46bb4fbb5cf294d17ce2f97914788b345236f6d308"),
+            (2**20, "f3e5be503d507fd4d45d88e880ad30438b882cd36110c5327009dd80b4047bea"),
+        ],
+    )
+    def test_pinned_digest(self, limit, digest):
+        # The tables F6 and F8 build at their default limit, and the one
+        # of 2**20, byte for byte.
+        assert hashlib.sha256(omega_table(limit)).hexdigest() == digest
+
+    def test_peak_memory_is_about_twice_the_table(self):
+        # Each strided pass holds a slice of at most half the table and its
+        # translation, and the primes above the square root are set 64 KiB
+        # at a time.
+        limit = 2**20
+        tracemalloc.start()
+        try:
+            omega_table(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (limit + 1) + 4096
 
     @pytest.mark.parametrize("limit", [4, 5000, 2**16, 3**10, 65521, 99991, 10**5])
     def test_last_index(self, limit):

@@ -1,11 +1,15 @@
+import itertools
+import random
+
 import pytest
 
 from psl2cd import facts
-from psl2cd.arithmetic import is_prime, omega
+from psl2cd.arithmetic import is_prime, omega, omega_table
 from psl2cd.cli import main
 from psl2cd.facts import FACTS, fact_report_to_dict, verify_all, verify_fact
 
 from _oracles import trial_is_prime
+from _runs import prime_powers
 
 
 def _mersenne_prime(n):
@@ -101,15 +105,19 @@ class TestIndividualFacts:
     )
     def test_f6_f8_tests_agree_with_omega(self, monkeypatch, fact_id, reference):
         # Every q from 4, prime power or not, read from the fact's Omega
-        # table; the fact keeps the odd ones.  5 lies below both ranges and
-        # fails both claims, and some even q fail them too.
+        # table: each even q alone, as `prime_runs` gives a power of 2, then
+        # the odd q in runs of seven, which start alternately at 1 and 3
+        # (mod 4).  The fact keeps the odd ones.  5 lies below both ranges
+        # and fails both claims, and some even q fail them too.
         calls = []
 
         def every_integer(table, lo, hi):
             calls.append((lo, hi))
-            return range(4, hi + 1)
+            evens = [((range(q, q + 1), b"\x01"), None, 1) for q in range(4, hi + 1, 2)]
+            runs = [range(a, min(a + 14, hi + 1), 2) for a in range(5, hi + 1, 14)]
+            return iter(evens + [((odds, b"\x01" * len(odds)), None, 1) for odds in runs])
 
-        monkeypatch.setattr(facts, "prime_powers", every_integer)
+        monkeypatch.setattr(facts, "prime_runs", every_integer)
         limit = 10**4
         found = FACTS[fact_id].counterexamples(limit)
         assert calls == [(FACTS[fact_id].start, limit)]
@@ -151,22 +159,97 @@ class TestMersenneFermat:
 
 class TestOddPrimePowers:
     def test_f6_and_f8_ranges(self, monkeypatch):
-        # The prime powers each fact enumerates, recorded on the way and
-        # handed on as an iterator, as `prime_powers` yields them; the fact
-        # tests only the odd ones.
+        # The prime powers each fact enumerates, recorded on the way from
+        # the q-sets of `prime_runs`, which are handed on as an iterator;
+        # the fact tests only the odd ones.
         enumerated = []
-        real = facts.prime_powers
+        real = facts.prime_runs
 
         def recorded(table, lo, hi):
-            enumerated.append(list(real(table, lo, hi)))
-            return iter(enumerated[-1])
+            qsets = list(real(table, lo, hi))
+            enumerated.append([q for qs, _, _ in qsets for q in itertools.compress(*qs)])
+            return iter(qsets)
 
-        monkeypatch.setattr(facts, "prime_powers", recorded)
+        monkeypatch.setattr(facts, "prime_runs", recorded)
         assert verify_fact("F6", 30).holds and verify_fact("F8", 30).holds
         assert enumerated == [[7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29], [13, 16, 17, 19, 23, 25, 27, 29]]
         with pytest.raises(ValueError, match="leaves nothing to check"):
             verify_fact("F8", 12)
         assert len(enumerated) == 2
+
+
+def _per_q_f6(table, limit):
+    """F6 one q at a time, as a reference: the odd prime powers q in
+    [7, limit] with Omega(q - eps) < 3 read from table, eps = q (mod 4)."""
+    return [q for q in prime_powers(table, 7, limit) if q & 1 and table[q - 1 if q % 4 == 1 else q + 1] < 3]
+
+
+def _per_q_f8(table, limit):
+    """F8 one q at a time, as a reference: the odd prime powers q in
+    [13, limit] with Omega(q - 1) < 3 and Omega(q + 1) < 3 read from table."""
+    return [q for q in prime_powers(table, 13, limit) if q & 1 and table[q - 1] < 3 and table[q + 1] < 3]
+
+
+class TestPlantedCounterexamples:
+    # F6 and F8 read the table by columns, one q-set at a time; Omega
+    # lowered beside chosen q in the table they build must give exactly
+    # the lists of the per-q references.
+    LIMIT = 19997  # a prime, so the last q of the range is a run's last odd number
+
+    @staticmethod
+    def plant(monkeypatch, pokes, limit):
+        """Make the facts' `omega_table` write each (n, value) of pokes;
+        return the poked table that a fact at limit builds."""
+
+        def poked(limit):
+            table = omega_table(limit)
+            for n, value in pokes:
+                if n <= limit:
+                    table[n] = value
+            return table
+
+        monkeypatch.setattr(facts, "omega_table", poked)
+        return poked(limit + 1)
+
+    def test_unpoked_table_has_no_counterexamples(self):
+        table = omega_table(self.LIMIT + 1)
+        assert _per_q_f6(table, self.LIMIT) == FACTS["F6"].counterexamples(self.LIMIT) == []
+        assert _per_q_f8(table, self.LIMIT) == FACTS["F8"].counterexamples(self.LIMIT) == []
+
+    def test_chosen_q(self, monkeypatch):
+        both_sides = [
+            7,  # F6's first q
+            13,  # F8's first q
+            17, 23,  # the first and last odd numbers of the run between 16 and 25
+            257, 283,  # the first and last q of the run between 256 and 289
+            2053, 2179,  # the first and last q of the run between 2048 and 3**7
+            2187, 2401,  # 3**7 and 7**4, single odd higher prime powers
+            2203, 2207,  # the only q of the run between 13**3 and 47**2
+            9967, 9973,  # primes = 3 and 1 (mod 4)
+            self.LIMIT,  # the last q of the range
+        ]
+        pokes = [(n, 2) for q in both_sides for n in (q - 1, q + 1)]
+        pokes += [(2214, 1), (2220, 2)]  # one side only: 2213 + 1 and 2221 - 1
+        table = self.plant(monkeypatch, pokes, self.LIMIT)
+        f6, f8 = FACTS["F6"].counterexamples(self.LIMIT), FACTS["F8"].counterexamples(self.LIMIT)
+        assert f6 == _per_q_f6(table, self.LIMIT)
+        assert f8 == _per_q_f8(table, self.LIMIT)
+        assert set(both_sides) <= set(f6) and set(both_sides) - {7} <= set(f8)
+        assert 2221 in f6 and 2213 not in f6 and not {2213, 2221} & set(f8)
+
+    def test_random_pokes(self, monkeypatch):
+        rng = random.Random(43)
+        nonempty = [0, 0]
+        for _ in range(200):
+            limit = rng.randrange(20000)
+            pokes = [(rng.randrange(limit + 2), rng.randrange(3)) for _ in range(rng.randrange(6))]
+            table = self.plant(monkeypatch, pokes, limit)
+            f6, f8 = FACTS["F6"].counterexamples(limit), FACTS["F8"].counterexamples(limit)
+            assert f6 == _per_q_f6(table, limit), (limit, pokes)
+            assert f8 == _per_q_f8(table, limit), (limit, pokes)
+            nonempty[0] += bool(f6)
+            nonempty[1] += bool(f8)
+        assert min(nonempty) > 10
 
 
 class TestReports:

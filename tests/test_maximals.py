@@ -1,6 +1,6 @@
 import pytest
 
-from psl2cd.arithmetic import prime_power_decompose, prime_powers, prime_sieve
+from psl2cd.arithmetic import prime_power_decompose, prime_sieve
 from psl2cd.groups import PrimePower
 from psl2cd.maximals import (
     maximal_subgroups,
@@ -10,6 +10,7 @@ from psl2cd.maximals import (
 )
 
 from _oracles import trial_omega
+from _runs import prime_powers
 
 
 def by_structure(entries):
