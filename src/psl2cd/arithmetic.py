@@ -12,13 +12,25 @@ with one gcd.  What it leaves has no prime factor below 1000, so below
 cofactor with Brent's rho, and serves only the `factor` command and F9;
 no verdict calls it.  Omega never runs rho, but scans the cofactor against
 prime-block products up to its cube root (`_cofactor_omega`), and
-`prime_power_decompose` needs only an exact root and one prime test.  The
-shared state is two bounded caches: the memo of `_cofactor_omega` (at
-most 1,024 entries, keyed on the cofactor, so n, 2n and n/2 reuse the same
-work), and the block products (at most 256, all of them below 2**21,
-about 410 KB in all).  The memo pays where a cofactor is read twice:
-fact F7 re-reads F4's Omega(2**f - 1), and hits it 7 times in 15 calls,
-which takes F7 from about 0.63 to 0.47 ms on a 2-core VM.  A verdict reads each q's
+`prime_power_decompose` needs only an exact root and one prime test.
+
+Each block product is held as four, one per residue class of its primes
+mod 8, and the scan reads only the classes that can divide n.  An odd
+prime r dividing x**(2**k) + 1 has x of order 2**(k+1) mod r, so
+r = 1 (mod 2**(k+1)): x**2 + 1 has primes of classes 1 and 5 only, and
+x**4 + 1 (so also x**(2**k) + 1 for k >= 3) of class 1 only.  So for
+q = p**f with f even, the scan of q + 1 reads half or a quarter of each
+block (`_prime_classes` tells by one or two `isqrt` calls on n - 1).  A
+prime of a class left out divides no such n, so when the scan stops the
+cofactor still has no prime factor below it, as with all four classes.
+
+The shared state is two bounded caches: the memo of `_cofactor_omega` (at
+most 1,024 entries, keyed on the cofactor and its class set, so n, 2n and
+n/2 reuse the same work when their classes agree), and the block products
+(at most 256 blocks, all of them below 2**21, about 410 KB in all).  The
+memo pays where a cofactor is read twice: fact F7 re-reads F4's
+Omega(2**f - 1), and hits it 7 times in 15 calls, which takes F7 from
+about 0.63 to 0.47 ms on a 2-core VM.  A verdict reads each q's
 Omega(q +- 1) once, so it almost never hits there.  Everything is a pure
 function of its arguments and concurrent use is safe.
 
@@ -301,52 +313,79 @@ def omega(n: int) -> int:
     """Number of prime divisors of n counted with multiplicity; omega(1) == 0.
 
     The primes below 1000 are counted as in `factor`.  A cofactor c of
-    1009**2 or more goes to `_cofactor_omega`, which runs no rho: it divides
-    out the primes below lo, one block at a time, while lo**3 <= c.  Then
-    c < lo**3 has no prime factor below lo, and three of them would make it
-    at least lo**3, so c is 1, a prime or a product of two primes, and one
-    Miller-Rabin test tells them apart.  So omega(n) equals
-    ``sum(e for _, e in factor(n))``, which the tests hold it to, and it
-    raises `factor`'s ValueError for n < 1 and OverflowError for n >= 2**63.
+    1009**2 or more goes to `_cofactor_omega`, with the residues mod 8
+    that its primes can have (`_prime_classes`, one or two `isqrt` calls
+    on n - 1).  It runs no rho: it divides out the primes of those classes
+    below lo, one block at a time, while lo**3 <= c.  Then c < lo**3 has no
+    prime factor below lo, and three of them would make it at least lo**3,
+    so c is 1, a prime or a product of two primes, and one Miller-Rabin
+    test tells them apart.  So omega(n) equals ``sum(e for _, e in
+    factor(n))``, which the tests hold it to, and it raises `factor`'s
+    ValueError for n < 1 and OverflowError for n >= 2**63.
     """
     _check_range(n)
-    stripped, n = _strip_table_primes(n)
+    stripped, cofactor = _strip_table_primes(n)
     count = sum(e for _, e in stripped)
-    if n >= _NEXT_PRIME_SQ:
-        count += _cofactor_omega(n)
-    elif n > 1:
+    if cofactor >= _NEXT_PRIME_SQ:
+        count += _cofactor_omega(cofactor, _prime_classes(n))
+    elif cofactor > 1:
         count += 1
     return count
 
 
-_BLOCK = 1 << 13  # integers per block of `_block_product`
+_ALL_CLASSES = (1, 3, 5, 7)
+
+
+def _prime_classes(n: int) -> tuple[int, ...]:
+    """The residues mod 8 that an odd prime factor r of n >= 2 can have.
+
+    If n = x**2 + 1, then x**2 = -1 (mod r), so x has order 4 mod r and
+    4 divides r - 1: r is 1 or 5 mod 8.  If n = x**4 + 1, x has order 8
+    and r = 1 (mod 8); an x**(2**k) + 1 with k >= 3 is such a y**4 + 1.
+    Any other n may have primes of all four classes.
+    """
+    x = math.isqrt(n - 1)
+    if x * x != n - 1:
+        return _ALL_CLASSES
+    y = math.isqrt(x)
+    return (1,) if y * y == x else (1, 5)
+
+
+_BLOCK = 1 << 13  # integers per block of `_block_products`
 
 
 @functools.lru_cache(maxsize=1 << 10)
-def _cofactor_omega(n: int) -> int:
-    """Omega of n >= 1009**2 with no prime factor below 1000.
+def _cofactor_omega(n: int, classes: tuple[int, ...]) -> int:
+    """Omega of n >= 1009**2 with no prime factor below 1000 and none
+    outside the residue classes mod 8 in classes.
 
     A prime counts 1, by one Miller-Rabin test.  Otherwise the blocks
-    [lo, lo + 2**13) are walked upward from lo = 1009 while lo**3 <= n: each
-    block's primes that divide n are named by one gcd with its product,
-    and divided out of n with multiplicity.  When the walk stops, n has no
-    prime factor below lo and n < lo**3, so it is 1, a prime or a product
-    of two primes: a prime without a test below lo**2, and otherwise as
-    Miller-Rabin says.  Below 2**63 every block starts below 2**21.
+    [lo, lo + 2**13) are walked upward from lo = 1009 while lo**3 <= n:
+    for each class in classes, the block's primes of that class that divide
+    n are named by one gcd with their product, and divided out of n with
+    multiplicity.  A prime of another class divides no n it is given, so
+    when the walk stops n has no prime factor below lo and n < lo**3: it is
+    1, a prime or a product of two primes, a prime without a test below
+    lo**2, and otherwise as Miller-Rabin says.  Below 2**63 every block
+    starts below 2**21.  classes has no default, since f(c) and
+    f(c, classes) would be two memo keys for one count.
     """
     if _miller_rabin(n):
         return 1
     count, lo = 0, 1009
     while lo * lo * lo <= n:
-        g = math.gcd(n, _block_product(lo))
-        while g > 1:
-            # g is squarefree with every prime in the block, so below lo**2
-            # it is one prime, and past it its least divisor from lo up is.
-            p = g if g < lo * lo else next(r for r in range(lo, g, 2) if g % r == 0)
-            g //= p
-            while n % p == 0:
-                n //= p
-                count += 1
+        products = _block_products(lo)
+        for r in classes:
+            g = math.gcd(n, products[r // 2])
+            while g > 1:
+                # g is squarefree with every prime in the block, so below
+                # lo**2 it is one prime, and past it its least divisor
+                # from lo up is.
+                p = g if g < lo * lo else next(d for d in range(lo, g, 2) if g % d == 0)
+                g //= p
+                while n % p == 0:
+                    n //= p
+                    count += 1
         lo += _BLOCK
     if n == 1:
         return count
@@ -354,14 +393,19 @@ def _cofactor_omega(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _block_product(lo: int) -> int:
-    """Product of the primes in [lo, lo + 2**13), for odd lo >= 1009.
+def _block_products(lo: int) -> tuple[int, ...]:
+    """The products of the primes in [lo, lo + 2**13) that are 1, 3, 5 and
+    7 mod 8, in that order, so the product of class r is at index r // 2;
+    for lo >= 1009 with lo = 1 (mod 8).  Every block start is such an lo:
+    1009 = 1 (mod 8), and 2**13 = 0.
 
     Only this block's 2**12 odd numbers are sieved, by the odd primes up to
-    the square root of its end, so building it holds a few KB at most; the
-    product, about 2**13 * log2(e) bits by the prime number theorem, is
-    the only thing kept.
+    the square root of its end, so building it holds a few KB at most.
+    Since lo + 2i = 1 + 2i (mod 8), odds[i::4] is class 2i + 1.  The four
+    products, about 2**13 * log2(e) bits together by the prime number
+    theorem, are the only thing kept.
     """
+    assert lo % 8 == 1, lo
     hi = lo + _BLOCK
     odds = bytearray(b"\x01") * (_BLOCK // 2)  # odds[i] stands for lo + 2i
     base = prime_sieve(math.isqrt(hi - 1))
@@ -371,7 +415,7 @@ def _block_product(lo: int) -> int:
             first += p
         i = (first - lo) // 2
         odds[i::p] = bytes(len(range(i, len(odds), p)))
-    return math.prod(itertools.compress(range(lo, hi, 2), odds))
+    return tuple(math.prod(itertools.compress(range(lo + 2 * i, hi, 8), odds[i::4])) for i in range(4))
 
 
 def omega_at_least(n: int, k: int) -> bool:
@@ -381,19 +425,19 @@ def omega_at_least(n: int, k: int) -> bool:
     plus one prime for a nontrivial cofactor, settles the bound, or the
     cofactor is 1 or a prime below 1009**2, nothing more is needed, so this
     works on values far beyond 2**63.  Otherwise the cofactor's Omega is
-    counted as in `omega`, by the block scan up to its cube root, which
-    requires it to be below 2**63.
+    counted as in `omega`, by the block scan of n's prime classes up to its
+    cube root, which requires it to be below 2**63.
     """
     if n < 1:
         raise ValueError(f"Omega is undefined for {n}")
-    stripped, n = _strip_table_primes(n)
+    stripped, cofactor = _strip_table_primes(n)
     count = sum(e for _, e in stripped)
-    if count >= k or n == 1:
+    if count >= k or cofactor == 1:
         return count >= k
-    if count + 1 >= k or n < _NEXT_PRIME_SQ:
+    if count + 1 >= k or cofactor < _NEXT_PRIME_SQ:
         return count + 1 >= k
-    if n < MAX_VALUE:
-        return count + _cofactor_omega(n) >= k
+    if cofactor < MAX_VALUE:
+        return count + _cofactor_omega(cofactor, _prime_classes(n)) >= k
     raise OverflowError(f"cannot settle Omega >= {k} for an out-of-range cofactor")
 
 

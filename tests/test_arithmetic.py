@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2cd import arithmetic, classifier
+from psl2cd import arithmetic, classifier, facts
 from psl2cd.arithmetic import (
     MAX_VALUE,
     divisors,
@@ -268,39 +268,49 @@ class TestCofactorCache:
 
 
 class TestCofactorOmega:
-    """The block scan that counts Omega of a cofactor without rho."""
+    """The block scan that counts Omega of a cofactor without rho, reading
+    only the residue classes mod 8 that can divide n."""
 
     @pytest.mark.parametrize("lo", [1009, 1009 + (1 << 13), 1009 + 255 * (1 << 13)])
     def test_block_product_is_the_product_of_its_primes(self, lo):
         # the first two blocks, either side of 9201, and the last one below 2**21
-        expected = math.prod(p for p in range(lo, lo + (1 << 13)) if trial_is_prime(p))
-        assert arithmetic._block_product.__wrapped__(lo) == expected
+        primes = [p for p in range(lo, lo + (1 << 13)) if trial_is_prime(p)]
+        products = arithmetic._block_products.__wrapped__(lo)
+        assert products == tuple(math.prod(p for p in primes if p % 8 == r) for r in (1, 3, 5, 7))
+        assert math.prod(products) == math.prod(primes)
+
+    def test_every_block_starts_at_1_mod_8(self):
+        assert 1009 % 8 == 1 and (1 << 13) % 8 == 0
+        with pytest.raises(AssertionError):
+            arithmetic._block_products.__wrapped__(1011)
 
     def test_a_sweep_builds_no_block(self):
         # The q - 1 and q + 1 of the benchmark's sweep, 7..2^20, stay below
         # 1009**3, where the walk reads no block.
-        arithmetic._block_product.cache_clear()
+        arithmetic._block_products.cache_clear()
         arithmetic._cofactor_omega.cache_clear()
         classifier._omega_near_q.cache_clear()
         assert sum(1 for _ in classifier.sweep_parts(7, 2**20)) > 0
-        assert arithmetic._block_product.cache_info().misses == 0
+        assert arithmetic._block_products.cache_info().misses == 0
 
     def test_blocks_are_bounded(self):
         n = (2**31 - 1) ** 2
-        arithmetic._block_product.cache_clear()
+        arithmetic._block_products.cache_clear()
         arithmetic._cofactor_omega.cache_clear()
         assert omega(n) == 2
-        info = arithmetic._block_product.cache_info()
-        # n stays whole, so the walk reads every block start lo with lo**3 <= n
+        info = arithmetic._block_products.cache_info()
+        # n - 1 is no square, so the walk reads all four classes, and n
+        # stays whole, so it reads every block start lo with lo**3 <= n
         los = range(1009, _root_floor(n, 3) + 1, 1 << 13)
         assert info.maxsize == 256 and info.currsize == info.misses == len(los) <= 256
-        assert sum(sys.getsizeof(arithmetic._block_product(lo)) for lo in los) < 400_000
-        assert arithmetic._block_product.cache_info().misses == info.misses  # each was cached
+        total = sum(sys.getsizeof(c) for lo in los for c in arithmetic._block_products(lo))
+        assert total < 400_000
+        assert arithmetic._block_products.cache_info().misses == info.misses  # each was cached
         # Only the last block is built again, under tracemalloc: tracing
         # every build takes seconds.
         tracemalloc.start()
         try:
-            arithmetic._block_product.__wrapped__(los[-1])
+            arithmetic._block_products.__wrapped__(los[-1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -309,13 +319,75 @@ class TestCofactorOmega:
     def test_memo_is_bounded_and_shared(self):
         assert arithmetic._cofactor_omega.cache_info().maxsize == 1 << 10
         # 3**39 - 1 = 2 * 13**2 * 313 * 6553 * 7333 * 797161: the walk finds
-        # two primes of the first block in one gcd, and leaves one prime
+        # two primes of the first block, of classes 1 and 5, and leaves one
         q = 3**39
         arithmetic._cofactor_omega.cache_clear()
         ns = [(q - 1) // 2, q - 1, 2 * (q - 1)]
         assert [omega(n) for n in ns] == [sum(e for _, e in factor(n)) for n in ns] == [6, 7, 8]
         # all three share one cofactor above the trial table
         assert arithmetic._cofactor_omega.cache_info().misses == 1
+
+    def test_memo_hits_when_f7_rereads_f4(self):
+        # F7 reads Omega(2**f - 1), which F4 has read: the reason the memo
+        # is kept.  omega and omega_at_least both pass the class set, so a
+        # cofactor has one key.
+        arithmetic._cofactor_omega.cache_clear()
+        facts.verify_fact("F4")
+        before = arithmetic._cofactor_omega.cache_info().hits
+        facts.verify_fact("F7")
+        assert arithmetic._cofactor_omega.cache_info().hits - before >= 7
+
+    @staticmethod
+    def _odd_prime_factors(n):
+        return [p for p, _ in (trial_division(n) if n < 10**8 else factor(n)) if p > 2]
+
+    def test_x2_plus_1_has_odd_primes_1_mod_4_only(self):
+        rng = random.Random(44)
+        xs = [*range(2001), *(rng.randrange(1 << 31) for _ in range(500))]
+        for x in xs:
+            assert all(p % 4 == 1 for p in self._odd_prime_factors(x * x + 1)), x
+
+    def test_x4_plus_1_has_odd_primes_1_mod_8_only(self):
+        # every x up to 2000, and seeded x up to 55,000, the last x with
+        # x**4 + 1 below 2**63
+        rng = random.Random(44)
+        xs = [*range(2001), *(rng.randrange(2001, 55_000) for _ in range(300))]
+        for x in xs:
+            assert all(p % 8 == 1 for p in self._odd_prime_factors(x**4 + 1)), x
+
+    @pytest.mark.parametrize(
+        "n, classes",
+        [
+            # 54877**4 + 1 = 2 * 513457201 * 8831352121: two primes past the
+            # cube root, so the class-1 walk runs to its end
+            (9069042682188146642, (1,)),
+            # 3036998561**2 + 1 = 2 * 1508411753 * 3057308537, likewise
+            # for classes 1 and 5
+            (9223360259516070722, (1, 5)),
+            # 3016891230**2 + 1 = 1013**2 * 451637 * 19638617, a repeated
+            # prime of class 5 in the first block
+            (9101632693650912901, (1, 5)),
+            # 3036999525**2 + 1 = 2 * 407741 * 2222317 * 5089429: the
+            # walk finds 407741 = 5 (mod 8) in its 50th block
+            (9223366114850225626, (1, 5)),
+        ],
+    )
+    def test_omega_of_x_power_plus_1(self, n, classes):
+        assert arithmetic._prime_classes(n) == classes
+        arithmetic._cofactor_omega.cache_clear()
+        expected = sum(e for _, e in factor(n))
+        assert omega(n) == expected
+        assert omega_at_least(n, expected) and not omega_at_least(n, expected + 1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 3), st.data())
+    def test_omega_of_drawn_x_power_plus_1(self, k, data):
+        power = 1 << k
+        x = data.draw(st.integers(1, _root_floor(MAX_VALUE - 2, power)), label="x")
+        n = x**power + 1
+        classes = arithmetic._prime_classes(n)
+        assert (classes == (1,)) if k > 1 else (classes in ((1,), (1, 5)))  # x may be a square
+        assert omega(n) == sum(e for _, e in factor(n)), n
 
 
 class TestIsPrime:
@@ -478,6 +550,8 @@ class TestOmega:
             (2097131 * 2097133 * 2097143, 3),  # three primes at the cube bound, in the last block
             (1009**3, 3),  # the first block's start, cubed
             (1009**2 * 1013, 3),
+            # 1009 and 1033, both 1 (mod 8), come from one gcd of the first block
+            (1009 * 1033 * 329977 * 329993, 4),
             # 9199 ends the first block and 9203 opens the second; with two
             # primes past the walk's end, missing either would count 3
             (9199 * 9203 * 329977 * 329993, 4),
