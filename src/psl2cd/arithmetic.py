@@ -48,7 +48,7 @@ import functools
 import itertools
 import math
 import sys
-from typing import Iterator
+from typing import Callable, Iterator
 
 MAX_VALUE = 1 << 63
 """Exclusive upper bound for factoring inputs; larger values raise OverflowError."""
@@ -62,24 +62,25 @@ def prime_sieve(limit: int) -> bytearray:
 
     Raises MemoryError, before allocating anything, when the sieve of
     limit + 1 bytes could not even be indexed (limit >= sys.maxsize).  The
-    sieve starts as zeros and its ones are written in 4 KiB pieces, so no
-    second copy of it exists while it is built; a bytearray repetition
-    would avoid the copy too, but on CPython 3.11 a failed one also prints
-    a stray SystemError.
+    sieve starts as zeros and the odd numbers' ones are written in 4 KiB
+    pieces, so no second copy of it exists while it is built; a bytearray
+    repetition would avoid the copy too, but on CPython 3.11 a failed one
+    also prints a stray SystemError.  Each odd prime then crosses off its
+    odd multiples only, so the largest other buffer is 3's, limit / 6 bytes.
     """
     if limit < 2:
         return bytearray(max(limit + 1, 0))
     if limit >= sys.maxsize:
         raise MemoryError(f"a sieve up to {limit} does not fit in memory")
-    size, ones = limit + 1, b"\x01" * 4096
+    size, ones = limit + 1, b"\x00\x01" * 2048
     sieve = bytearray(size)
     with memoryview(sieve) as view:
         for i in range(0, size, 4096):
             view[i : i + 4096] = ones[: size - i]
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
+    sieve[1], sieve[2] = 0, 1
+    for i in range(3, math.isqrt(limit) + 1, 2):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
+            sieve[i * i :: 2 * i] = bytearray(len(range(i * i, limit + 1, 2 * i)))
     return sieve
 
 
@@ -365,14 +366,16 @@ def _cofactor_omega(n: int, classes: tuple[int, ...]) -> int:
     n are named by one gcd with their product, and divided out of n with
     multiplicity.  A prime of another class divides no n it is given, so
     when the walk stops n has no prime factor below lo and n < lo**3: it is
-    1, a prime or a product of two primes, a prime without a test below
-    lo**2, and otherwise as Miller-Rabin says.  Below 2**63 every block
-    starts below 2**21.  classes has no default, since f(c) and
-    f(c, classes) would be two memo keys for one count.
+    1, a prime or a product of two primes: a prime without a test below
+    lo**2, two primes if the walk divided nothing out (n is still the
+    composite first tested, as every n below 1009**3 is), and otherwise as
+    Miller-Rabin says.  Below 2**63 every block starts below 2**21.
+    classes has no default, since f(c) and f(c, classes) would be two memo
+    keys for one count.
     """
     if _miller_rabin(n):
         return 1
-    count, lo = 0, 1009
+    count, lo, whole = 0, 1009, n
     while lo * lo * lo <= n:
         products = _block_products(lo)
         for r in classes:
@@ -389,6 +392,8 @@ def _cofactor_omega(n: int, classes: tuple[int, ...]) -> int:
         lo += _BLOCK
     if n == 1:
         return count
+    if n == whole:  # still the composite tested above, so two primes
+        return 2
     return count + (1 if n < lo * lo or _miller_rabin(n) else 2)
 
 
@@ -407,14 +412,7 @@ def _block_products(lo: int) -> tuple[int, ...]:
     """
     assert lo % 8 == 1, lo
     hi = lo + _BLOCK
-    odds = bytearray(b"\x01") * (_BLOCK // 2)  # odds[i] stands for lo + 2i
-    base = prime_sieve(math.isqrt(hi - 1))
-    for p in itertools.compress(range(3, len(base)), base[3:]):
-        first = -(-lo // p) * p  # lo > p, so the first multiple is composite
-        if first % 2 == 0:
-            first += p
-        i = (first - lo) // 2
-        odds[i::p] = bytes(len(range(i, len(odds), p)))
+    odds = _odd_prime_flags(prime_sieve(math.isqrt(hi - 1)), lo, hi)  # odds[i] stands for lo + 2i
     return tuple(math.prod(itertools.compress(range(lo + 2 * i, hi, 8), odds[i::4])) for i in range(4))
 
 
@@ -476,6 +474,59 @@ QSet = tuple[range, bytes]
 with odds a range and flags bytes of 0 and 1, one for each of its numbers."""
 
 
+def _odd_prime_flags(base: bytes | bytearray, first: int, stop: int) -> bytearray:
+    """1 for each prime and 0 for each other number of range(first, stop, 2),
+    for odd first >= 3, by a sieve of these odd numbers alone.  base is a
+    0/1 prime sieve up to isqrt(stop - 1) at least.  Each odd prime p of it
+    crosses off its odd multiples from max(p**2, first) up, by one slice
+    assignment; a smaller multiple k*p has a prime factor below p."""
+    flags = bytearray(b"\x01") * len(range(first, stop, 2))
+    root = math.isqrt(stop - 1)
+    for p in itertools.compress(range(3, root + 1, 2), memoryview(base)[3 : root + 1 : 2]):
+        m = max(p * p, -(-first // p) * p)  # the first multiple from p**2 and first; if even, p more
+        i = (m + p * (m % 2 == 0) - first) // 2
+        flags[i::p] = bytes(len(range(i, len(flags), p)))
+    return flags
+
+
+def _higher_powers(primes: bytes | bytearray, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The higher prime powers q in [lo, hi], ascending, as (q, p, f): 2 = 2**1
+    and each p**f with f >= 2.  primes is a 0/1 prime sieve up to isqrt(hi)
+    at least.  The squares' p are the primes from isqrt(lo - 1) + 1 up, and
+    the loop over the p of the higher powers stops at hi**(1/3), so a call
+    for a window of 2**17 integers near 2**40 reads 1,266 primes, not all
+    82,025 of the base sieve."""
+    root = math.isqrt(max(hi, 0))
+    least = math.isqrt(max(lo - 1, 0)) + 1  # the least p with p * p >= lo
+    view = memoryview(primes)
+    higher = [(p * p, p, 2) for p in itertools.compress(range(least, root + 1), view[least : root + 1])]
+    if lo <= 2 <= hi:
+        higher.append((2, 2, 1))
+    for p in itertools.compress(range(root + 1), view[: root + 1]):
+        q, f = p**3, 3
+        if q > hi:
+            break
+        while q <= hi:
+            if q >= lo:
+                higher.append((q, p, f))
+            q, f = q * p, f + 1
+    return sorted(higher)
+
+
+def _cut(
+    higher: list[tuple[int, int, int]], first: int, stop: int, flags: Callable[[int, int], bytes]
+) -> Iterator[tuple[QSet, int | None, int]]:
+    """The q-sets of [first, stop), odd first: a run of the odd numbers up to
+    each higher prime power (q, p, f) of higher, in turn, that power alone,
+    and a last run up to stop.  flags(a, b) gives the run's 0/1 prime flags
+    of the odd numbers in [a, b)."""
+    for q, p, f in higher:
+        yield (range(first, q, 2), flags(first, q)), None, 1
+        yield (range(q, q + 1), b"\x01"), p, f
+        first = (q + 1) | 1
+    yield (range(first, stop, 2), flags(first, stop)), None, 1
+
+
 def prime_runs(table: bytes | bytearray, lo: int, hi: int) -> Iterator[tuple[QSet, int | None, int]]:
     """The prime powers q with lo <= q <= hi as q-sets (qs, p, f), ascending.
 
@@ -487,37 +538,59 @@ def prime_runs(table: bytes | bytearray, lo: int, hi: int) -> Iterator[tuple[QSe
     f >= 2, comes alone, as ``((range(q, q + 1), b"\\x01"), p, f)``.
 
     table is any byte table longer than hi whose entries equal to 1 are
-    exactly the primes: a `prime_sieve` or an `omega_table`.  Only 2 and
-    the powers p**f (f >= 2) of the primes up to sqrt(hi) are listed and
-    sorted, 243 values below 2**20, so no list of the whole range is ever
-    held.
+    exactly the primes: a `prime_sieve` or an `omega_table`.  The runs
+    are cut by `_cut`, the one run-cutter, which `prime_runs_in_range`
+    shares; no list of the whole range is ever held.
     """
-    higher = [(2, 2, 1)] if lo <= 2 <= hi else []
     root = math.isqrt(max(hi, 0))
-    for p in itertools.compress(range(2, root + 1), table[2 : root + 1].translate(_IS_ONE)):
-        q, f = p * p, 2
-        while q <= hi:
-            if q >= lo:
-                higher.append((q, p, f))
-            q, f = q * p, f + 1
-    higher.sort()
-    first = max(lo, 3) | 1
-    for q, p, f in higher:
-        yield (range(first, q, 2), table[first:q:2].translate(_IS_ONE)), None, 1
-        yield (range(q, q + 1), b"\x01"), p, f
-        first = (q + 1) | 1
-    yield (range(first, hi + 1, 2), table[first : hi + 1 : 2].translate(_IS_ONE)), None, 1
+    higher = _higher_powers(table[: root + 1].translate(_IS_ONE), lo, hi)
+    return _cut(higher, max(lo, 3) | 1, hi + 1, lambda a, b: table[a:b:2].translate(_IS_ONE))
+
+
+_WINDOW = 1 << 16  # odd numbers per window of `prime_runs_in_range`, 64 KiB of flags
+_RANGE_LIMIT = 1 << 52  # exclusive bound on its hi: a base sieve of at most 2**26 bytes
 
 
 def prime_runs_in_range(lo: int, hi: int) -> Iterator[tuple[QSet, int | None, int]]:
-    """``prime_runs`` over ``prime_sieve(hi)`` for [lo, hi].  The range is
-    checked and the sieve built when this is called, so OverflowError for
-    hi >= 2**63 and the sieve's MemoryError come from the call, not from
-    the first q-set; the stream holds the sieve and reads each run's slice
-    off it as the run is taken."""
+    """The q-sets of ``prime_runs(prime_sieve(hi), lo, hi)``, by a segmented
+    sieve of Eratosthenes (C. Bays and R. H. Hudson, BIT 17, 1977), so that
+    its memory is a base sieve of isqrt(hi) + 1 bytes and one window.
+
+    The base sieve runs up to isqrt(hi).  The odd numbers from lo up are
+    then sieved by its primes in windows of 2**16 odds, one at a time, and
+    each window is cut at its higher prime powers by `_cut`.  So the
+    stream is ``prime_runs``' with its runs also cut at each window's end;
+    a window edge may leave a run in two parts, or an empty one, and
+    higher prime powers and runs still come in ascending order.
+
+    The range is checked and the base sieve built when this is called, so
+    OverflowError for hi >= 2**63, MemoryError for hi >= 2**52 (a base
+    sieve past 2**26 bytes, 64 MiB) and the base sieve's own MemoryError
+    come from the call, not from the first q-set.
+    """
     if hi >= MAX_VALUE:
         raise OverflowError(f"range end {hi} is out of range: must be below 2**63")
-    return prime_runs(prime_sieve(hi), lo, hi)
+    if hi >= _RANGE_LIMIT:
+        raise MemoryError(f"a range up to {hi} needs a base sieve past 2**26 bytes")
+    base = prime_sieve(math.isqrt(max(hi, 0)))
+    return _windows(base, lo, hi)
+
+
+def _windows(base: bytearray, lo: int, hi: int) -> Iterator[tuple[QSet, int | None, int]]:
+    """`_cut` of each window of `_WINDOW` odd numbers from lo up to hi, at
+    the higher prime powers from the last window's end (from lo, for the
+    first) up to its own; at least one window, so that a range with no odd
+    number still yields its higher powers."""
+    start = max(lo, 3) | 1
+    for first in range(start, max(hi, start) + 1, 2 * _WINDOW):
+        stop = min(first + 2 * _WINDOW, hi + 1)
+        flags = _odd_prime_flags(base, first, stop)
+        higher = _higher_powers(base, lo, stop - 1)
+        # range(a, b, 2) with odd a >= first and b >= first - 1 (a window
+        # with no odd number has no flags) is flags[i:j] with i, j their
+        # indices: j = len(range(first, b, 2))
+        yield from _cut(higher, first, stop, lambda a, b: flags[(a - first) // 2 : (b - first + 1) // 2])
+        lo = stop
 
 
 def zsigmondy_base2(n: int) -> int | None:

@@ -309,8 +309,8 @@ def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
     its q.  A violation names q's degrees, so only a part of one q has
     any; a run keeps no pair, by the premise below.
 
-    Each q-set (odds, flags), p, f of ``arithmetic.prime_runs`` that holds
-    a q is passed on unchanged, as it comes: a higher prime power q = p^f,
+    Each q-set (odds, flags), p, f of ``arithmetic.prime_runs_in_range``
+    that holds a q is passed on unchanged, as it comes: a higher prime power q = p^f,
     2 or p^k with k >= 2, alone, or a run of primes, with p None, since
     each prime is its own p, and f 1.  It is decided once, at its first q,
     by ``_decide`` with each plan of that q's one cached dict
@@ -323,21 +323,23 @@ def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
     prime q >= 7 has one proper extension, PGL(2,q), and its plan reads no
     q: it has rows, none conditional, keeps no pair, and is the same for
     q = 1 and 3 mod 4.  So every prime of a run has the verdict of its
-    first, and a part need not be a whole run: two parts that split a run
-    have one verdict, and their q render the same text as the run's.
+    first, and a part need not be a whole run: two parts that split a run,
+    as a window's end of the sieve may, have one verdict, and their q
+    render the same text as the run's.
 
-    The call checks the range and the premise, builds the sieve and takes
-    the first part, so these raise from the call, before the caller takes
-    a part: ValueError for q_min < 7 or an inverted range, RuntimeError for
-    a table that breaks the premise, the sieve's MemoryError, and
-    ValueError for a range that holds no prime power, so that no sweep
-    passes with nothing checked.  The other parts are read off the sieve
-    as they are taken; no list of the prime powers is held.
+    The call checks the range and the premise, builds the base sieve of
+    ``arithmetic.prime_runs_in_range`` and takes the first part, so these
+    raise from the call, before the caller takes a part: ValueError for
+    q_min < 7 or an inverted range, RuntimeError for a table that breaks
+    the premise, MemoryError for q_max >= 2**52 or a base sieve that does
+    not fit, and ValueError for a range that holds no prime power, so that
+    no sweep passes with nothing checked.  The other parts are read off
+    one window of the sieve at a time as they are taken; no list of the
+    prime powers is held.
 
-    ``shape_degrees`` and ``degree_columns`` cannot overflow here: every
-    degree is at most (q+1)*f <= (2**57+1)*57 < 2**63 for q <= 2**57, and a
-    range past 2**57 needs a sieve larger than any address space, so it
-    raises MemoryError at the call.
+    ``shape_degrees`` and ``degree_columns`` cannot overflow here: q_max is
+    below 2**52, the bound on the base sieve, and every degree is at most
+    (q+1)*f <= 2**52 * 52 < 2**63 for q < 2**52.
     """
     if q_min < 7:
         raise ValueError(f"sweeps start at q = 7, got q_min = {q_min}")

@@ -22,6 +22,7 @@ from psl2cd.arithmetic import (
     omega_table,
     prime_power_decompose,
     prime_runs,
+    prime_runs_in_range,
     prime_sieve,
     zsigmondy_base2,
 )
@@ -326,6 +327,18 @@ class TestCofactorOmega:
         assert [omega(n) for n in ns] == [sum(e for _, e in factor(n)) for n in ns] == [6, 7, 8]
         # all three share one cofactor above the trial table
         assert arithmetic._cofactor_omega.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n", [1009 * 1013, 1073741827 * 1073741831])
+    def test_a_composite_is_tested_once(self, monkeypatch, n):
+        # Two primes, with no factor below 1000: below 1009**3 the walk reads
+        # no block, and near 2**60 it divides nothing out up to the cube
+        # root.  Either way n is still the composite Miller-Rabin found, and
+        # is not tested again.
+        real, calls = arithmetic._miller_rabin, []
+        monkeypatch.setattr(arithmetic, "_miller_rabin", lambda m: calls.append(m) or real(m))
+        arithmetic._cofactor_omega.cache_clear()
+        assert omega(n) == 2
+        assert calls == [n]
 
     def test_memo_hits_when_f7_rereads_f4(self):
         # F7 reads Omega(2**f - 1), which F4 has read: the reason the memo
@@ -684,7 +697,87 @@ class TestPrimePowers:
         expected = self.oracle(sieve_factorizer(hi), 7, hi)
         assert list(prime_powers(prime_sieve(hi), 7, hi)) == expected
         assert list(prime_powers(omega_table(hi + 1), 7, hi)) == expected
+        assert _flat(prime_runs_in_range(7, hi)) == expected
         assert 3**11 in expected and 443**2 in expected and 2**17 in expected
+
+
+class TestWindowedRuns:
+    """``prime_runs_in_range``, the segmented sieve: its q-sets flatten to
+    the prime powers of the range, whatever the window size."""
+
+    EVERY = TestPrimePowers.oracle(sieve_factorizer(700), 0, 700)
+    HIGHER = [q for q in EVERY if q == 2 or q % 2 == 0 or not trial_is_prime(q)]
+
+    def test_every_small_range(self):
+        for hi in range(301):
+            for lo in range(hi + 1):
+                assert _flat(prime_runs_in_range(lo, hi)) == [n for n in self.EVERY if lo <= n <= hi], (lo, hi)
+
+    @pytest.mark.parametrize("window", [3, 1 << 16])
+    def test_near_2_40(self, monkeypatch, window):
+        # Every integer of [2**40 - 100, 2**40 + 100] by trial division; the
+        # small window also cuts the range, at 2**40 - 99 + 6k.
+        monkeypatch.setattr(arithmetic, "_WINDOW", window)
+        lo, hi = 2**40 - 100, 2**40 + 100
+        primes = [n for n in range(lo, hi + 1) if trial_is_prime(n)]
+        assert _flat(prime_runs_in_range(lo, hi)) == sorted([*primes, 2**40])
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 6), st.data())
+    def test_window_edges(self, window, data):
+        # lo at 2k windows below a higher prime power q puts a window edge on
+        # q (or just past an even q); hi a few numbers either side of a
+        # window's end puts an edge on hi or one or two short of it.
+        arithmetic._WINDOW = window
+        try:
+            if data.draw(st.booleans()):
+                q, k = data.draw(st.sampled_from(self.HIGHER)), data.draw(st.integers(0, 4))
+                lo = max(q - 2 * window * k - q % 2, 0)
+            else:
+                lo = data.draw(st.integers(0, 500))
+            first = max(lo, 3) | 1
+            hi = data.draw(st.integers(0, 12)) * 2 * window + first + data.draw(st.integers(-3, 1))
+            hi = min(max(hi, lo), 700)
+            qsets = list(prime_runs_in_range(lo, hi))
+        finally:
+            arithmetic._WINDOW = 1 << 16
+        assert _flat(qsets) == [n for n in self.EVERY if lo <= n <= hi]
+        numbers = [n for (odds, _), _, _ in qsets for n in odds]
+        assert numbers == sorted(set(numbers))  # each number in one q-set, in order
+        for (odds, flags), p, f in qsets:
+            assert len(flags) == len(odds) and set(flags) <= {0, 1}
+            if p is None:  # a run, inside one window
+                assert f == 1
+                assert not odds or (odds[0] - first) // (2 * window) == (odds[-1] - first) // (2 * window)
+            else:
+                assert len(odds) == 1 == flags[0] and trial_is_prime(p) and p**f == odds[0]
+
+    def test_memory_is_a_base_sieve_and_a_window(self):
+        # The base sieve runs to isqrt(hi) = 2**20, 1 MB for a range near
+        # 2**40; the windows are held one at a time, and so are their runs.
+        lo, hi = 2**40, 2**40 + 2**18
+        tracemalloc.start()
+        try:
+            for _ in prime_runs_in_range(lo, hi):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(prime_sieve(2**20)) + 4 * arithmetic._WINDOW, peak
+
+    @pytest.mark.parametrize("hi", [2**52, 2**58, MAX_VALUE - 1])
+    def test_past_the_bound_is_out_of_memory(self, monkeypatch, hi):
+        # refused before any sieve is built
+        monkeypatch.setattr(arithmetic, "prime_sieve", None)
+        with pytest.raises(MemoryError):
+            prime_runs_in_range(7, hi)
+        with pytest.raises(OverflowError):
+            prime_runs_in_range(7, MAX_VALUE)
+
+
+def _flat(qsets) -> list[int]:
+    """The q of a stream of q-sets, in turn."""
+    return [q for qs, _, _ in qsets for q in itertools.compress(*qs)]
 
 
 class TestDivisors:

@@ -806,6 +806,21 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_memory_is_a_base_sieve_and_a_few_windows(self):
+        # The sieve is segmented: a base sieve up to isqrt(hi), 1,025 bytes
+        # here, and windows of 2**16 odd numbers, one at a time.  A sieve of
+        # all of 7..2^20 alone took 1,048,577 bytes.
+        hi = 2**20
+        bound = len(prime_sieve(math.isqrt(hi))) + 4 * arithmetic._WINDOW
+        tally_sweep(7, hi)  # fill the factor and shape caches
+        tracemalloc.start()
+        try:
+            tally_sweep(7, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+
     def test_degree_overflow_raises(self, monkeypatch):
         # (2^59 + 1) * 59 exceeds the 63-bit degree bound; no sieve reaches
         # 2^59, so hand the sweep one empty run ended by that prime power.

@@ -367,8 +367,9 @@ class TestErrorPaths:
         ],
     )
     def test_failed_sieve_allocation_prints_one_line(self, capfd, argv):
-        # A sieve of 2**58 bytes fits no address space, so the allocation
-        # fails at once.  The CLI runs in a child interpreter, without -X dev
+        # A sweep up to 2**58 is past the bound of 2**52 on the base
+        # sieve's range, and F6's table of 2**58 bytes fits no address
+        # space, so each is refused at once.  The CLI runs in a child interpreter, without -X dev
         # and without pytest's unraisable-exception hook, so anything CPython
         # itself prints reaches the inherited stderr descriptor capfd reads.
         # A stray line there may depend on uninitialised memory, so one run
@@ -449,6 +450,8 @@ class TestErrorPaths:
     def test_json_sweep_writes_nothing_when_its_second_sieve_fails(self, capsys, monkeypatch):
         # The JSON report sieves once for its tally and once for its
         # verdicts, and asks for the second sieve before it writes the head.
+        # Each pass's one `prime_sieve` is its base sieve, up to
+        # isqrt(q_max); its windows are sieved without one.
         real, calls = arithmetic.prime_sieve, []
 
         def second_sieve_fails(limit):
@@ -459,7 +462,7 @@ class TestErrorPaths:
 
         monkeypatch.setattr("psl2cd.arithmetic.prime_sieve", second_sieve_fails)
         code, out, err = run(capsys, "sweep", "--qmin", "7", "--qmax", "100", "--format", "json")
-        assert (code, out, calls) == (2, "", [100, 100])
+        assert (code, out, calls) == (2, "", [10, 10])
         assert err == "error: out of memory; try a smaller range\n"
 
 
