@@ -522,19 +522,18 @@ class TestSweepReportWriter:
 
     def test_thousands_of_parts_are_joined(self):
         # Thousands of parts, each written as its own text, so the joins
-        # between parts are written; no run of primes below 2^16 holds a
-        # whole slice.
+        # between parts are written.
         payload = self.check(7, 65536)
         assert len(payload["verdicts"]) > cli._VERDICT_BATCH
 
     def test_a_run_fills_two_slices(self):
-        # The run of primes between 293^2 and 307^2 holds 735 of them, so
-        # at 512 a slice it is written as two texts, joined between them.
-        assert cli._VERDICT_BATCH == 512
-        texts = list(cli._rendered(classifier.sweep_parts(85849, 94249)))
-        assert [text.count('"q": ') for text in texts] == [1] * 4 + [512, 223] + [1] * 4
-        payload = self.check(85849, 94249)
-        assert (payload["summary"]["groups"], payload["summary"]["passing"]) == (743, 737)
+        # The run of primes between 199^2 and 211^2 holds 463 of them, so
+        # at 256 a slice it is written as two texts, joined between them.
+        assert cli._VERDICT_BATCH == 256
+        texts = list(cli._rendered(classifier.sweep_parts(39601, 44521)))
+        assert [text.count('"q": ') for text in texts] == [1] * 4 + [256, 207] + [1] * 4
+        payload = self.check(39601, 44521)
+        assert (payload["summary"]["groups"], payload["summary"]["passing"]) == (471, 468)
 
     def test_a_split_run_renders_as_the_whole_run(self):
         # Two parts that split a run share its verdict, so their q render
@@ -554,7 +553,7 @@ class TestSweepReportWriter:
 
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_runs_fill_in_slices(self, monkeypatch, batch):
-        # No run of primes below 2^16 holds 512 of them, so fill a few
+        # No run of primes below 3000 holds 256 of them, so fill a few
         # primes at a time to put most runs in several slices, and each
         # slice's degree columns down to one or two q.
         monkeypatch.setattr(cli, "_VERDICT_BATCH", batch)
