@@ -590,6 +590,7 @@ def _windows(base: bytearray, lo: int, hi: int) -> Iterator[tuple[QSet, int | No
         # with no odd number has no flags) is flags[i:j] with i, j their
         # indices: j = len(range(first, b, 2))
         yield from _cut(higher, first, stop, lambda a, b: flags[(a - first) // 2 : (b - first + 1) // 2])
+        del flags  # before the next window is built, so that two are never held
         lo = stop
 
 

@@ -310,9 +310,9 @@ def sweep_parts(q_min: int, q_max: int) -> Iterator[tuple]:
     any; a run keeps no pair, by the premise below.
 
     Each q-set (odds, flags), p, f of ``arithmetic.prime_runs_in_range``
-    that holds a q is passed on unchanged, as it comes: a higher prime power q = p^f,
-    2 or p^k with k >= 2, alone, or a run of primes, with p None, since
-    each prime is its own p, and f 1.  It is decided once, at its first q,
+    that holds a q is passed on unchanged, as it comes: a higher prime
+    power q = p^f, 2 or p^k with k >= 2, alone, or a run of primes, with p
+    None, since each prime is its own p, and f 1.  It is decided once, at its first q,
     by ``_decide`` with each plan of that q's one cached dict
     ``_q_plans(*shape_key(p or q, f, q))``, which lists q's proper
     extensions in ``OuterKind`` order with ascending d, so a q's groups

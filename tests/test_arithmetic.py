@@ -706,21 +706,21 @@ class TestWindowedRuns:
     the prime powers of the range, whatever the window size."""
 
     EVERY = TestPrimePowers.oracle(sieve_factorizer(700), 0, 700)
-    HIGHER = [q for q in EVERY if q == 2 or q % 2 == 0 or not trial_is_prime(q)]
+    HIGHER = [q for q in EVERY if q == 2 or not trial_is_prime(q)]
 
     def test_every_small_range(self):
         for hi in range(301):
             for lo in range(hi + 1):
                 assert _flat(prime_runs_in_range(lo, hi)) == [n for n in self.EVERY if lo <= n <= hi], (lo, hi)
 
-    @pytest.mark.parametrize("window", [3, 1 << 16])
-    def test_near_2_40(self, monkeypatch, window):
+    def test_near_2_40(self, monkeypatch):
         # Every integer of [2**40 - 100, 2**40 + 100] by trial division; the
-        # small window also cuts the range, at 2**40 - 99 + 6k.
-        monkeypatch.setattr(arithmetic, "_WINDOW", window)
+        # window of 32 odds also cuts the range, at 2**40 - 99 + 64k.
         lo, hi = 2**40 - 100, 2**40 + 100
-        primes = [n for n in range(lo, hi + 1) if trial_is_prime(n)]
-        assert _flat(prime_runs_in_range(lo, hi)) == sorted([*primes, 2**40])
+        expected = sorted([*(n for n in range(lo, hi + 1) if trial_is_prime(n)), 2**40])
+        for window in (1 << 16, 32):
+            monkeypatch.setattr(arithmetic, "_WINDOW", window)
+            assert _flat(prime_runs_in_range(lo, hi)) == expected, window
 
     @settings(deadline=None, max_examples=300)
     @given(st.integers(1, 6), st.data())
@@ -753,9 +753,9 @@ class TestWindowedRuns:
                 assert len(odds) == 1 == flags[0] and trial_is_prime(p) and p**f == odds[0]
 
     def test_memory_is_a_base_sieve_and_a_window(self):
-        # The base sieve runs to isqrt(hi) = 2**20, 1 MB for a range near
-        # 2**40; the windows are held one at a time, and so are their runs.
-        lo, hi = 2**40, 2**40 + 2**18
+        # The base sieve runs to isqrt(hi) = 2**17, 128 KiB for a range near
+        # 2**34; the windows are held one at a time, and so are their runs.
+        lo, hi = 2**34, 2**34 + 2**18
         tracemalloc.start()
         try:
             for _ in prime_runs_in_range(lo, hi):
@@ -763,16 +763,17 @@ class TestWindowedRuns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < len(prime_sieve(2**20)) + 4 * arithmetic._WINDOW, peak
+        assert peak < len(prime_sieve(2**17)) + 4 * arithmetic._WINDOW, peak
 
-    @pytest.mark.parametrize("hi", [2**52, 2**58, MAX_VALUE - 1])
-    def test_past_the_bound_is_out_of_memory(self, monkeypatch, hi):
-        # refused before any sieve is built
+    @pytest.mark.parametrize(
+        "hi, error",
+        [(2**52, MemoryError), (2**58, MemoryError), (MAX_VALUE - 1, MemoryError), (MAX_VALUE, OverflowError)],
+    )
+    def test_past_the_bound_is_refused(self, monkeypatch, hi, error):
+        # before any sieve is built
         monkeypatch.setattr(arithmetic, "prime_sieve", None)
-        with pytest.raises(MemoryError):
+        with pytest.raises(error):
             prime_runs_in_range(7, hi)
-        with pytest.raises(OverflowError):
-            prime_runs_in_range(7, MAX_VALUE)
 
 
 def _flat(qsets) -> list[int]:

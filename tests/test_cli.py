@@ -369,9 +369,10 @@ class TestErrorPaths:
     def test_failed_sieve_allocation_prints_one_line(self, capfd, argv):
         # A sweep up to 2**58 is past the bound of 2**52 on the base
         # sieve's range, and F6's table of 2**58 bytes fits no address
-        # space, so each is refused at once.  The CLI runs in a child interpreter, without -X dev
-        # and without pytest's unraisable-exception hook, so anything CPython
-        # itself prints reaches the inherited stderr descriptor capfd reads.
+        # space, so each is refused at once.  The CLI runs in a child
+        # interpreter, without -X dev and without pytest's
+        # unraisable-exception hook, so anything CPython itself prints
+        # reaches the inherited stderr descriptor capfd reads.
         # A stray line there may depend on uninitialised memory, so one run
         # can miss it; three rarely do.
         env = {**os.environ, "PYTHONPATH": str(Path(psl2cd.__file__).parent.parent)}
